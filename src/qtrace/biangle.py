@@ -43,11 +43,6 @@ def coribbon(n: int) -> RootScalar:
     return RootScalar.h_power(2 * n * (1 - n * n), (-1) ** (n - 1))
 
 
-def coribbon_sqrt(n: int) -> RootScalar:
-    """Square root of the signed coribbon scalar, q^((1-n^2)/2n)."""
-    return RootScalar.h_power(n * (1 - n * n))
-
-
 def quantum_integer(n: int) -> RootScalar:
     """[n]_q = (q^n - q^-n)/(q - q^-1) = sum_{k=1..n} q^(2k-n-1)."""
     out = RootScalar.zero()
@@ -59,20 +54,6 @@ def quantum_integer(n: int) -> RootScalar:
 def unknot_value(n: int) -> RootScalar:
     """Value of a contractible untwisted unknot: (-1)^(n-1) [n]_q."""
     return RootScalar.from_int((-1) ** (n - 1)) * quantum_integer(n)
-
-
-@dataclass(frozen=True)
-class RibbonConstants:
-    """The scalar constants attached to the rank-n ribbon structure."""
-
-    n: int
-    coribbon: RootScalar
-    sqrt: RootScalar
-    quantum_integer: RootScalar
-
-    @staticmethod
-    def build(n: int) -> "RibbonConstants":
-        return RibbonConstants(n, coribbon(n), coribbon_sqrt(n), quantum_integer(n))
 
 
 def duality_parameter(n: int, sign: int = 1) -> RootScalar:
@@ -231,12 +212,25 @@ def _identity(n: int, size: int) -> TorusMatrix:
     return TorusMatrix.identity(scalar_spec(n), size)
 
 
+def _closed_form_inverse(n: int, M: TorusMatrix) -> TorusMatrix:
+    """Pi . Mbar . Pi: every h-exponent negated and the two strands of
+    each pair index swapped."""
+    swap = [_flat(n, j, i) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+    def bar(x: TorusElement) -> TorusElement:
+        return _scalar(n, RootScalar({-k: c for k, c in x.scalar_part().terms.items()}))
+
+    return TorusMatrix(M.spec, [[bar(M[r, c]) for c in swap] for r in swap])
+
+
 @lru_cache(maxsize=None)
 def _crossing_core(n: int):
-    """Build (C_same, C_opp) in the preferred bases, rows = incoming pair.
+    """Build (C_same, C_same^-1, C_opp, C_opp^-1) in the preferred bases,
+    rows = incoming pair.
 
     C_same is computed from both the vv and dd braidings and C_opp from
-    both the dv and vd braidings; the two computations must agree.
+    both the dv and vd braidings; the two computations must agree.  The
+    inverses come from R^-1(q) = R_21(q^-1), see crossing_matrix.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -257,55 +251,8 @@ def _crossing_core(n: int):
         raise AssertionError("crossing matrices from dv and vd disagree")
     # Rows should index the incoming pair; the matrices are built with
     # rows = output, so transpose.  (Both happen to be symmetric.)
-    return same_vv.transpose(), opp_dv.transpose()
-
-
-def invert_scalar_matrix(M: TorusMatrix) -> TorusMatrix:
-    """Exact inverse of a square matrix with scalar Laurent entries.
-
-    Round-trips through sympy: entries become Laurent polynomials in a
-    symbol h, the matrix is inverted exactly, and each entry of the
-    inverse (necessarily Laurent again for the matrices used here) is
-    parsed back.
-    """
-    import sympy
-
-    h = sympy.Symbol("h")
-    size = len(M.entries)
-    spec = M.spec
-
-    def to_sympy(entry: TorusElement):
-        value = entry.scalar_part()
-        return sum(c * h**k for k, c in value.terms.items())
-
-    S = sympy.Matrix(size, size, lambda i, j: to_sympy(M[i, j]))
-    Sinv = S.inv()
-
-    def from_sympy(expr) -> TorusElement:
-        expr = sympy.cancel(sympy.together(expr))
-        num, den = sympy.fraction(expr)
-        num = sympy.Poly(sympy.expand(num), h)
-        den = sympy.Poly(sympy.expand(den), h)
-        den_terms = den.terms()
-        if len(den_terms) != 1:
-            raise ValueError("matrix inverse entry is not Laurent in h")
-        (dexp,), dcoeff = den_terms[0]
-        dcoeff = int(dcoeff)
-        if abs(dcoeff) != 1:
-            raise ValueError("matrix inverse entry has a non-unit denominator")
-        out = RootScalar.zero()
-        for (exp,), coeff in num.terms():
-            out = out + RootScalar.h_power(int(exp) - dexp, int(coeff) * dcoeff)
-        return TorusElement.scalar(spec, out)
-
-    rows = [[from_sympy(Sinv[i, j]) for j in range(size)] for i in range(size)]
-    return TorusMatrix(spec, rows)
-
-
-@lru_cache(maxsize=None)
-def _crossing_with_inverses(n: int):
-    same, opp = _crossing_core(n)
-    return same, invert_scalar_matrix(same), opp, invert_scalar_matrix(opp)
+    same, opp = same_vv.transpose(), opp_dv.transpose()
+    return same, _closed_form_inverse(n, same), opp, _closed_form_inverse(n, opp)
 
 
 def crossing_matrix(kind: str, n: int) -> TorusMatrix:
@@ -315,10 +262,17 @@ def crossing_matrix(kind: str, n: int) -> TorusMatrix:
     inverse; negative opposite-direction crossings get C_opp and
     positive ones its inverse.  The over-strand direction does not
     change the matrix, only which picture the kind names.
+
+    Inverses use the closed form R^-1(q) = R_21(q^-1) of the standard
+    R-matrix (Le-Yu): C^-1 is C with h -> h^-1 in every entry and the
+    two strands of every pair index swapped.  They are deliberately not
+    derived from the Hecke relation q^(-1/n) C - q^(1/n) C^-1 =
+    (q^-1 - q) I, so the HOMFLYPT check in skein_checks and the
+    C C^-1 = I checks stay independent identities.
     """
     if kind not in CROSSING_KINDS:
         raise ValueError("unknown crossing kind: %r" % (kind,))
-    same, same_inv, opp, opp_inv = _crossing_with_inverses(n)
+    same, same_inv, opp, opp_inv = _crossing_core(n)
     sign, direction, _ = kind.split("_", 2)
     if direction == "same":
         return same if sign == "pos" else same_inv
@@ -564,7 +518,7 @@ def biangle_trace(diagram: BiangleDiagram, state: BiangleState) -> RootScalar:
 def skein_checks(n: int) -> dict:
     """Report on the three skein-level identities at rank n."""
     report = {}
-    same, same_inv, _, _ = _crossing_with_inverses(n)
+    same, same_inv, _, _ = _crossing_core(n)
     spec = scalar_spec(n)
     lhs = same * _scalar(n, q_power(n, -1, n)) - same_inv * _scalar(n, q_power(n, 1, n))
     rhs = _identity(n, n * n) * _scalar(n, q_power(n, -1) - q_power(n, 1))
@@ -584,7 +538,7 @@ def skein_checks(n: int) -> dict:
 def yang_baxter_holds(n: int) -> bool:
     """Braid relation for the same-direction crossing matrix on three
     strands."""
-    same, _ = _crossing_core(n)
+    same = _crossing_core(n)[0]
     I = _identity(n, n)
     left = kron(same, I)
     right = kron(I, same)

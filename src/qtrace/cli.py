@@ -60,7 +60,6 @@ from .surface import (
     build_surface,
     project_to_glued,
     quantum_trace,
-    validate_good_position,
     verify_moves,
 )
 
@@ -326,17 +325,7 @@ def cmd_trace(args) -> int:
     if args.n is not None:
         n = args.n
     surface = build_surface(triangulation, n)
-    problems = validate_good_position(link, surface)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 1
-    trace = quantum_trace(link, surface)
-    try:
-        glued = project_to_glued(trace, surface)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 1
+    glued = project_to_glued(quantum_trace(link, surface), surface)
     if args.classical:
         terms = {e: {0: c} for e, c in glued.at_one().items() if c}
     else:

@@ -220,24 +220,6 @@ def classical_uturn(spec: QuantumTorusSpec, ccw: bool = False) -> TorusMatrix:
     return U.transpose() if ccw else U
 
 
-def classical_turn_matrix(
-    spec: QuantumTorusSpec,
-    kind: str,
-    interior: Callable[[int, int, int], int] | None = None,
-    zvec: Sequence[int] | None = None,
-) -> TorusMatrix:
-    """Dispatch for the five classical local matrices over a commutative spec."""
-    if kind in ("left", "right"):
-        return turn_matrix(spec, kind, interior)
-    if kind == "edge":
-        return edge_matrix(spec, zvec)
-    if kind == "uturn_cw":
-        return classical_uturn(spec, ccw=False)
-    if kind == "uturn_ccw":
-        return classical_uturn(spec, ccw=True)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def weyl_lift_matrix(M: TorusMatrix, qspec: QuantumTorusSpec) -> TorusMatrix:
     """Weyl-lift each entry of a commutative matrix term by term."""
     out = []

@@ -513,14 +513,6 @@ class TorusMatrix:
             [[TorusElement.one(spec) if i == j else TorusElement.zero(spec) for j in range(size)] for i in range(size)],
         )
 
-    @staticmethod
-    def diagonal(spec, diag) -> "TorusMatrix":
-        size = len(diag)
-        return TorusMatrix(
-            spec,
-            [[diag[i] if i == j else TorusElement.zero(spec) for j in range(size)] for i in range(size)],
-        )
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -612,22 +604,3 @@ def kron(A: TorusMatrix, B: TorusMatrix) -> TorusMatrix:
                     row.append(normal_product(a, B.entries[i2][j2]))
             out.append(row)
     return TorusMatrix(A.spec, out)
-
-
-def specialize(a: TorusElement, h_value=1):
-    """Classical or numeric specialization of a torus element.
-
-    At h_value == 1 returns the commutative polynomial as a dict from
-    exponent tuples (1/n units) to integer coefficients.
-    """
-    if h_value == 0:
-        raise ValueError("h must be nonzero")
-    if h_value == 1:
-        return a.at_one()
-    raise ValueError("numeric evaluation needs generator values; use TorusElement.equals/evaluate")
-
-
-def equals(a: TorusElement, b: TorusElement) -> bool:
-    if a.spec != b.spec:
-        raise ValueError("torus spec mismatch")
-    return a == b

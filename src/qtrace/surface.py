@@ -55,7 +55,6 @@ from .biangle import (
     Slice,
     biangle_trace,
     crossing_matrix,
-    invert_scalar_matrix,
     kink_scalar,
     uturn_matrix,
 )
@@ -283,28 +282,6 @@ def build_surface(triangulation: IdealTriangulation, n: int) -> SurfaceTorusSpec
         local_to_glued=tuple(local_to_glued),
         glued_ids=tuple(glued_ids),
     )
-
-
-@dataclass(frozen=True)
-class SplitTriangulation:
-    """The split model: one biangle per internal edge, triangles kept.
-
-    The biangle of an edge has its left boundary glued to the edge's
-    first incidence and its right boundary to the second."""
-
-    triangulation: IdealTriangulation
-
-    @property
-    def biangle_edges(self):
-        return tuple(e.id for e in self.triangulation.internal_edges)
-
-    @property
-    def n_triangles(self):
-        return self.triangulation.n_triangles
-
-
-def split_triangulation(triangulation: IdealTriangulation) -> SplitTriangulation:
-    return SplitTriangulation(triangulation=triangulation)
 
 
 # ---------------------------------------------------------------------------

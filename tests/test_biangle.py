@@ -133,7 +133,7 @@ class TestCrossingMatrices:
         )
         assert crossing_matrix("neg_opp_to_lower", 3) == expected
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_inverse_kinds(self, n):
         I = TorusMatrix.identity(scalar_spec(n), n * n)
         pairs = [

@@ -178,7 +178,7 @@ class TestTraceCommand:
         link = tmp_path / "bad.link"
         link.write_text("arc T1 0 right 1\narc T0 0 right 1\n")
         assert main(["trace", str(surface), str(link)]) == 1
-        assert capsys.readouterr().err
+        assert "biangle 'r'" in capsys.readouterr().err
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         surface = tmp_path / "bad.surface"
