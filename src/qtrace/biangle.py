@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .qtorus import (
+    ZERO,
     RootScalar,
-    TorusElement,
     TorusMatrix,
     kron,
     mat_mul,
     q_power,
-    scalar_spec,
 )
 
 
@@ -66,10 +65,6 @@ def _neg_q_pow(n: int, k: int) -> RootScalar:
     return RootScalar.h_power(2 * n * n * k, (-1) ** (k % 2))
 
 
-def _scalar(n: int, value: RootScalar) -> TorusElement:
-    return TorusElement.scalar(scalar_spec(n), value)
-
-
 def uturn_core(n: int, lam: RootScalar | None = None) -> TorusMatrix:
     """The n x n antidiagonal U-turn matrix with scale lam.
 
@@ -81,24 +76,19 @@ def uturn_core(n: int, lam: RootScalar | None = None) -> TorusMatrix:
         raise ValueError("n must be at least 2")
     if lam is None:
         lam = duality_parameter(n)
-    spec = scalar_spec(n)
-    rows = []
+    rows = [[ZERO] * n for _ in range(n)]
     for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == n - j + 1:
-                row.append(_scalar(n, lam * _neg_q_pow(n, i - n)))
-            else:
-                row.append(TorusElement.zero(spec))
-        rows.append(row)
-    return TorusMatrix(spec, rows)
+        rows[i - 1][n - i] = lam * _neg_q_pow(n, i - n)
+    return TorusMatrix(None, rows)
 
 
 def uturn_matrix(kind: str, n: int) -> TorusMatrix:
     """The four biangle U-turn matrices.
 
     dec_cw -> U, dec_ccw -> coribbon^-1 U, inc_ccw -> U^T,
-    inc_cw -> coribbon^-1 U^T.
+    inc_cw -> coribbon^-1 U^T.  A dec_* matrix is indexed by the
+    (top, bottom) strand states of the turn, an inc_* one by
+    (bottom, top).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -107,22 +97,17 @@ def uturn_matrix(kind: str, n: int) -> TorusMatrix:
     if kind == "dec_cw":
         return base
     if kind == "dec_ccw":
-        return base * _scalar(n, zinv)
+        return base * zinv
     if kind == "inc_ccw":
         return base.transpose()
     if kind == "inc_cw":
-        return base.transpose() * _scalar(n, zinv)
+        return base.transpose() * zinv
     raise ValueError("unknown U-turn kind: %r" % (kind,))
 
 
 def _flat(n: int, i: int, j: int) -> int:
     """Pair index (i, j), 1-based entries, second index fastest."""
     return (i - 1) * n + (j - 1)
-
-
-def _zero_matrix(n: int, size: int):
-    spec = scalar_spec(n)
-    return [[TorusElement.zero(spec) for _ in range(size)] for _ in range(size)]
 
 
 def _braiding_std(n: int, pair: str) -> TorusMatrix:
@@ -133,8 +118,8 @@ def _braiding_std(n: int, pair: str) -> TorusMatrix:
     n-dimensional space and "d" its dual.
     """
     size = n * n
-    M = _zero_matrix(n, size)
-    qp = lambda num, den=1, coeff=1: _scalar(n, q_power(n, num, den, coeff))
+    M = [[ZERO] * size for _ in range(size)]
+    qp = lambda num, den=1: q_power(n, num, den)
 
     def add(out_i, out_j, in_i, in_j, value):
         M[_flat(n, out_i, out_j)][_flat(n, in_i, in_j)] += value
@@ -183,7 +168,7 @@ def _braiding_std(n: int, pair: str) -> TorusMatrix:
                     add(j, i, i, j, qp(-1, n))
     else:
         raise ValueError("unknown factor pair: %r" % (pair,))
-    return TorusMatrix(scalar_spec(n), M)
+    return TorusMatrix(None, M)
 
 
 def _dual_basis_matrix(n: int) -> TorusMatrix:
@@ -193,23 +178,17 @@ def _dual_basis_matrix(n: int) -> TorusMatrix:
     standard dual vector with label n-i+1; columns hold the standard
     coordinates of the preferred vectors.
     """
-    spec = scalar_spec(n)
-    M = [[TorusElement.zero(spec) for _ in range(n)] for _ in range(n)]
+    M = [[ZERO] * n for _ in range(n)]
     for i in range(1, n + 1):
-        M[n - i][i - 1] = _scalar(n, _neg_q_pow(n, n - i))
-    return TorusMatrix(spec, M)
+        M[n - i][i - 1] = _neg_q_pow(n, n - i)
+    return TorusMatrix(None, M)
 
 
 def _dual_basis_inverse(n: int) -> TorusMatrix:
-    spec = scalar_spec(n)
-    M = [[TorusElement.zero(spec) for _ in range(n)] for _ in range(n)]
+    M = [[ZERO] * n for _ in range(n)]
     for i in range(1, n + 1):
-        M[i - 1][n - i] = _scalar(n, _neg_q_pow(n, i - n))
-    return TorusMatrix(spec, M)
-
-
-def _identity(n: int, size: int) -> TorusMatrix:
-    return TorusMatrix.identity(scalar_spec(n), size)
+        M[i - 1][n - i] = _neg_q_pow(n, i - n)
+    return TorusMatrix(None, M)
 
 
 def _closed_form_inverse(n: int, M: TorusMatrix) -> TorusMatrix:
@@ -217,10 +196,10 @@ def _closed_form_inverse(n: int, M: TorusMatrix) -> TorusMatrix:
     each pair index swapped."""
     swap = [_flat(n, j, i) for i in range(1, n + 1) for j in range(1, n + 1)]
 
-    def bar(x: TorusElement) -> TorusElement:
-        return _scalar(n, RootScalar({-k: c for k, c in x.scalar_part().terms.items()}))
+    def bar(x: RootScalar) -> RootScalar:
+        return RootScalar({-k: c for k, c in x.terms.items()})
 
-    return TorusMatrix(M.spec, [[bar(M[r, c]) for c in swap] for r in swap])
+    return TorusMatrix(None, [[bar(M[r, c]) for c in swap] for r in swap])
 
 
 @lru_cache(maxsize=None)
@@ -236,7 +215,7 @@ def _crossing_core(n: int):
         raise ValueError("n must be at least 2")
     B = _dual_basis_matrix(n)
     Binv = _dual_basis_inverse(n)
-    I = TorusMatrix.identity(scalar_spec(n), n)
+    I = TorusMatrix.identity(None, n)
 
     def in_basis(std, out_change_inv, in_change):
         return mat_mul(mat_mul(out_change_inv, std), in_change)
@@ -281,7 +260,7 @@ def crossing_matrix(kind: str, n: int) -> TorusMatrix:
 
 def trivial_strand_matrix(n: int) -> TorusMatrix:
     """A strand crossing the biangle with no feature: identity."""
-    return _identity(n, n)
+    return TorusMatrix.identity(None, n)
 
 
 # ---------------------------------------------------------------------------
@@ -298,35 +277,30 @@ def duality_map_matrix(n: int, which: str, lam: RootScalar) -> TorusMatrix:
     coefficient of the preferred basis vector with labels (i, j); for
     the counits it is the value taken on that basis vector.
     """
-    spec = scalar_spec(n)
-    M = [[TorusElement.zero(spec) for _ in range(n)] for _ in range(n)]
+    M = [[ZERO] * n for _ in range(n)]
     lam_inv = lam.inverse()
     qp = lambda num, coeff=1: q_power(n, num, 1, coeff)
     sign = (-1) ** (n - 1)
     for k in range(1, n + 1):
         if which == "b":
             # lam * sum_k e^k (x) dual_k ; dual_k = (-q)^(1-k) f_{n-k+1}
-            M[k - 1][n - k] = _scalar(n, lam * _neg_q_pow(n, 1 - k))
+            M[k - 1][n - k] = lam * _neg_q_pow(n, 1 - k)
         elif which == "bp":
             # (-1)^(n-1) lam * sum_k q^(2k-n-1) dual_k (x) e^k
-            M[n - k][k - 1] = _scalar(
-                n, lam * _neg_q_pow(n, 1 - k) * qp(2 * k - n - 1, sign)
-            )
+            M[n - k][k - 1] = lam * _neg_q_pow(n, 1 - k) * qp(2 * k - n - 1, sign)
         elif which == "d":
             # value on f_i (x) e^j: (-q)^(n-i) lam^-1 delta_{n-i+1,j}
             i = n - k + 1
-            M[i - 1][k - 1] = _scalar(n, lam_inv * _neg_q_pow(n, n - i))
+            M[i - 1][k - 1] = lam_inv * _neg_q_pow(n, n - i)
         elif which == "dp":
             # value on e^i (x) f_j: (-q)^(n-j) (-1)^(n-1) lam^-1 q^(n-2i+1)
             # at i = n-j+1
             i = k
             j = n - i + 1
-            M[i - 1][j - 1] = _scalar(
-                n, lam_inv * _neg_q_pow(n, n - j) * qp(n - 2 * i + 1, sign)
-            )
+            M[i - 1][j - 1] = lam_inv * _neg_q_pow(n, n - j) * qp(n - 2 * i + 1, sign)
         else:
             raise ValueError("unknown duality map: %r" % (which,))
-    return TorusMatrix(spec, M)
+    return TorusMatrix(None, M)
 
 
 def duality_lemma_check(n: int, lam: RootScalar) -> dict:
@@ -334,7 +308,7 @@ def duality_lemma_check(n: int, lam: RootScalar) -> dict:
     U-turn matrices at scale lam.  Returns a name -> bool report."""
     U = uturn_core(n, lam)
     Ut = U.transpose()
-    zinv = _scalar(n, coribbon(n).inverse())
+    zinv = coribbon(n).inverse()
     return {
         # The first two identities carry transposed indices: the tails of
         # the corresponding U-turns attach to the second tensor factor.
@@ -437,19 +411,19 @@ class BiangleState:
     right: tuple
 
 
-def _turn_amplitude(n: int, kind: str, bottom: int, top: int) -> RootScalar:
-    """Amplitude of a U-turn joining strand states (bottom, top).
-
-    All four turns carry lam * (-q)^(top - n) on the antidiagonal
-    bottom + top = n + 1; the closing (consuming) turns carry an extra
-    inverse coribbon factor.
-    """
-    if bottom + top != n + 1:
-        return RootScalar.zero()
-    amp = duality_parameter(n) * _neg_q_pow(n, top - n)
-    if kind in _CONSUME_TURNS:
-        amp = amp * coribbon(n).inverse()
-    return amp
+@lru_cache(maxsize=None)
+def _turn_table(kind: str, n: int) -> dict:
+    """{(bottom, top): amplitude} over the nonzero entries of
+    uturn_matrix(kind, n), so the state sum uses the matrices that the
+    move and duality checks verify."""
+    U = uturn_matrix(kind, n)
+    out = {}
+    for bottom in range(1, n + 1):
+        for top in range(1, n + 1):
+            amp = U[top - 1, bottom - 1] if kind.startswith("dec") else U[bottom - 1, top - 1]
+            if not amp.is_zero():
+                out[(bottom, top)] = amp
+    return out
 
 
 def kink_scalar(n: int, sign: int) -> RootScalar:
@@ -482,19 +456,16 @@ def biangle_trace(diagram: BiangleDiagram, state: BiangleState) -> RootScalar:
                 updated[key] = value
 
         if s.kind in _CREATE_TURNS:
+            turns = _turn_table(s.kind, n).items()
             for states, amp in amplitudes.items():
-                for bottom in range(1, n + 1):
-                    top = n + 1 - bottom
-                    extra = _turn_amplitude(n, s.kind, bottom, top)
-                    key = states[:p] + (bottom, top) + states[p:]
-                    put(key, amp * extra)
+                for pair, extra in turns:
+                    put(states[:p] + pair + states[p:], amp * extra)
         elif s.kind in _CONSUME_TURNS:
+            turns = _turn_table(s.kind, n)
             for states, amp in amplitudes.items():
-                bottom, top = states[p], states[p + 1]
-                extra = _turn_amplitude(n, s.kind, bottom, top)
-                if extra.is_zero():
-                    continue
-                put(states[:p] + states[p + 2 :], amp * extra)
+                extra = turns.get(states[p : p + 2])
+                if extra is not None:
+                    put(states[:p] + states[p + 2 :], amp * extra)
         elif s.kind in CROSSING_KINDS:
             C = crossing_matrix(s.kind, n)
             for states, amp in amplitudes.items():
@@ -506,7 +477,7 @@ def biangle_trace(diagram: BiangleDiagram, state: BiangleState) -> RootScalar:
                         if entry.is_zero():
                             continue
                         key = states[:p] + (c, d) + states[p + 2 :]
-                        put(key, amp * entry.scalar_part())
+                        put(key, amp * entry)
         elif s.kind in ("kink_pos", "kink_neg"):
             factor = kink_scalar(n, 1 if s.kind == "kink_pos" else -1)
             updated = {k: v * factor for k, v in amplitudes.items()}
@@ -519,9 +490,8 @@ def skein_checks(n: int) -> dict:
     """Report on the three skein-level identities at rank n."""
     report = {}
     same, same_inv, _, _ = _crossing_core(n)
-    spec = scalar_spec(n)
-    lhs = same * _scalar(n, q_power(n, -1, n)) - same_inv * _scalar(n, q_power(n, 1, n))
-    rhs = _identity(n, n * n) * _scalar(n, q_power(n, -1) - q_power(n, 1))
+    lhs = same * q_power(n, -1, n) - same_inv * q_power(n, 1, n)
+    rhs = TorusMatrix.identity(None, n * n) * (q_power(n, -1) - q_power(n, 1))
     report["homflypt"] = lhs == rhs
 
     loop = BiangleDiagram(
@@ -539,7 +509,7 @@ def yang_baxter_holds(n: int) -> bool:
     """Braid relation for the same-direction crossing matrix on three
     strands."""
     same = _crossing_core(n)[0]
-    I = _identity(n, n)
+    I = TorusMatrix.identity(None, n)
     left = kron(same, I)
     right = kron(I, same)
     return mat_mul(mat_mul(left, right), left) == mat_mul(mat_mul(right, left), right)

@@ -208,18 +208,6 @@ def turn_matrix(
     return M
 
 
-def classical_uturn(spec: QuantumTorusSpec, ccw: bool = False) -> TorusMatrix:
-    """Antidiagonal matrix with alternating signs, +1 at the bottom left."""
-    n = spec.n
-    zero = TorusElement.zero(spec)
-    M = [[zero for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        # row n-1-k, column k carries (-1)^k
-        M[n - 1 - k][k] = TorusElement.scalar(spec, (-1) ** k)
-    U = TorusMatrix(spec, M)
-    return U.transpose() if ccw else U
-
-
 def weyl_lift_matrix(M: TorusMatrix, qspec: QuantumTorusSpec) -> TorusMatrix:
     """Weyl-lift each entry of a commutative matrix term by term."""
     out = []
@@ -326,57 +314,3 @@ def is_slnq_point(M: TorusMatrix) -> bool:
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
     return is_mnq_point(M) and quantum_determinant(M) == TorusElement.one(M.spec)
-
-
-@dataclass(frozen=True)
-class CurveStep:
-    """One edge crossing followed by one triangle traversal.
-
-    edge: id of the edge crossed entering the triangle.
-    triangle: id of the triangle entered.
-    turn: 'left', 'right', 'uturn_cw', or 'uturn_ccw'.
-    t: winding integer (full right turns; only relevant for even n).
-    """
-
-    edge: object
-    triangle: object
-    turn: str
-    t: int = 0
-
-
-def classical_trace_polynomial(steps: Sequence[CurveStep], surface) -> dict[tuple, int]:
-    """Trace of the ordered product of edge and turn matrices at h = 1.
-
-    The surface object supplies the commutative glued algebra and label
-    lookups: comm_spec, edge_dot_indices(edge, triangle) giving the dot
-    order as seen from the triangle being entered, interior_lookup(tri,
-    entry_edge), and exit_edge(tri, entry_edge, turn) for consistency
-    checking.
-    """
-    if not steps:
-        raise ValueError("curve must cross at least one edge")
-    spec = surface.comm_spec
-    n = spec.n
-    total = TorusMatrix.identity(spec, n)
-    for k, step in enumerate(steps):
-        prev = steps[k - 1]
-        if surface.exit_edge(prev.triangle, prev.edge, prev.turn) != step.edge:
-            raise ValueError(f"step {k}: curve is not closed/consistent at edge {step.edge!r}")
-        zvec = surface.edge_dot_indices(step.edge, step.triangle)
-        total = mat_mul(total, edge_matrix(spec, zvec))
-        sign = (-1) ** ((n - 1) * step.t)
-        if step.turn in ("left", "right"):
-            M = turn_matrix(spec, step.turn, surface.interior_lookup(step.triangle, step.edge))
-        elif step.turn == "uturn_cw":
-            M = classical_uturn(spec, ccw=False)
-        elif step.turn == "uturn_ccw":
-            M = classical_uturn(spec, ccw=True)
-        else:
-            raise ValueError(f"unknown turn {step.turn!r}")
-        if sign == -1:
-            M = M.map(lambda x: -x)
-        total = mat_mul(total, M)
-    tr = TorusElement.zero(spec)
-    for i in range(n):
-        tr = tr + total.entries[i][i]
-    return tr.at_one()

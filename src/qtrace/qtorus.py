@@ -57,9 +57,6 @@ class RootScalar:
     def is_zero(self) -> bool:
         return not self._t
 
-    def is_monomial(self) -> bool:
-        return len(self._t) == 1
-
     def __add__(self, other):
         other = _as_scalar(other)
         if other is NotImplemented:
@@ -206,11 +203,6 @@ def make_spec(n: int, P: Iterable[Iterable[int]], names: Iterable[str] = ()) -> 
     return QuantumTorusSpec(n=n, N=len(P), P=P, names=tuple(names))
 
 
-def scalar_spec(n: int) -> QuantumTorusSpec:
-    """The zero torus: no generators, elements are plain scalars."""
-    return QuantumTorusSpec(n=n, N=0, P=())
-
-
 class TorusElement:
     """Sum of normal-ordered monomials with RootScalar coefficients.
 
@@ -266,13 +258,6 @@ class TorusElement:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_scalar(self) -> bool:
-        zero_e = (0,) * self.spec.N
-        return all(e == zero_e for e in self._terms)
-
-    def scalar_part(self) -> RootScalar:
-        return self._terms.get((0,) * self.spec.N, ZERO)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -484,18 +469,29 @@ def weyl_lift(commutative_terms: Mapping[tuple, int], spec: QuantumTorusSpec) ->
 
 
 class TorusMatrix:
-    """Rectangular matrix with TorusElement entries, left-to-right products."""
+    """Rectangular matrix, left-to-right products, over one of two rings.
+
+    With spec=None the entries are RootScalars in Z[h, h^-1]; otherwise
+    they are TorusElements over spec.  Products, Kronecker products and
+    equality work across the two rings: a scalar entry multiplies and
+    compares with a torus entry directly.
+    """
 
     __slots__ = ("spec", "rows", "cols", "entries")
 
-    def __init__(self, spec: QuantumTorusSpec, entries):
+    def __init__(self, spec: QuantumTorusSpec | None, entries):
         rows = []
         for row in entries:
             r = []
             for x in row:
-                if isinstance(x, (int, RootScalar)):
+                if isinstance(x, int):
+                    x = RootScalar({0: x})
+                if spec is None:
+                    if not isinstance(x, RootScalar):
+                        raise ValueError("scalar matrix entries must be scalars")
+                elif isinstance(x, RootScalar):
                     x = TorusElement.scalar(spec, x)
-                if x.spec != spec:
+                elif x.spec != spec:
                     raise ValueError("entry spec mismatch")
                 r.append(x)
             rows.append(tuple(r))
@@ -508,10 +504,7 @@ class TorusMatrix:
 
     @staticmethod
     def identity(spec, size: int) -> "TorusMatrix":
-        return TorusMatrix(
-            spec,
-            [[TorusElement.one(spec) if i == j else TorusElement.zero(spec) for j in range(size)] for i in range(size)],
-        )
+        return TorusMatrix(spec, [[ONE if i == j else ZERO for j in range(size)] for i in range(size)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -536,7 +529,7 @@ class TorusMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return TorusMatrix(
-            self.spec,
+            _common_spec(self, other),
             [[self.entries[i][j] + other.entries[i][j] for j in range(self.cols)] for i in range(self.rows)],
         )
 
@@ -552,48 +545,48 @@ class TorusMatrix:
     def __eq__(self, other):
         if not isinstance(other, TorusMatrix):
             return NotImplemented
-        return (
-            self.spec == other.spec
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
 
-    def __hash__(self):
-        return hash((self.spec, self.entries))
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+    __hash__ = None  # equal matrices over the two rings hold entries of different types
 
     def __repr__(self):
         return "TorusMatrix([\n" + "\n".join("  [" + ", ".join(repr(x) for x in row) + "]," for row in self.entries) + "\n])"
 
 
+def _common_spec(A: TorusMatrix, B: TorusMatrix) -> QuantumTorusSpec | None:
+    """The ring of a product or sum: the torus if either factor has one."""
+    if A.spec is None:
+        return B.spec
+    if B.spec is not None and B.spec != A.spec:
+        raise ValueError("torus spec mismatch")
+    return A.spec
+
+
 def mat_mul(A: TorusMatrix, B: TorusMatrix) -> TorusMatrix:
     """Noncommutative matrix product, factor order A then B."""
-    if A.spec != B.spec:
-        raise ValueError("torus spec mismatch")
+    spec = _common_spec(A, B)
     if A.cols != B.rows:
         raise ValueError("dimension mismatch")
+    zero = ZERO if spec is None else TorusElement.zero(spec)
     out = []
     for i in range(A.rows):
         row = []
         for j in range(B.cols):
-            acc = TorusElement.zero(A.spec)
+            acc = zero
             for k in range(A.cols):
                 a = A.entries[i][k]
                 b = B.entries[k][j]
                 if a.is_zero() or b.is_zero():
                     continue
-                acc = acc + normal_product(a, b)
+                acc = acc + a * b
             row.append(acc)
         out.append(row)
-    return TorusMatrix(A.spec, out)
+    return TorusMatrix(spec, out)
 
 
 def kron(A: TorusMatrix, B: TorusMatrix) -> TorusMatrix:
     """Kronecker product; pair indices ordered with the second factor fastest."""
-    if A.spec != B.spec:
-        raise ValueError("torus spec mismatch")
+    spec = _common_spec(A, B)
     out = []
     for i1 in range(A.rows):
         for i2 in range(B.rows):
@@ -601,6 +594,6 @@ def kron(A: TorusMatrix, B: TorusMatrix) -> TorusMatrix:
             for j1 in range(A.cols):
                 a = A.entries[i1][j1]
                 for j2 in range(B.cols):
-                    row.append(normal_product(a, B.entries[i2][j2]))
+                    row.append(a * B.entries[i2][j2])
             out.append(row)
-    return TorusMatrix(A.spec, out)
+    return TorusMatrix(spec, out)

@@ -36,6 +36,7 @@ from .qtorus import (
     QuantumTorusSpec,
     TorusElement,
     TorusMatrix,
+    kron,
     make_spec,
     mat_mul,
     normal_product,
@@ -44,7 +45,6 @@ from .qtorus import (
 )
 from .fock_goncharov import (
     TriangleCoordinates,
-    commutative_spec,
     quantum_turn_matrix,
     triangle_poisson,
     triangle_vertices,
@@ -126,13 +126,6 @@ class IdealTriangulation:
                 return e
         raise KeyError(f"no edge at triangle {triangle} side {side}")
 
-    def side_of(self, edge_id: str, triangle: int) -> int:
-        e = self.edge_by_id(edge_id)
-        sides = [s for t, s in e.incidences if t == triangle]
-        if len(sides) != 1:
-            raise ValueError(f"edge {edge_id!r} does not meet triangle {triangle} exactly once")
-        return sides[0]
-
     @property
     def internal_edges(self):
         return tuple(e for e in self.edges if not e.is_boundary)
@@ -183,36 +176,6 @@ class SurfaceTorusSpec:
     tri_offset: tuple
     local_to_glued: tuple  # per triangle: dict local index -> glued index
     glued_ids: tuple  # stable string id per glued generator
-
-    @property
-    def comm_spec(self) -> QuantumTorusSpec:
-        return commutative_spec(self.glued_spec)
-
-    # --- adapters used by the classical trace polynomial ---
-
-    def edge_dot_indices(self, edge_id: str, triangle: int):
-        """Glued generator indices of an edge's dots in the order seen
-        by a curve entering the given triangle through that edge."""
-        side = self.triangulation.side_of(edge_id, triangle)
-        m = self.local_to_glued[triangle]
-        return tuple(m[i] for i in inward_sequence(self.tri, side))
-
-    def interior_lookup(self, triangle: int, entry_edge: str):
-        """Interior dot lookup in the frame where the entry edge plays
-        side 0, mapped to glued indices."""
-        side = self.triangulation.side_of(entry_edge, triangle)
-        m = self.local_to_glued[triangle]
-
-        def lookup(a, b, c):
-            return m[self.tri.index[rotate_vertex((a, b, c), side)]]
-
-        return lookup
-
-    def exit_edge(self, triangle: int, entry_edge: str, turn: str) -> str:
-        side = self.triangulation.side_of(entry_edge, triangle)
-        if turn in ("uturn_cw", "uturn_ccw"):
-            return entry_edge
-        return self.triangulation.edge_at(triangle, turn_exit_side(side, turn)).id
 
 
 def build_surface(triangulation: IdealTriangulation, n: int) -> SurfaceTorusSpec:
@@ -650,14 +613,6 @@ def _q3(num: int) -> RootScalar:
     return q_power(3, num, 3)
 
 
-def _embed_scalar_matrix(M: TorusMatrix, spec: QuantumTorusSpec) -> TorusMatrix:
-    rows = [
-        [TorusElement.scalar(spec, M[i, j].scalar_part()) for j in range(M.cols)]
-        for i in range(M.rows)
-    ]
-    return TorusMatrix(spec, rows)
-
-
 def opposite_product(A: TorusMatrix, B: TorusMatrix, C: TorusMatrix) -> TorusMatrix:
     """Matrix product A B C with the entrywise multiplications taken in
     the opposite ring (rightmost factor's entries first)."""
@@ -672,27 +627,6 @@ def five_tuple_matrix(kind: str, tri: TriangleCoordinates, W, Z, Wp, Zp, X) -> T
     if kind == "R":
         return quantum_turn_matrix("right", tri, (Wp, Zp), (Z, W), interior=lambda a, b, c: X)
     raise ValueError(f"kind must be 'L' or 'R', got {kind!r}")
-
-
-def _pair_matrix(spec, bottom, top):
-    """9x9 matrix of ordered entry products for two stacked arcs: the
-    (s1 s2) -> (s3 s4) amplitude is bottom[s1][s3] * top[s2][s4]
-    multiplied lower to higher."""
-    zero = TorusElement.zero(spec)
-    rows = []
-    for s1 in range(3):
-        for s2 in range(3):
-            row = []
-            for s3 in range(3):
-                for s4 in range(3):
-                    x = bottom[s1][s3]
-                    y = top[s2][s4]
-                    if x.is_zero() or y.is_zero():
-                        row.append(zero)
-                    else:
-                        row.append(normal_product(x, y))
-            rows.append(row)
-    return TorusMatrix(spec, rows)
 
 
 def verify_moves(n: int = 3) -> dict:
@@ -721,10 +655,10 @@ def verify_moves(n: int = 3) -> dict:
     L3 = five_tuple_matrix("L", tri, W1, Z1, W2, Z2, X)
     R3 = five_tuple_matrix("R", tri, W1, Z1, W2, Z2, X)
 
-    U_dec_cw = _embed_scalar_matrix(uturn_matrix("dec_cw", 3), spec)
-    U_dec_ccw = _embed_scalar_matrix(uturn_matrix("dec_ccw", 3), spec)
-    U_inc_ccw = _embed_scalar_matrix(uturn_matrix("inc_ccw", 3), spec)
-    U_inc_cw = _embed_scalar_matrix(uturn_matrix("inc_cw", 3), spec)
+    U_dec_cw = uturn_matrix("dec_cw", 3)
+    U_dec_ccw = uturn_matrix("dec_ccw", 3)
+    U_inc_ccw = uturn_matrix("inc_ccw", 3)
+    U_inc_cw = uturn_matrix("inc_cw", 3)
 
     a1, b1, c1 = L1[0, 0], L1[0, 1], L1[0, 2]
     e1, f1, i1 = L1[1, 1], L1[1, 2], L1[2, 2]
@@ -846,20 +780,7 @@ def verify_moves(n: int = 3) -> dict:
     # left-turning arcs.  Both strands run against the matrix index
     # direction, so the state-sum matrix picks up the entries of L1 at
     # transposed positions.
-    t3_rows = []
-    for s1 in range(3):
-        for s2 in range(3):
-            row = []
-            for s3 in range(3):
-                for s4 in range(3):
-                    x = L1[s3, s1]
-                    y = L1[s4, s2]
-                    if x.is_zero() or y.is_zero():
-                        row.append(zero)
-                    else:
-                        row.append(normal_product(x, y))
-            t3_rows.append(row)
-    T3 = TorusMatrix(spec, t3_rows)
+    T3 = kron(L1.transpose(), L1.transpose())
 
     def pm(x, y):
         return normal_product(x, y)
@@ -928,8 +849,8 @@ def verify_moves(n: int = 3) -> dict:
             pm(i1, i1),
         ],
     ])
-    C_same = _embed_scalar_matrix(crossing_matrix("pos_same_to_lower", 3), spec)
-    C_same_inv = _embed_scalar_matrix(crossing_matrix("neg_same_to_lower", 3), spec)
+    C_same = crossing_matrix("pos_same_to_lower", 3)
+    C_same_inv = crossing_matrix("neg_same_to_lower", 3)
     report["move_iii"] = (
         T3 == display_iii
         and mat_mul(mat_mul(C_same, T3), C_same_inv) == display_iii
@@ -937,8 +858,9 @@ def verify_moves(n: int = 3) -> dict:
     )
 
     # Move (IV): a same-direction crossing slides across a stacked left
-    # turn and right turn pair, acquiring the factor q^(1/3).
-    T4 = _pair_matrix(spec, L3.entries, R2.entries)
+    # turn and right turn pair, acquiring the factor q^(1/3).  Entries of
+    # the stacked pair multiply lower arc first.
+    T4 = kron(L3, R2)
     di = qi - qq  # q^-1 - q
     display_iv_rows = [
         [
@@ -987,9 +909,9 @@ def verify_moves(n: int = 3) -> dict:
 
     # Remaining oriented variants reduce to the moves above together
     # with crossing cancellation and U-turn wave identities.
-    I9 = TorusMatrix.identity(spec, 9)
-    C_opp = _embed_scalar_matrix(crossing_matrix("neg_opp_to_lower", 3), spec)
-    C_opp_inv = _embed_scalar_matrix(crossing_matrix("pos_opp_to_lower", 3), spec)
+    I9 = TorusMatrix.identity(None, 9)
+    C_opp = crossing_matrix("neg_opp_to_lower", 3)
+    C_opp_inv = crossing_matrix("pos_opp_to_lower", 3)
     crossings_cancel = (
         mat_mul(C_same, C_same_inv) == I9
         and mat_mul(C_same_inv, C_same) == I9

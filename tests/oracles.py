@@ -1,11 +1,128 @@
-"""Independent numeric oracles used by the test suite.
+"""Classical oracles used by the test suite.
 
-These re-derive the classical local monodromy matrices directly from
-the elementary snake-matrix factorization with plain floating point
-arithmetic, so they share no code with the symbolic implementation.
+The numeric oracles re-derive the classical local monodromy matrices
+directly from the elementary snake-matrix factorization with plain
+floating point arithmetic, so they share no code with the symbolic
+implementation.  The exact oracle ``classical_trace_polynomial``
+multiplies the library's commutative edge and turn matrices along a
+closed curve, independently of the state sum.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from qtrace.fock_goncharov import commutative_spec, edge_matrix, turn_matrix
+from qtrace.qtorus import TorusElement, TorusMatrix, mat_mul
+from qtrace.surface import inward_sequence, rotate_vertex, turn_exit_side
+
+
+# ---------------------------------------------------------------------------
+# curves as edge and triangle sequences
+
+
+@dataclass(frozen=True)
+class CurveStep:
+    """One edge crossing followed by one triangle traversal.
+
+    edge: id of the edge crossed entering the triangle.
+    triangle: id of the triangle entered.
+    turn: 'left', 'right', 'uturn_cw', or 'uturn_ccw'.
+    t: winding integer (full right turns; only relevant for even n).
+    """
+
+    edge: object
+    triangle: object
+    turn: str
+    t: int = 0
+
+
+def side_of(triangulation, edge_id, triangle):
+    """The side of a triangle that an edge is glued to."""
+    e = triangulation.edge_by_id(edge_id)
+    sides = [s for t, s in e.incidences if t == triangle]
+    if len(sides) != 1:
+        raise ValueError(f"edge {edge_id!r} does not meet triangle {triangle} exactly once")
+    return sides[0]
+
+
+def edge_dot_indices(surface, edge_id, triangle):
+    """Glued generator indices of an edge's dots in the order seen by a
+    curve entering the given triangle through that edge."""
+    side = side_of(surface.triangulation, edge_id, triangle)
+    m = surface.local_to_glued[triangle]
+    return tuple(m[i] for i in inward_sequence(surface.tri, side))
+
+
+def interior_lookup(surface, triangle, entry_edge):
+    """Interior dot lookup in the frame where the entry edge plays side
+    0, mapped to glued indices."""
+    side = side_of(surface.triangulation, entry_edge, triangle)
+    m = surface.local_to_glued[triangle]
+
+    def lookup(a, b, c):
+        return m[surface.tri.index[rotate_vertex((a, b, c), side)]]
+
+    return lookup
+
+
+def exit_edge(surface, triangle, entry_edge, turn):
+    side = side_of(surface.triangulation, entry_edge, triangle)
+    if turn in ("uturn_cw", "uturn_ccw"):
+        return entry_edge
+    return surface.triangulation.edge_at(triangle, turn_exit_side(side, turn)).id
+
+
+# ---------------------------------------------------------------------------
+# the exact classical trace
+
+
+def classical_uturn(spec, ccw=False):
+    """Antidiagonal matrix with alternating signs, +1 at the bottom left."""
+    n = spec.n
+    zero = TorusElement.zero(spec)
+    M = [[zero for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        # row n-1-k, column k carries (-1)^k
+        M[n - 1 - k][k] = TorusElement.scalar(spec, (-1) ** k)
+    U = TorusMatrix(spec, M)
+    return U.transpose() if ccw else U
+
+
+def classical_trace_polynomial(steps, surface):
+    """Trace of the ordered product of edge and turn matrices at h = 1,
+    as {exponent vector in 1/n units: integer coefficient}."""
+    if not steps:
+        raise ValueError("curve must cross at least one edge")
+    spec = commutative_spec(surface.glued_spec)
+    n = spec.n
+    total = TorusMatrix.identity(spec, n)
+    for k, step in enumerate(steps):
+        prev = steps[k - 1]
+        if exit_edge(surface, prev.triangle, prev.edge, prev.turn) != step.edge:
+            raise ValueError(f"step {k}: curve is not closed/consistent at edge {step.edge!r}")
+        zvec = edge_dot_indices(surface, step.edge, step.triangle)
+        total = mat_mul(total, edge_matrix(spec, zvec))
+        sign = (-1) ** ((n - 1) * step.t)
+        if step.turn in ("left", "right"):
+            M = turn_matrix(spec, step.turn, interior_lookup(surface, step.triangle, step.edge))
+        elif step.turn == "uturn_cw":
+            M = classical_uturn(spec, ccw=False)
+        elif step.turn == "uturn_ccw":
+            M = classical_uturn(spec, ccw=True)
+        else:
+            raise ValueError(f"unknown turn {step.turn!r}")
+        if sign == -1:
+            M = M.map(lambda x: -x)
+        total = mat_mul(total, M)
+    tr = TorusElement.zero(spec)
+    for i in range(n):
+        tr = tr + total.entries[i][i]
+    return tr.at_one()
+
+
+# ---------------------------------------------------------------------------
+# numeric monodromy
 
 
 def numeric_edge_matrix(z):
@@ -62,9 +179,9 @@ def numeric_curve_trace(n, steps, surface, values):
     closed curve; values maps glued generator index -> positive float."""
     total = np.eye(n)
     for step in steps:
-        dots = surface.edge_dot_indices(step.edge, step.triangle)
+        dots = edge_dot_indices(surface, step.edge, step.triangle)
         total = total @ numeric_edge_matrix([values[i] for i in dots])
-        lookup = surface.interior_lookup(step.triangle, step.edge)
+        lookup = interior_lookup(surface, step.triangle, step.edge)
         interior = lambda a, b, c: values[lookup(a, b, c)]
         if step.turn == "left":
             total = total @ numeric_left_turn(n, interior)

@@ -5,11 +5,8 @@ import pytest
 from qtrace.qtorus import (
     RootScalar,
     TorusMatrix,
-    kron,
     mat_mul,
     q_power,
-    scalar_spec,
-    TorusElement,
 )
 from qtrace.biangle import (
     BiangleDiagram,
@@ -28,13 +25,6 @@ from qtrace.biangle import (
     uturn_matrix,
     yang_baxter_holds,
 )
-
-
-def scalar_matrix(n, rows):
-    spec = scalar_spec(n)
-    return TorusMatrix(
-        spec, [[TorusElement.scalar(spec, x) for x in row] for row in rows]
-    )
 
 
 def q3(num, coeff=1):
@@ -65,7 +55,7 @@ class TestRibbonScalars:
 class TestUturnMatrices:
     def test_dec_cw_rank3_display(self):
         # q^(-4/3) * antidiag(q^(-1), -1, q)
-        expected = scalar_matrix(3, [
+        expected = TorusMatrix(None, [
             [ZERO, ZERO, q3(-7)],
             [ZERO, q3(-4, -1), ZERO],
             [q3(-1), ZERO, ZERO],
@@ -76,10 +66,28 @@ class TestUturnMatrices:
         for n in (2, 3, 4):
             U = uturn_matrix("dec_cw", n)
             zinv = coribbon(n).inverse()
-            scale = lambda M: M.map(lambda x: TorusElement.scalar(M.spec, zinv) * x)
+            scale = lambda M: M.map(lambda x: zinv * x)
             assert uturn_matrix("inc_ccw", n) == U.transpose()
             assert uturn_matrix("dec_ccw", n) == scale(U)
             assert uturn_matrix("inc_cw", n) == scale(U.transpose())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_single_turn_traces_its_matrix_entry(self, n):
+        # a dec_* matrix is indexed (top, bottom), an inc_* one (bottom, top)
+        cups = {"dec_cw": ("l", "r"), "inc_ccw": ("r", "l")}
+        caps = {"dec_ccw": ("r", "l"), "inc_cw": ("l", "r")}
+        for kind in (*cups, *caps):
+            U = uturn_matrix(kind, n)
+            if kind in cups:
+                diagram = BiangleDiagram(n, (), (Slice(kind, 1),))
+            else:
+                diagram = BiangleDiagram(n, caps[kind], (Slice(kind, 1),))
+            for bottom in range(1, n + 1):
+                for top in range(1, n + 1):
+                    pair = (bottom, top)
+                    state = BiangleState((), pair) if kind in cups else BiangleState(pair, ())
+                    expected = U[top - 1, bottom - 1] if kind.startswith("dec") else U[bottom - 1, top - 1]
+                    assert biangle_trace(diagram, state) == expected
 
     def test_zigzag_waves_are_identity(self):
         for n in (2, 3):
@@ -108,9 +116,7 @@ class TestCrossingMatrices:
         rows[6][2] = ONE
         rows[7][5] = ONE
         rows[8][8] = q3(-3)
-        expected = scalar_matrix(3, rows).map(
-            lambda x: TorusElement.scalar(scalar_spec(3), q3(1)) * x
-        )
+        expected = TorusMatrix(None, rows).map(lambda x: q3(1) * x)
         assert crossing_matrix("pos_same_to_lower", 3) == expected
 
     def test_opposite_direction_rank3_display(self):
@@ -128,14 +134,12 @@ class TestCrossingMatrices:
         rows[6][2] = ONE
         rows[7][5] = q3(-3)
         rows[8][8] = q3(-3)
-        expected = scalar_matrix(3, rows).map(
-            lambda x: TorusElement.scalar(scalar_spec(3), q3(2)) * x
-        )
+        expected = TorusMatrix(None, rows).map(lambda x: q3(2) * x)
         assert crossing_matrix("neg_opp_to_lower", 3) == expected
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_inverse_kinds(self, n):
-        I = TorusMatrix.identity(scalar_spec(n), n * n)
+        I = TorusMatrix.identity(None, n * n)
         pairs = [
             ("pos_same_to_lower", "neg_same_to_lower"),
             ("pos_same_to_higher", "neg_same_to_higher"),
@@ -165,9 +169,7 @@ class TestCrossingMatrices:
     def test_same_equals_opp_at_h_one(self, n):
         same = crossing_matrix("pos_same_to_lower", n)
         opp = crossing_matrix("pos_opp_to_lower", n)
-        flat = lambda M: [
-            [x.scalar_part().at_one() for x in row] for row in M.entries
-        ]
+        flat = lambda M: [[x.at_one() for x in row] for row in M.entries]
         assert flat(same) == flat(opp)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -176,7 +178,7 @@ class TestCrossingMatrices:
 
     def test_trivial_strand_is_identity(self):
         for n in (2, 3):
-            assert trivial_strand_matrix(n) == TorusMatrix.identity(scalar_spec(n), n)
+            assert trivial_strand_matrix(n) == TorusMatrix.identity(None, n)
 
 
 class TestSkein:

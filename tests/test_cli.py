@@ -15,8 +15,9 @@ from qtrace.cli import (
     render_h_power,
     render_monomial,
 )
-from qtrace.fock_goncharov import CurveStep, classical_trace_polynomial
 from qtrace.surface import build_surface, once_punctured_torus
+
+from oracles import CurveStep, classical_trace_polynomial
 
 TORUS_SURFACE = """\
 # once-punctured torus

@@ -14,9 +14,6 @@ from qtrace.qtorus import (
     weyl_monomial,
 )
 from qtrace.fock_goncharov import (
-    CurveStep,
-    classical_trace_polynomial,
-    classical_uturn,
     commutative_spec,
     is_mnq_point,
     is_slnq_point,
@@ -28,6 +25,8 @@ from qtrace.fock_goncharov import (
     triangle_vertices,
 )
 from qtrace.surface import build_surface, once_punctured_torus, rotate_vertex
+
+from oracles import CurveStep, classical_trace_polynomial, classical_uturn
 
 
 def name_index(tri):

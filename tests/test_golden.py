@@ -2,9 +2,8 @@
 stay byte-identical across refactors.
 
 Each file in tests/golden was written by ``qtrace trace`` (or
-``qtrace verify --suite all``) before the biangle layer moved to plain
-scalar matrices; regenerate one only when a change is meant to alter
-the emitted text.
+``qtrace verify --suite all``); regenerate one only when a change is
+meant to alter the emitted text.
 """
 
 from pathlib import Path

@@ -9,6 +9,7 @@ from qtrace.qtorus import (
     RootScalar,
     TorusElement,
     TorusMatrix,
+    kron,
     make_spec,
     mat_mul,
     normal_product,
@@ -161,3 +162,24 @@ class TestMatrices:
             ],
         )
         assert A.transpose().transpose() == A
+
+    def test_scalar_matrices_mix_with_torus_matrices(self, spec3):
+        # spec=None holds plain scalars; products and equality cross rings
+        S = TorusMatrix(None, [[RootScalar.h_power(2), 0], [3, RootScalar.h_power(-1, -1)]])
+        embedded = TorusMatrix(spec3, S.entries)
+        A = TorusMatrix(
+            spec3,
+            [
+                [TorusElement.monomial(spec3, (1, 0, 0, 0)), TorusElement.one(spec3)],
+                [TorusElement.zero(spec3), TorusElement.monomial(spec3, (0, 0, 1, 0))],
+            ],
+        )
+        assert S == embedded and embedded == S
+        assert mat_mul(S, A) == mat_mul(embedded, A)
+        assert mat_mul(A, S) == mat_mul(A, embedded)
+        assert kron(S, A) == kron(embedded, A)
+        assert mat_mul(S, S) == mat_mul(embedded, embedded)
+        assert mat_mul(S, TorusMatrix.identity(None, 2)) == S
+        other = make_spec(3, [[0, 1], [-1, 0]])
+        with pytest.raises(ValueError):
+            mat_mul(A, TorusMatrix.identity(other, 2))

@@ -14,7 +14,6 @@ from qtrace.qtorus import (
     mat_mul,
     normal_product,
 )
-from qtrace.fock_goncharov import CurveStep, classical_trace_polynomial
 from qtrace.biangle import Slice, kink_scalar, unknot_value
 from qtrace.surface import (
     Edge,
@@ -33,6 +32,7 @@ from qtrace.surface import (
 )
 
 import oracles
+from oracles import CurveStep, classical_trace_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +107,8 @@ class TestBuildSurface:
         for edge in torus.triangulation.internal_edges:
             t0 = edge.incidences[0][0]
             t1 = edge.incidences[1][0]
-            seq0 = torus.edge_dot_indices(edge.id, t0)
-            seq1 = torus.edge_dot_indices(edge.id, t1)
+            seq0 = oracles.edge_dot_indices(torus, edge.id, t0)
+            seq1 = oracles.edge_dot_indices(torus, edge.id, t1)
             assert seq0 == tuple(reversed(seq1))
 
 
