@@ -22,6 +22,9 @@ def torus_surface(n):
 CURVE_A = "arc T1 0 right 1\narc T0 0 left 1\n"
 CURVE_B = "arc T0 2 left 1\narc T1 2 right 1\n"
 CURVE_A_TWICE = "arc T1 0 right 1\narc T0 0 left 1\narc T1 0 right 2\narc T0 0 left 2\n"
+CURVE_B_THRICE = (
+    "arc T0 2 left 1\narc T1 2 right 1\narc T0 2 left 2\narc T1 2 right 2\narc T0 2 left 3\narc T1 2 right 3\n"
+)
 
 # Two copies of curve a with, in each of the biangles d and r, a crossing,
 # a kink pair, a zig-zag and the inverse crossing: isotopic to CURVE_A_TWICE.
@@ -52,6 +55,8 @@ TRACES = [
         for c, link in (("a", CURVE_A), ("b", CURVE_B))
     ),
     ("bundle-n3-k2-a", torus_surface(3), CURVE_A_TWICE, "bundle-n3-k2-a.poly"),
+    ("bundle-n3-k3-b", torus_surface(3), CURVE_B_THRICE, "bundle-n3-k3-b.poly"),
+    ("bundle-n4-k2-a", torus_surface(4), CURVE_A_TWICE, "bundle-n4-k2-a.poly"),
     ("braided-n3-k2-a", torus_surface(3), CURVE_A_TWICE_BRAIDED, "bundle-n3-k2-a.poly"),
     ("strip-n3-m2", *STRIP_M2, "strip-n3-m2.poly"),
     ("strip-n3-m5", *STRIP_M5, "strip-n3-m5.poly"),
