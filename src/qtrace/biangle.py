@@ -44,10 +44,7 @@ def coribbon(n: int) -> RootScalar:
 
 def quantum_integer(n: int) -> RootScalar:
     """[n]_q = (q^n - q^-n)/(q - q^-1) = sum_{k=1..n} q^(2k-n-1)."""
-    out = RootScalar.zero()
-    for k in range(1, n + 1):
-        out = out + RootScalar.h_power(2 * n * n * (2 * k - n - 1))
-    return out
+    return RootScalar({2 * n * n * (2 * k - n - 1): 1 for k in range(1, n + 1)})
 
 
 def unknot_value(n: int) -> RootScalar:

@@ -89,11 +89,11 @@ def parse_surface_file(path, text):
     for line_no, tokens in _content_lines(path, text):
         key = tokens[0]
         if key == "n":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(path, line_no, "expected 'n <integer>'")
             n = int(tokens[1])
         elif key == "triangles":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(path, line_no, "expected 'triangles <count>'")
             n_triangles = int(tokens[1])
         elif key == "edge":
@@ -107,8 +107,8 @@ def parse_surface_file(path, text):
                 if (
                     len(parts) != 2
                     or not parts[0].startswith("T")
-                    or not parts[0][1:].isdigit()
-                    or not parts[1].isdigit()
+                    or not parts[0][1:].isdecimal()
+                    or not parts[1].isdecimal()
                 ):
                     raise ParseError(
                         path, line_no, f"bad incidence {token!r}, expected T<tri>.<side>"
@@ -138,10 +138,10 @@ def parse_link_file(path, text):
             if (
                 len(tokens) != 5
                 or not tokens[1].startswith("T")
-                or not tokens[1][1:].isdigit()
-                or not tokens[2].isdigit()
+                or not tokens[1][1:].isdecimal()
+                or not tokens[2].isdecimal()
                 or tokens[3] not in ("left", "right")
-                or not tokens[4].isdigit()
+                or not tokens[4].isdecimal()
             ):
                 raise ParseError(
                     path, line_no, "expected 'arc T<tri> <entry side> <left|right> <height>'"
@@ -150,14 +150,14 @@ def parse_link_file(path, text):
                 TriangleArc(int(tokens[1][1:]), int(tokens[2]), tokens[3], int(tokens[4]))
             )
         elif key == "slice":
-            if len(tokens) != 4 or not tokens[3].isdigit():
+            if len(tokens) != 4 or not tokens[3].isdecimal():
                 raise ParseError(path, line_no, "expected 'slice <edge> <kind> <position>'")
             kinds = UTURN_KINDS + CROSSING_KINDS + ("kink_pos", "kink_neg")
             if tokens[2] not in kinds:
                 raise ParseError(path, line_no, f"unknown slice kind {tokens[2]!r}")
             slices.setdefault(tokens[1], []).append(Slice(tokens[2], int(tokens[3])))
         elif key == "state":
-            if len(tokens) != 4 or not tokens[2].isdigit() or not tokens[3].isdigit():
+            if len(tokens) != 4 or not tokens[2].isdecimal() or not tokens[3].isdecimal():
                 raise ParseError(path, line_no, "expected 'state <edge> <position> <value>'")
             states[(tokens[1], int(tokens[2]))] = int(tokens[3])
         else:
@@ -196,9 +196,11 @@ def parse_polynomial_file(path, text):
         if key == "polynomial":
             saw_header = True
         elif key == "n":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(path, line_no, "expected 'n <integer>'")
             n = int(tokens[1])
+            if n < 2:
+                raise ParseError(path, line_no, "rank n must be at least 2")
         elif key == "generators":
             generator_ids = tuple(tokens[1:])
         elif key == "term":

@@ -23,6 +23,7 @@ from .qtorus import (
     TorusMatrix,
     make_spec,
     mat_mul,
+    torus_sum,
     weyl_lift,
 )
 
@@ -279,19 +280,19 @@ def quantum_determinant(M: TorusMatrix) -> TorusElement:
     m = M.rows
     spec = M.spec
     n = spec.n
-    total = TorusElement.zero(spec)
-    for perm in permutations(range(m)):
-        term = TorusElement.scalar(spec, RootScalar.h_power(2 * n * n * _inversions(perm), (-1) ** _inversions(perm)))
-        skip = False
-        for i in range(m):
-            e = M.entries[i][perm[i]]
-            if e.is_zero():
-                skip = True
-                break
-            term = term * e
-        if not skip:
-            total = total + term
-    return total
+
+    def terms():
+        for perm in permutations(range(m)):
+            term = TorusElement.scalar(spec, RootScalar.h_power(2 * n * n * _inversions(perm), (-1) ** _inversions(perm)))
+            for i in range(m):
+                e = M.entries[i][perm[i]]
+                if e.is_zero():
+                    break
+                term = term * e
+            else:
+                yield term
+
+    return torus_sum(spec, terms())
 
 
 def is_mnq_point(M: TorusMatrix) -> bool:

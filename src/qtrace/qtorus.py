@@ -18,6 +18,7 @@ equality a dictionary comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 
@@ -208,22 +209,29 @@ class TorusElement:
 
     A monomial key e (length-N integer tuple) denotes
     X_0^(e[0]/n) X_1^(e[1]/n) ... multiplied in increasing index order.
+
+    ``terms`` is a mapping or an iterable of (exponent, coefficient)
+    pairs; the coefficients of a repeated exponent are added up, and each
+    distinct exponent of the sum is checked once.
     """
 
     __slots__ = ("spec", "_terms")
 
-    def __init__(self, spec: QuantumTorusSpec, terms: Mapping[tuple, RootScalar] | None = None):
+    def __init__(self, spec: QuantumTorusSpec, terms: Mapping[tuple, RootScalar] | Iterable[tuple] = ()):
         self.spec = spec
+        sums: dict[tuple, RootScalar] = {}
+        for e, c in terms.items() if hasattr(terms, "items") else terms:
+            if not isinstance(c, RootScalar):
+                c = RootScalar({0: int(c)})
+            old = sums.get(e)
+            sums[e] = c if old is None else old + c
         t = {}
-        if terms:
-            for e, c in terms.items():
-                if not isinstance(c, RootScalar):
-                    c = RootScalar({0: int(c)})
-                if not c.is_zero():
-                    e = tuple(int(x) for x in e)
-                    if len(e) != spec.N:
-                        raise ValueError("monomial length mismatch")
-                    t[e] = c
+        for e, c in sums.items():
+            if not c.is_zero():
+                e = tuple(int(x) for x in e)
+                if len(e) != spec.N:
+                    raise ValueError("monomial length mismatch")
+                t[e] = c
         self._terms = t
 
     @property
@@ -263,14 +271,7 @@ class TorusElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        t = dict(self._terms)
-        for e, c in other._terms.items():
-            c2 = t.get(e, ZERO) + c
-            if c2.is_zero():
-                t.pop(e, None)
-            else:
-                t[e] = c2
-        return TorusElement(self.spec, t)
+        return TorusElement(self.spec, chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
 
@@ -356,19 +357,15 @@ class TorusElement:
 
     def map_exponents(self, target_spec, index_map) -> "TorusElement":
         """Reindex monomials into another spec via generator index map."""
-        t = {}
-        for e, c in self._terms.items():
+
+        def reindexed(e):
             e2 = [0] * target_spec.N
             for i, ei in enumerate(e):
                 if ei:
                     e2[index_map[i]] += ei
-            e2 = tuple(e2)
-            c2 = t.get(e2, ZERO) + c
-            if c2.is_zero():
-                t.pop(e2, None)
-            else:
-                t[e2] = c2
-        return TorusElement(target_spec, t)
+            return tuple(e2)
+
+        return TorusElement(target_spec, ((reindexed(e), c) for e, c in self._terms.items()))
 
     def __repr__(self):
         if not self._terms:
@@ -384,6 +381,18 @@ class TorusElement:
             body = "*".join(factors) if factors else "1"
             parts.append(f"({c!r})*{body}")
         return " + ".join(parts)
+
+
+def torus_sum(spec: QuantumTorusSpec, elements: Iterable[TorusElement]) -> TorusElement:
+    """Sum of torus elements over spec, built in one construction."""
+
+    def items():
+        for x in elements:
+            if x.spec is not spec and x.spec != spec:
+                raise ValueError("torus spec mismatch")
+            yield from x._terms.items()
+
+    return TorusElement(spec, items())
 
 
 def _monomial_product_h_exponent(spec: QuantumTorusSpec, e: tuple, f: tuple) -> int:
@@ -410,20 +419,14 @@ def normal_product(a: TorusElement, b: TorusElement) -> TorusElement:
     if a.spec != b.spec:
         raise ValueError("torus spec mismatch")
     spec = a.spec
-    t: dict[tuple, RootScalar] = {}
-    for e, ce in a._terms.items():
-        for f, cf in b._terms.items():
-            k = _monomial_product_h_exponent(spec, e, f)
-            g = tuple(x + y for x, y in zip(e, f))
-            c = ce * cf
-            if k:
-                c = c * RootScalar({k: 1})
-            c2 = t.get(g, ZERO) + c
-            if c2.is_zero():
-                t.pop(g, None)
-            else:
-                t[g] = c2
-    return TorusElement(spec, t)
+
+    def products():
+        for e, ce in a._terms.items():
+            for f, cf in b._terms.items():
+                k = _monomial_product_h_exponent(spec, e, f)
+                yield tuple(x + y for x, y in zip(e, f)), ce * cf * RootScalar({k: 1}) if k else ce * cf
+
+    return TorusElement(spec, products())
 
 
 def weyl_order(word, spec: QuantumTorusSpec) -> TorusElement:
@@ -462,10 +465,7 @@ def weyl_monomial(spec: QuantumTorusSpec, e, coeff=ONE) -> TorusElement:
 
 def weyl_lift(commutative_terms: Mapping[tuple, int], spec: QuantumTorusSpec) -> TorusElement:
     """Weyl-lift a commutative polynomial term by term."""
-    out = TorusElement.zero(spec)
-    for e, c in commutative_terms.items():
-        out = out + weyl_monomial(spec, e, RootScalar({0: int(c)}))
-    return out
+    return torus_sum(spec, (weyl_monomial(spec, e, int(c)) for e, c in commutative_terms.items()))
 
 
 class TorusMatrix:

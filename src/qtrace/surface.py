@@ -41,6 +41,7 @@ from .qtorus import (
     mat_mul,
     normal_product,
     q_power,
+    torus_sum,
     weyl_monomial,
 )
 from .fock_goncharov import (
@@ -90,6 +91,8 @@ class IdealTriangulation:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
+        if self.n_triangles < 1:
+            raise ValueError("a triangulation needs at least one triangle")
         seen = {}
         ids = set()
         for e in self.edges:
@@ -478,7 +481,6 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
         arcs.sort(key=lambda a: a.height)
 
     tensor_spec = surface.tensor_spec
-    total = TorusElement.zero(tensor_spec)
     factor_cache = {}
 
     def triangle_factor(t, state_pairs):
@@ -497,30 +499,32 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
         factor_cache[key] = embedded
         return embedded
 
-    for combo in iter_product(*(table.items() for _, table in edge_tables)):
-        slot_state = {}
-        amp = RootScalar.one()
-        for (edge_id, _), ((ls, rs), value) in zip(edge_tables, combo):
-            amp = amp * value
-            for pos, v in enumerate(ls, start=1):
-                slot_state[(edge_id, 0, pos)] = v
-            for pos, v in enumerate(rs, start=1):
-                slot_state[(edge_id, 1, pos)] = v
-        term = TorusElement.scalar(tensor_spec, amp)
-        for t, arcs in sorted(tri_arcs.items()):
-            pairs = []
-            for arc in arcs:
-                k_in, k_out = arc_keys[arc]
-                s_in = k_in[1] if k_in[0] == "state" else slot_state[k_in[1:]]
-                s_out = k_out[1] if k_out[0] == "state" else slot_state[k_out[1:]]
-                pairs.append((s_in, s_out))
-            factor = triangle_factor(t, tuple(pairs))
-            if factor.is_zero():
-                term = TorusElement.zero(tensor_spec)
-                break
-            term = normal_product(term, factor)
-        total = total + term
-    return TracePolynomial(tensor=total, surface=surface)
+    def state_terms():
+        for combo in iter_product(*(table.items() for _, table in edge_tables)):
+            slot_state = {}
+            amp = RootScalar.one()
+            for (edge_id, _), ((ls, rs), value) in zip(edge_tables, combo):
+                amp = amp * value
+                for pos, v in enumerate(ls, start=1):
+                    slot_state[(edge_id, 0, pos)] = v
+                for pos, v in enumerate(rs, start=1):
+                    slot_state[(edge_id, 1, pos)] = v
+            term = TorusElement.scalar(tensor_spec, amp)
+            for t, arcs in sorted(tri_arcs.items()):
+                pairs = []
+                for arc in arcs:
+                    k_in, k_out = arc_keys[arc]
+                    s_in = k_in[1] if k_in[0] == "state" else slot_state[k_in[1:]]
+                    s_out = k_out[1] if k_out[0] == "state" else slot_state[k_out[1:]]
+                    pairs.append((s_in, s_out))
+                factor = triangle_factor(t, tuple(pairs))
+                if factor.is_zero():
+                    break
+                term = normal_product(term, factor)
+            else:
+                yield term
+
+    return TracePolynomial(tensor=torus_sum(tensor_spec, state_terms()), surface=surface)
 
 
 def _weyl_factor(spec: QuantumTorusSpec, e) -> RootScalar:
@@ -543,27 +547,27 @@ def project_to_glued(p, surface: SurfaceTorusSpec) -> TorusElement:
         raise ValueError("element does not live in this surface's tensor algebra")
     tri_spec = surface.tri.spec
     NG = surface.glued_spec.N
-    out = TorusElement.zero(surface.glued_spec)
-    for e, coeff in elem.terms.items():
-        glued_e = [None] * NG
-        for t in range(surface.triangulation.n_triangles):
-            off = surface.tri_offset[t]
-            g = surface.local_to_glued[t]
-            for i in range(tri_spec.N):
-                value = e[off + i]
-                target = g[i]
-                if glued_e[target] is None:
-                    glued_e[target] = value
-                elif glued_e[target] != value:
-                    raise ValueError(
-                        "monomial does not glue: generator "
-                        f"{surface.glued_ids[target]!r} pairs exponents "
-                        f"{glued_e[target]} and {value}"
-                    )
-        glued_e = tuple(0 if v is None else v for v in glued_e)
-        scale = _weyl_factor(elem.spec, e).inverse() * _weyl_factor(surface.glued_spec, glued_e)
-        out = out + TorusElement.monomial(surface.glued_spec, glued_e, coeff * scale)
-    return out
+
+    def glued_pairs():
+        for e, coeff in elem.terms.items():
+            glued_e = [None] * NG
+            for off, g in zip(surface.tri_offset, surface.local_to_glued):
+                for i in range(tri_spec.N):
+                    value = e[off + i]
+                    target = g[i]
+                    if glued_e[target] is None:
+                        glued_e[target] = value
+                    elif glued_e[target] != value:
+                        raise ValueError(
+                            "monomial does not glue: generator "
+                            f"{surface.glued_ids[target]!r} pairs exponents "
+                            f"{glued_e[target]} and {value}"
+                        )
+            glued_e = tuple(0 if v is None else v for v in glued_e)
+            scale = _weyl_factor(elem.spec, e).inverse() * _weyl_factor(surface.glued_spec, glued_e)
+            yield glued_e, coeff * scale
+
+    return TorusElement(surface.glued_spec, glued_pairs())
 
 
 # ---------------------------------------------------------------------------
@@ -781,9 +785,7 @@ def verify_moves(n: int = 3) -> dict:
     # direction, so the state-sum matrix picks up the entries of L1 at
     # transposed positions.
     T3 = kron(L1.transpose(), L1.transpose())
-
-    def pm(x, y):
-        return normal_product(x, y)
+    pm = normal_product
 
     one = sc(RootScalar.one())
     qq = _q3(3)
@@ -794,10 +796,7 @@ def verify_moves(n: int = 3) -> dict:
     w_ = RootScalar.from_int(2) - _q3(6) - _q3(-6)  # -q^2 + 2 - q^-2
 
     def lc(*pairs):
-        out = zero
-        for coeff, x, y in pairs:
-            out = out + sc(coeff) * pm(x, y)
-        return out
+        return torus_sum(spec, (sc(coeff) * pm(x, y) for coeff, x, y in pairs))
 
     display_iii = matrix([
         [pm(a1, a1), zero, zero, zero, zero, zero, zero, zero, zero],

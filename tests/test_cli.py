@@ -2,6 +2,7 @@
 output, and the pretty printer."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qtrace.cli import (
     ParseError,
@@ -71,6 +72,11 @@ class TestParsers:
                 "s.surface",
                 "n 3\ntriangles 1\nedge d T0.0 T9.2\nedge p T0.1\nedge q T0.2\n",
             )
+        with pytest.raises(ParseError, match="at least one triangle"):
+            parse_surface_file("s.surface", "n 3\ntriangles 0\n")
+        # str.isdigit accepts a superscript two, which int rejects
+        with pytest.raises(ParseError, match=r"s\.surface:1: expected 'n <integer>'"):
+            parse_surface_file("s.surface", "n \u00b2\ntriangles 1\n")
 
     def test_link_round_trip(self):
         link = parse_link_file(
@@ -88,6 +94,8 @@ class TestParsers:
             parse_link_file("l.link", "slice d sideways_kind 1\n")
         with pytest.raises(ParseError, match="unknown directive"):
             parse_link_file("l.link", "loop d\n")
+        with pytest.raises(ParseError, match="expected 'state"):
+            parse_link_file("l.link", "state q 1 \u00b2\n")
 
     def test_polynomial_round_trip(self):
         terms = {(1, -2): {0: 3, -4: 1}, (0, 0): {6: -1}}
@@ -108,6 +116,9 @@ class TestParsers:
                 "p.poly",
                 "polynomial\nn 3\ngenerators a\nterm 1 ; 0 1\nterm 1 ; 2 1\n",
             )
+        for rank in ("0", "1"):
+            with pytest.raises(ParseError, match=r"p\.poly:2: rank n must be at least 2"):
+                parse_polynomial_file("p.poly", f"polynomial\nn {rank}\ngenerators a\nterm 1 ; 1 1\n")
 
 
 class TestRendering:
@@ -222,3 +233,70 @@ class TestExplainCommand:
         )
         assert main(["explain", str(poly)]) == 0
         assert capsys.readouterr().out == "(1 - q) d.1 d.2^(-2/3)\n"
+
+# Lines of each file format, built from tokens that are valid, near misses
+# or numbers that str.isdigit, str.isdecimal and int disagree on, mixed
+# with lines of loose tokens.  Ranks stay small: a trace costs more as n grows.
+WORDS = (
+    "n", "triangles", "edge", "arc", "slice", "state", "polynomial", "generators", "term", ";", "#",
+    "T0", "T1", "T0.0", "T0.1", "T0.2", "T1.0", "T0.", "T.0", "T", ".", "a", "b", "c", "d",
+    "left", "right", "up", "inc_ccw", "dec_cw", "kink_pos", "pos_same_to_lower", "neg_opp_to_higher",
+    "0", "1", "2", "3", "4", "-1", "+2", "1_0", "\u00b2", "\u0663", "\u00bd", "0x1", "1.0",
+)
+number = st.sampled_from(("0", "1", "2", "3", "4", "-1", "\u00b2", "\u0663", "10", "x"))
+name = st.sampled_from(("a", "b", "c", "d"))
+triangle = st.sampled_from(("T0", "T1", "T", "T-1", "T\u00b2"))
+incidence = st.tuples(triangle, st.sampled_from(("0", "1", "2", "3", "-1", ""))).map(".".join)
+kind = st.sampled_from(("inc_ccw", "dec_cw", "kink_pos", "kink_neg", "pos_same_to_lower", "neg_opp_to_higher", "twist"))
+loose = st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join)
+
+
+def directive(head, *args):
+    return st.tuples(*args).map(lambda parts: " ".join((head, *parts)))
+
+
+def soup(*lines):
+    return st.lists(st.one_of(loose, *lines), max_size=10).map(lambda ls: "\n".join(ls) + "\n")
+
+
+POLYNOMIAL_SOUP = soup(
+    directive("n", number), directive("generators", name, name),
+    directive("term", number, number, st.just(";"), number, number), directive("term", number, st.just(";"), number),
+)
+SURFACE_SOUP = soup(
+    directive("n", number), directive("triangles", number),
+    directive("edge", name, incidence), directive("edge", name, incidence, incidence),
+)
+LINK_SOUP = soup(
+    directive("arc", triangle, number, st.sampled_from(("left", "right")), number),
+    directive("slice", name, kind, number), directive("state", name, number, number),
+)
+ONE_TRIANGLE = "n 3\ntriangles 1\nedge a T0.0\nedge b T0.1\nedge c T0.2\n"
+fuzz = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestParserFuzz:
+    """Any input ends with exit code 0, 1 or 2, never an exception."""
+
+    def run(self, tmp_path, command, files):
+        paths = []
+        for name, text in files.items():
+            paths.append(str(tmp_path / name))
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        out = ["--out", str(tmp_path / "o.poly")] if command == "trace" else []
+        return main([command, *paths, *out])
+
+    @given(head=st.sampled_from(("", "polynomial\n", "polynomial\ngenerators a b\n")), text=POLYNOMIAL_SOUP)
+    @fuzz
+    def test_polynomial_soup(self, tmp_path, head, text):
+        assert self.run(tmp_path, "explain", {"p.poly": head + text}) in (0, 1, 2)
+
+    @given(text=SURFACE_SOUP)
+    @fuzz
+    def test_surface_soup(self, tmp_path, text):
+        assert self.run(tmp_path, "trace", {"s.surface": text, "l.link": ""}) in (0, 1, 2)
+
+    @given(text=LINK_SOUP)
+    @fuzz
+    def test_link_soup_on_one_triangle(self, tmp_path, text):
+        assert self.run(tmp_path, "trace", {"s.surface": ONE_TRIANGLE, "l.link": text}) in (0, 1, 2)

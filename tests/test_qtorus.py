@@ -1,6 +1,8 @@
 """Quantum torus arithmetic: scalars, canonical forms, Weyl ordering."""
 
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from qtrace.qtorus import (
     mat_mul,
     normal_product,
     q_power,
+    torus_sum,
     weyl_monomial,
     weyl_order,
 )
@@ -132,6 +135,56 @@ class TestElements:
         a = weyl_monomial(spec3, (1, -2, 0, 3))
         image = a.map_exponents(big, {i: i for i in range(4)})
         assert set(image.terms) == {(1, -2, 0, 3, 0, 0)}
+
+    def test_cancelling_pairs_sum_to_zero(self, spec3):
+        e = (1, -2, 0, 3)
+        assert TorusElement(spec3, [(e, 1), (e, -1)]).is_zero()
+        x = weyl_monomial(spec3, e)
+        assert TorusElement(spec3, [(e, x.terms[e]), (e, -x.terms[e])]) == TorusElement.zero(spec3)
+
+    def test_repeated_exponents_add_up(self, spec3):
+        e, f = (1, 0, 0, 0), (0, 2, 0, -1)
+        a = TorusElement(spec3, [(e, RootScalar.h_power(2)), (f, 3), (e, RootScalar.h_power(2, 4)), (e, 1)])
+        assert a.terms == {e: RootScalar({2: 5, 0: 1}), f: RootScalar.from_int(3)}
+
+    def test_wrong_exponent_length_raises(self, spec3):
+        with pytest.raises(ValueError, match="length"):
+            TorusElement(spec3, [((1, 0, 0), 1)])
+        with pytest.raises(ValueError, match="length"):
+            TorusElement(spec3, [((1, 0), 1), ((1, 0), RootScalar.h_power(3))])
+
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.lists(st.tuples(exponents, st.integers(-6, 6), st.integers(-2, 2)), max_size=4),
+                st.booleans(),
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_torus_sum_equals_left_fold(self, data):
+        spec = make_spec(3, small_antisymmetric(4, random.Random(9)))
+        xs = []
+        for terms, cancel in data:
+            x = TorusElement(spec, [(e, RootScalar.h_power(k, c)) for e, k, c in terms])
+            xs += [x, -x] if cancel else [x]
+        total = torus_sum(spec, iter(xs))
+        assert total == reduce(add, xs, TorusElement.zero(spec))
+        # the sum, coefficient by coefficient, with plain integer dictionaries
+        expected = {}
+        for x in xs:
+            for e, c in x.terms.items():
+                acc = expected.setdefault(e, {})
+                for k, v in c.terms.items():
+                    acc[k] = acc.get(k, 0) + v
+        expected = {e: {k: v for k, v in acc.items() if v} for e, acc in expected.items()}
+        assert {e: c.terms for e, c in total.terms.items()} == {e: acc for e, acc in expected.items() if acc}
+
+    def test_torus_sum_rejects_a_foreign_spec(self, spec3):
+        other = make_spec(3, [[0] * 4 for _ in range(4)])
+        with pytest.raises(ValueError, match="spec mismatch"):
+            torus_sum(spec3, [TorusElement.one(spec3), TorusElement.one(other)])
 
     def test_evaluate_matches_at_one(self, spec3):
         a = weyl_monomial(spec3, (3, -3, 6, 0)) + TorusElement.one(spec3)
