@@ -11,8 +11,9 @@ boundary of the biangle and index rows; index pairs are ordered
 (bottom strand, top strand) with the top index varying fastest.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 from .qtorus import (
     ZERO,
@@ -23,8 +24,6 @@ from .qtorus import (
     q_power,
 )
 
-
-UTURN_KINDS = ("dec_cw", "dec_ccw", "inc_ccw", "inc_cw")
 
 CROSSING_KINDS = tuple(
     "%s_%s_to_%s" % (sign, direction, over)
@@ -255,11 +254,6 @@ def crossing_matrix(kind: str, n: int) -> TorusMatrix:
     return opp if sign == "neg" else opp_inv
 
 
-def trivial_strand_matrix(n: int) -> TorusMatrix:
-    """A strand crossing the biangle with no feature: identity."""
-    return TorusMatrix.identity(None, n)
-
-
 # ---------------------------------------------------------------------------
 # Duality maps and their preferred-basis matrices.
 # ---------------------------------------------------------------------------
@@ -322,9 +316,25 @@ def duality_lemma_check(n: int, lam: RootScalar) -> dict:
 
 
 # Orientations: "r" = travelling toward the right boundary (defining
-# space), "l" = travelling toward the left boundary (dual space).
-_CREATE_TURNS = {"dec_cw": ("l", "r"), "inc_ccw": ("r", "l")}
-_CONSUME_TURNS = {"dec_ccw": ("r", "l"), "inc_cw": ("l", "r")}
+# space), "l" = travelling toward the left boundary (dual space).  For
+# each slice kind: {orientations of the strands in its window before the
+# slice: orientations after}.  A cup (dec_cw, inc_ccw) opens two strands
+# in an empty window, a cap (dec_ccw, inc_cw) closes two, a crossing
+# swaps two and a kink keeps one.
+_RULES = {
+    "dec_cw": {(): ("l", "r")},
+    "inc_ccw": {(): ("r", "l")},
+    "dec_ccw": {("r", "l"): ()},
+    "inc_cw": {("l", "r"): ()},
+    **{
+        kind: {(a, b): (b, a) for a in "rl" for b in "rl" if (a == b) == ("_same_" in kind)}
+        for kind in CROSSING_KINDS
+    },
+    "kink_pos": {(a,): (a,) for a in "rl"},
+    "kink_neg": {(a,): (a,) for a in "rl"},
+}
+SLICE_KINDS = tuple(_RULES)
+_WIDTH = {kind: len(next(iter(rule))) for kind, rule in _RULES.items()}
 
 
 @dataclass(frozen=True)
@@ -341,62 +351,34 @@ class BiangleDiagram:
     """A tangle in bridge position inside one thickened biangle.
 
     left lists the orientations of the strands meeting the left
-    boundary, bottom to top; slices apply left to right.
+    boundary, bottom to top; slices apply left to right.  Construction
+    checks each slice against its rule and sets right, the orientations
+    at the right boundary.
     """
 
     n: int
     left: tuple
     slices: tuple
+    right: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "left", tuple(self.left))
+        current = tuple(self.left)
+        object.__setattr__(self, "left", current)
         object.__setattr__(self, "slices", tuple(self.slices))
-        self.profiles()
-
-    def profiles(self):
-        """Orientation profile before each slice and at the end;
-        validates the slice sequence strand by strand."""
-        current = list(self.left)
         if not all(o in ("r", "l") for o in current):
             raise ValueError("orientations must be 'r' or 'l'")
-        out = [tuple(current)]
         for s in self.slices:
-            p = s.pos - 1
-            if s.kind in _CREATE_TURNS:
-                if not 0 <= p <= len(current):
-                    raise ValueError("U-turn position out of range")
-                current[p:p] = list(_CREATE_TURNS[s.kind])
-            elif s.kind in _CONSUME_TURNS:
-                if not 0 <= p < len(current) - 1:
-                    raise ValueError("U-turn position out of range")
-                if tuple(current[p : p + 2]) != _CONSUME_TURNS[s.kind]:
-                    raise ValueError(
-                        "U-turn %s cannot close strands oriented %s"
-                        % (s.kind, tuple(current[p : p + 2]))
-                    )
-                del current[p : p + 2]
-            elif s.kind in CROSSING_KINDS:
-                if not 0 <= p < len(current) - 1:
-                    raise ValueError("crossing position out of range")
-                a, b = current[p], current[p + 1]
-                direction = "same" if a == b else "opp"
-                if s.kind.split("_")[1] != direction:
-                    raise ValueError(
-                        "crossing %s does not match orientations %s"
-                        % (s.kind, (a, b))
-                    )
-                current[p], current[p + 1] = b, a
-            elif s.kind in ("kink_pos", "kink_neg"):
-                if not 0 <= p < len(current):
-                    raise ValueError("kink position out of range")
-            else:
+            rule = _RULES.get(s.kind)
+            if rule is None:
                 raise ValueError("unknown slice kind: %r" % (s.kind,))
-            out.append(tuple(current))
-        return out
-
-    @property
-    def right(self):
-        return self.profiles()[-1]
+            p, w = s.pos - 1, _WIDTH[s.kind]
+            if not 0 <= p <= len(current) - w:
+                raise ValueError("%s position %d out of range" % (s.kind, s.pos))
+            window = current[p : p + w]
+            if window not in rule:
+                raise ValueError("%s cannot act on strands oriented %s" % (s.kind, window))
+            current = current[:p] + rule[window] + current[p + w :]
+        object.__setattr__(self, "right", current)
 
 
 @dataclass(frozen=True)
@@ -408,34 +390,53 @@ class BiangleState:
     right: tuple
 
 
-@lru_cache(maxsize=None)
-def _turn_table(kind: str, n: int) -> dict:
-    """{(bottom, top): amplitude} over the nonzero entries of
-    uturn_matrix(kind, n), so the state sum uses the matrices that the
-    move and duality checks verify."""
-    U = uturn_matrix(kind, n)
-    out = {}
-    for bottom in range(1, n + 1):
-        for top in range(1, n + 1):
-            amp = U[top - 1, bottom - 1] if kind.startswith("dec") else U[bottom - 1, top - 1]
-            if not amp.is_zero():
-                out[(bottom, top)] = amp
-    return out
-
-
 def kink_scalar(n: int, sign: int) -> RootScalar:
     """Framing factor of one kink: coribbon^sign."""
     return coribbon(n) if sign > 0 else coribbon(n).inverse()
 
 
+def _slice_table(kind: str, n: int) -> dict:
+    """{states in the window before the slice: [(states after,
+    amplitude), ...]} over the nonzero entries of the slice's matrix, so
+    the state sum uses the matrices that the move and duality checks
+    verify."""
+    table = {}
+    states = range(1, n + 1)
+    if kind in CROSSING_KINDS:
+        C = crossing_matrix(kind, n)
+        for a, b, c, d in product(states, repeat=4):
+            amp = C[_flat(n, a, b), _flat(n, c, d)]
+            if not amp.is_zero():
+                table.setdefault((a, b), []).append(((c, d), amp))
+    elif kind in ("kink_pos", "kink_neg"):
+        amp = kink_scalar(n, 1 if kind == "kink_pos" else -1)
+        table = {(s,): [((s,), amp)] for s in states}
+    else:
+        U = uturn_matrix(kind, n)
+        for bottom, top in product(states, repeat=2):
+            # a dec_* matrix is indexed (top, bottom), an inc_* one (bottom, top)
+            amp = U[top - 1, bottom - 1] if kind.startswith("dec") else U[bottom - 1, top - 1]
+            if not amp.is_zero():
+                before, after = ((), (bottom, top)) if _WIDTH[kind] == 0 else ((bottom, top), ())
+                table.setdefault(before, []).append((after, amp))
+    return table
+
+
+@lru_cache(maxsize=None)
+def _slice_tables(n: int) -> dict:
+    """The tables of every slice kind at rank n, built together: the
+    first state sum with a slice at a rank builds them all, and no later
+    one builds any."""
+    return {kind: _slice_table(kind, n) for kind in SLICE_KINDS}
+
+
 def biangle_trace(diagram: BiangleDiagram, state: BiangleState) -> RootScalar:
     """State sum over compatible internal states of the products of
-    slice matrix entries, with kink factors pulled out front."""
+    slice matrix entries."""
     n = diagram.n
     left = tuple(state.left)
     right = tuple(state.right)
-    profiles = diagram.profiles()
-    if len(left) != len(profiles[0]) or len(right) != len(profiles[-1]):
+    if len(left) != len(diagram.left) or len(right) != len(diagram.right):
         raise ValueError("state arity does not match the diagram boundary")
     for value in left + right:
         if not 1 <= value <= n:
@@ -443,41 +444,14 @@ def biangle_trace(diagram: BiangleDiagram, state: BiangleState) -> RootScalar:
 
     amplitudes = {left: RootScalar.one()}
     for s in diagram.slices:
-        p = s.pos - 1
+        p, w, table = s.pos - 1, _WIDTH[s.kind], _slice_tables(n)[s.kind]
         updated = {}
-
-        def put(key, value):
-            if key in updated:
-                updated[key] = updated[key] + value
-            else:
-                updated[key] = value
-
-        if s.kind in _CREATE_TURNS:
-            turns = _turn_table(s.kind, n).items()
-            for states, amp in amplitudes.items():
-                for pair, extra in turns:
-                    put(states[:p] + pair + states[p:], amp * extra)
-        elif s.kind in _CONSUME_TURNS:
-            turns = _turn_table(s.kind, n)
-            for states, amp in amplitudes.items():
-                extra = turns.get(states[p : p + 2])
-                if extra is not None:
-                    put(states[:p] + states[p + 2 :], amp * extra)
-        elif s.kind in CROSSING_KINDS:
-            C = crossing_matrix(s.kind, n)
-            for states, amp in amplitudes.items():
-                a, b = states[p], states[p + 1]
-                row = _flat(n, a, b)
-                for c in range(1, n + 1):
-                    for d in range(1, n + 1):
-                        entry = C[row, _flat(n, c, d)]
-                        if entry.is_zero():
-                            continue
-                        key = states[:p] + (c, d) + states[p + 2 :]
-                        put(key, amp * entry)
-        elif s.kind in ("kink_pos", "kink_neg"):
-            factor = kink_scalar(n, 1 if s.kind == "kink_pos" else -1)
-            updated = {k: v * factor for k, v in amplitudes.items()}
+        for states, amp in amplitudes.items():
+            for after, extra in table.get(states[p : p + w], ()):
+                key = states[:p] + after + states[p + w :]
+                value = amp * extra
+                old = updated.get(key)
+                updated[key] = value if old is None else old + value
         amplitudes = {k: v for k, v in updated.items() if not v.is_zero()}
 
     return amplitudes.get(right, RootScalar.zero())

@@ -43,8 +43,7 @@ from .fock_goncharov import (
     triangle_poisson,
 )
 from .biangle import (
-    CROSSING_KINDS,
-    UTURN_KINDS,
+    SLICE_KINDS,
     Slice,
     crossing_matrix,
     duality_lemma_check,
@@ -152,8 +151,7 @@ def parse_link_file(path, text):
         elif key == "slice":
             if len(tokens) != 4 or not tokens[3].isdecimal():
                 raise ParseError(path, line_no, "expected 'slice <edge> <kind> <position>'")
-            kinds = UTURN_KINDS + CROSSING_KINDS + ("kink_pos", "kink_neg")
-            if tokens[2] not in kinds:
+            if tokens[2] not in SLICE_KINDS:
                 raise ParseError(path, line_no, f"unknown slice kind {tokens[2]!r}")
             slices.setdefault(tokens[1], []).append(Slice(tokens[2], int(tokens[3])))
         elif key == "state":

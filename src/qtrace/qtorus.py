@@ -17,7 +17,7 @@ equality a dictionary comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping
 
@@ -180,6 +180,8 @@ class QuantumTorusSpec:
     N: int
     P: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] = ()
+    # lower[j] lists the pairs (i, P[j][i]) with i < j and P[j][i] != 0
+    lower: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -194,9 +196,26 @@ class QuantumTorusSpec:
                     raise ValueError("P must be antisymmetric")
         if self.names and len(self.names) != self.N:
             raise ValueError("names must match generator count")
+        lower = tuple(tuple((i, p) for i, p in enumerate(row[:j]) if p) for j, row in enumerate(self.P))
+        object.__setattr__(self, "lower", lower)
 
     def name(self, i: int) -> str:
         return self.names[i] if self.names else f"X{i}"
+
+    def ordering(self, e, f) -> int:
+        """sum_{i<j} P[j][i] e_j f_i.
+
+        Moving X_j^(e_j/n) right past X_i^(f_i/n) for i < j costs
+        omega^(P[j][i] e_j f_i) = h^(2 P[j][i] e_j f_i), so X^e X^f =
+        h^(2 ordering(e, f)) X^(e+f) in normal order, and the Weyl-ordered
+        monomial [X^e] is h^ordering(e, e) X^e.
+        """
+        k = 0
+        for ej, row in zip(e, self.lower):
+            if ej:
+                for i, p in row:
+                    k += p * ej * f[i]
+        return k
 
 
 def make_spec(n: int, P: Iterable[Iterable[int]], names: Iterable[str] = ()) -> QuantumTorusSpec:
@@ -327,11 +346,8 @@ class TorusElement:
             raise ValueError("only monomials are invertible")
         ((e, c),) = self._terms.items()
         inv_e = tuple(-x for x in e)
-        # h-exponent picked so that (c^-1 h^k X^-e)(c X^e) = 1
-        P = self.spec.P
-        k = -2 * sum(
-            P[j][i] * e[j] * (-e[i]) for j in range(self.spec.N) for i in range(j)
-        )
+        # (c^-1 h^k X^-e)(c X^e) = h^(k - 2 ordering(e, e)) = 1
+        k = 2 * self.spec.ordering(e, e)
         return TorusElement(self.spec, {inv_e: c.inverse() * RootScalar({k: 1})})
 
     def at_one(self) -> dict[tuple, int]:
@@ -395,72 +411,26 @@ def torus_sum(spec: QuantumTorusSpec, elements: Iterable[TorusElement]) -> Torus
     return TorusElement(spec, items())
 
 
-def _monomial_product_h_exponent(spec: QuantumTorusSpec, e: tuple, f: tuple) -> int:
-    """h-exponent from normal-ordering X^e (normal) times X^f (normal).
-
-    Each swap of X_j^(e_j/n) past X_i^(f_i/n) with i < j contributes
-    omega^(P[j][i]*e_j*f_i) = h^(2*P[j][i]*e_j*f_i).
-    """
-    P = spec.P
-    k = 0
-    for j in range(spec.N):
-        ej = e[j]
-        if not ej:
-            continue
-        Pj = P[j]
-        for i in range(j):
-            if f[i]:
-                k += Pj[i] * ej * f[i]
-    return 2 * k
-
-
 def normal_product(a: TorusElement, b: TorusElement) -> TorusElement:
     """Product in the quantum torus, returned in canonical normal order."""
     if a.spec != b.spec:
         raise ValueError("torus spec mismatch")
     spec = a.spec
+    ordering = spec.ordering
 
     def products():
         for e, ce in a._terms.items():
             for f, cf in b._terms.items():
-                k = _monomial_product_h_exponent(spec, e, f)
+                k = 2 * ordering(e, f)
                 yield tuple(x + y for x, y in zip(e, f)), ce * cf * RootScalar({k: 1}) if k else ce * cf
 
     return TorusElement(spec, products())
 
 
-def weyl_order(word, spec: QuantumTorusSpec) -> TorusElement:
-    """Weyl quantum ordering of a word [(index, exponent-in-1/n-units), ...].
-
-    Returns h^(-sum_{a<b} P[i_a][i_b] m_a m_b) times the normal-ordered
-    product of the letters; invariant under permutations of the word.
-    """
-    P = spec.P
-    k = 0
-    letters = list(word)
-    for a in range(len(letters)):
-        ia, ma = letters[a]
-        for b in range(a + 1, len(letters)):
-            ib, mb = letters[b]
-            k -= P[ia][ib] * ma * mb
-    out = TorusElement.scalar(spec, RootScalar({k: 1}))
-    for i, m in letters:
-        out = normal_product(out, TorusElement.generator(spec, i, m))
-    return out
-
-
 def weyl_monomial(spec: QuantumTorusSpec, e, coeff=ONE) -> TorusElement:
     """Weyl ordering of the commutative monomial X^e, times coeff."""
     e = tuple(int(x) for x in e)
-    P = spec.P
-    k = 0
-    for i in range(spec.N):
-        if not e[i]:
-            continue
-        for j in range(i + 1, spec.N):
-            if e[j]:
-                k -= P[i][j] * e[i] * e[j]
-    return TorusElement(spec, {e: _as_scalar(coeff) * RootScalar({k: 1})})
+    return TorusElement(spec, {e: _as_scalar(coeff) * RootScalar({spec.ordering(e, e): 1})})
 
 
 def weyl_lift(commutative_terms: Mapping[tuple, int], spec: QuantumTorusSpec) -> TorusElement:

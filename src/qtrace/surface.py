@@ -42,7 +42,6 @@ from .qtorus import (
     normal_product,
     q_power,
     torus_sum,
-    weyl_monomial,
 )
 from .fock_goncharov import (
     TriangleCoordinates,
@@ -527,12 +526,6 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
     return TracePolynomial(tensor=torus_sum(tensor_spec, state_terms()), surface=surface)
 
 
-def _weyl_factor(spec: QuantumTorusSpec, e) -> RootScalar:
-    """Coefficient of the Weyl-ordered monomial on the normal-ordered
-    one: [X^e] = factor * X^e."""
-    return weyl_monomial(spec, tuple(e)).terms[tuple(e)]
-
-
 def project_to_glued(p, surface: SurfaceTorusSpec) -> TorusElement:
     """Rewrite a tensor-algebra element over the glued surface torus.
 
@@ -546,7 +539,8 @@ def project_to_glued(p, surface: SurfaceTorusSpec) -> TorusElement:
     if elem.spec is not surface.tensor_spec and elem.spec != surface.tensor_spec:
         raise ValueError("element does not live in this surface's tensor algebra")
     tri_spec = surface.tri.spec
-    NG = surface.glued_spec.N
+    tensor, glued = elem.spec, surface.glued_spec
+    NG = glued.N
 
     def glued_pairs():
         for e, coeff in elem.terms.items():
@@ -564,10 +558,9 @@ def project_to_glued(p, surface: SurfaceTorusSpec) -> TorusElement:
                             f"{glued_e[target]} and {value}"
                         )
             glued_e = tuple(0 if v is None else v for v in glued_e)
-            scale = _weyl_factor(elem.spec, e).inverse() * _weyl_factor(surface.glued_spec, glued_e)
-            yield glued_e, coeff * scale
+            yield glued_e, coeff * RootScalar({glued.ordering(glued_e, glued_e) - tensor.ordering(e, e): 1})
 
-    return TorusElement(surface.glued_spec, glued_pairs())
+    return TorusElement(glued, glued_pairs())
 
 
 # ---------------------------------------------------------------------------

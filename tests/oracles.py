@@ -5,7 +5,9 @@ directly from the elementary snake-matrix factorization with plain
 floating point arithmetic, so they share no code with the symbolic
 implementation.  The exact oracle ``classical_trace_polynomial``
 multiplies the library's commutative edge and turn matrices along a
-closed curve, independently of the state sum.
+closed curve, independently of the state sum.  ``weyl_order`` orders a
+word of generators with its own dense loop over P, independently of the
+spec's ordering form.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qtrace.fock_goncharov import commutative_spec, edge_matrix, turn_matrix
-from qtrace.qtorus import TorusElement, TorusMatrix, mat_mul
+from qtrace.qtorus import RootScalar, TorusElement, TorusMatrix, mat_mul, normal_product
 from qtrace.surface import inward_sequence, rotate_vertex, turn_exit_side
 
 
@@ -204,3 +206,23 @@ def evaluate_classical(n, poly, values):
                 term *= values[i] ** (e / n)
         total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# Weyl ordering of a word
+
+
+def weyl_order(word, spec):
+    """Weyl quantum ordering of a word [(index, exponent in 1/n units), ...].
+
+    Returns h^(-sum_{a<b} P[i_a][i_b] m_a m_b) times the normal-ordered
+    product of the letters; invariant under permutations of the word.
+    """
+    k = 0
+    for a, (ia, ma) in enumerate(word):
+        for ib, mb in word[a + 1 :]:
+            k -= spec.P[ia][ib] * ma * mb
+    out = TorusElement.scalar(spec, RootScalar({k: 1}))
+    for i, m in word:
+        out = normal_product(out, TorusElement.generator(spec, i, m))
+    return out

@@ -1,5 +1,7 @@
 """Biangle scalars: U-turns, crossings, skein relations, duality."""
 
+import itertools
+
 import pytest
 
 from qtrace.qtorus import (
@@ -9,6 +11,7 @@ from qtrace.qtorus import (
     q_power,
 )
 from qtrace.biangle import (
+    CROSSING_KINDS,
     BiangleDiagram,
     BiangleState,
     Slice,
@@ -20,7 +23,6 @@ from qtrace.biangle import (
     kink_scalar,
     quantum_integer,
     skein_checks,
-    trivial_strand_matrix,
     unknot_value,
     uturn_matrix,
     yang_baxter_holds,
@@ -176,9 +178,30 @@ class TestCrossingMatrices:
     def test_yang_baxter(self, n):
         assert yang_baxter_holds(n)
 
-    def test_trivial_strand_is_identity(self):
-        for n in (2, 3):
-            assert trivial_strand_matrix(n) == TorusMatrix.identity(None, n)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_single_crossing_traces_its_matrix_entry(self, n):
+        # rows of a crossing matrix index the incoming pair (a, b), columns
+        # the outgoing pair (c, d), with the top strand's state fastest
+        flat = lambda i, j: (i - 1) * n + (j - 1)
+        states = range(1, n + 1)
+        for kind in CROSSING_KINDS:
+            C = crossing_matrix(kind, n)
+            for oa in "rl":
+                for ob in "rl":
+                    if (oa == ob) != ("_same_" in kind):
+                        continue
+                    diagram = BiangleDiagram(n, (oa, ob), (Slice(kind, 1),))
+                    assert diagram.right == (ob, oa)
+                    for a, b, c, d in itertools.product(states, repeat=4):
+                        value = biangle_trace(diagram, BiangleState((a, b), (c, d)))
+                        assert value == C[flat(a, b), flat(c, d)]
+        for kind, sign in (("kink_pos", 1), ("kink_neg", -1)):
+            for o in "rl":
+                diagram = BiangleDiagram(n, (o,), (Slice(kind, 1),))
+                for s1 in states:
+                    for s2 in states:
+                        expected = kink_scalar(n, sign) if s1 == s2 else ZERO
+                        assert biangle_trace(diagram, BiangleState((s1,), (s2,))) == expected
 
 
 class TestSkein:
@@ -229,10 +252,18 @@ class TestBiangleEngine:
         assert biangle_trace(d1, state) == biangle_trace(d2, state)
 
     def test_malformed_slices_rejected(self):
-        with pytest.raises(ValueError):
-            BiangleDiagram(3, ("l", "r"), (Slice("pos_same_to_lower", 1),))
-        with pytest.raises(ValueError):
-            BiangleDiagram(3, ("r",), (Slice("dec_ccw", 1),))
+        for left, kind, pos in [
+            (("l", "r"), "pos_same_to_lower", 1),
+            (("r",), "dec_ccw", 1),
+            (("r", "r"), "pos_same_to_lower", 0),  # crossing at pos 0
+            (("r", "l"), "dec_ccw", 2),  # cap on the top strand
+            (("r",), "dec_cw", 3),  # cup at pos len + 2
+            ((), "kink_pos", 1),  # kink on an empty diagram
+            (("r", "l"), "neg_same_to_higher", 1),  # same-direction crossing, opposite strands
+            (("r", "r"), "twist", 1),  # unknown kind
+        ]:
+            with pytest.raises(ValueError):
+                BiangleDiagram(3, left, (Slice(kind, pos),))
 
 
 class TestDuality:

@@ -16,6 +16,7 @@ from qtrace.cli import (
     render_h_power,
     render_monomial,
 )
+from qtrace.biangle import CROSSING_KINDS, SLICE_KINDS
 from qtrace.surface import build_surface, once_punctured_torus
 
 from oracles import CurveStep, classical_trace_polynomial
@@ -96,6 +97,14 @@ class TestParsers:
             parse_link_file("l.link", "loop d\n")
         with pytest.raises(ParseError, match="expected 'state"):
             parse_link_file("l.link", "state q 1 \u00b2\n")
+
+    def test_every_slice_kind_parses(self):
+        turns_and_kinks = {"dec_cw", "dec_ccw", "inc_ccw", "inc_cw", "kink_pos", "kink_neg"}
+        assert set(SLICE_KINDS) == turns_and_kinks | set(CROSSING_KINDS)
+        assert len(SLICE_KINDS) == 14
+        text = "".join(f"slice d {kind} 1\n" for kind in SLICE_KINDS)
+        link = parse_link_file("l.link", text)
+        assert tuple(s.kind for s in link.slices["d"]) == SLICE_KINDS
 
     def test_polynomial_round_trip(self):
         terms = {(1, -2): {0: 3, -4: 1}, (0, 0): {6: -1}}

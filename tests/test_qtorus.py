@@ -18,8 +18,9 @@ from qtrace.qtorus import (
     q_power,
     torus_sum,
     weyl_monomial,
-    weyl_order,
 )
+
+from oracles import weyl_order
 
 
 def small_antisymmetric(n_gens, rng):
@@ -73,7 +74,46 @@ class TestRootScalar:
 exponents = st.tuples(*(st.integers(-4, 4) for _ in range(4)))
 
 
+def antisymmetric_from_upper(upper):
+    """The 4 x 4 antisymmetric matrix with the six given entries above the
+    diagonal, row by row."""
+    P = [[0] * 4 for _ in range(4)]
+    entries = iter(upper)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            P[i][j] = next(entries)
+            P[j][i] = -P[i][j]
+    return P
+
+
+forms = st.one_of(
+    st.lists(st.integers(-2, 2), min_size=6, max_size=6).map(antisymmetric_from_upper),
+    st.just([[0] * 4 for _ in range(4)]),
+    # one 3 x 3 block and a generator that commutes with everything
+    st.just([[0, 1, -2, 0], [-1, 0, 3, 0], [2, -3, 0, 0], [0, 0, 0, 0]]),
+)
+
+
 class TestWeylBasis:
+    @given(P=forms, e=exponents, f=exponents)
+    @settings(max_examples=80, deadline=None)
+    def test_ordering_form_matches_dense_oracle(self, P, e, f):
+        # B(e, f) = sum_{i<j} P[j][i] e_j f_i, computed here with a dense loop
+        def B(x, y):
+            return sum(P[j][i] * x[j] * y[i] for j in range(4) for i in range(j))
+
+        spec = make_spec(3, P)
+
+        def monomial(x, k=0):
+            return TorusElement.monomial(spec, x, RootScalar.h_power(k))
+
+        e_plus_f = tuple(x + y for x, y in zip(e, f))
+        assert normal_product(monomial(e), monomial(f)) == monomial(e_plus_f, 2 * B(e, f))
+        assert weyl_monomial(spec, e) == monomial(e, B(e, e))
+        assert monomial(e).inverse() * monomial(e) == 1
+        same = make_spec(3, P)
+        assert spec == same and hash(spec) == hash(same)
+
     @given(e=exponents, f=exponents)
     @settings(max_examples=60, deadline=None)
     def test_structure_constants_depend_only_on_form(self, e, f):
