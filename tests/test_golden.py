@@ -35,6 +35,19 @@ CURVE_A_TWICE_BRAIDED = CURVE_A_TWICE + (
     "slice r inc_ccw 1\nslice r inc_cw 2\nslice r neg_same_to_lower 1\n"
 )
 
+CURVE_A_THRICE = "".join(f"arc T1 0 right {h}\narc T0 0 left {h}\n" for h in (1, 2, 3))
+
+# Three copies of curve a with, in each of the biangles d and r, a word w of
+# three crossings, a kink pair, a zig-zag and w^-1: isotopic to CURVE_A_THRICE.
+CURVE_A_THRICE_BRAIDED = CURVE_A_THRICE + (
+    "slice d pos_same_to_lower 1\nslice d neg_same_to_higher 2\nslice d pos_same_to_higher 1\n"
+    "slice d kink_pos 3\nslice d kink_neg 3\nslice d inc_ccw 2\nslice d inc_cw 1\n"
+    "slice d neg_same_to_higher 1\nslice d pos_same_to_higher 2\nslice d neg_same_to_lower 1\n"
+    "slice r neg_same_to_lower 2\nslice r neg_same_to_higher 1\nslice r pos_same_to_lower 2\n"
+    "slice r kink_neg 1\nslice r kink_pos 1\nslice r inc_ccw 1\nslice r inc_cw 2\n"
+    "slice r neg_same_to_lower 2\nslice r pos_same_to_higher 1\nslice r pos_same_to_lower 2\n"
+)
+
 STRIP_M2 = (
     "n 3\ntriangles 2\nedge e0 T0.0\nedge i1 T0.1 T1.0\nedge s0 T0.2\nedge s1 T1.2\nedge e1 T1.1\n",
     "arc T0 0 left 1\narc T1 0 left 1\nstate e0 1 1\nstate e1 1 3\n",
@@ -55,9 +68,11 @@ TRACES = [
         for c, link in (("a", CURVE_A), ("b", CURVE_B))
     ),
     ("bundle-n3-k2-a", torus_surface(3), CURVE_A_TWICE, "bundle-n3-k2-a.poly"),
+    ("bundle-n3-k3-a", torus_surface(3), CURVE_A_THRICE, "bundle-n3-k3-a.poly"),
     ("bundle-n3-k3-b", torus_surface(3), CURVE_B_THRICE, "bundle-n3-k3-b.poly"),
     ("bundle-n4-k2-a", torus_surface(4), CURVE_A_TWICE, "bundle-n4-k2-a.poly"),
     ("braided-n3-k2-a", torus_surface(3), CURVE_A_TWICE_BRAIDED, "bundle-n3-k2-a.poly"),
+    ("braided-n3-k3-a", torus_surface(3), CURVE_A_THRICE_BRAIDED, "bundle-n3-k3-a.poly"),
     ("strip-n3-m2", *STRIP_M2, "strip-n3-m2.poly"),
     ("strip-n3-m5", *STRIP_M5, "strip-n3-m5.poly"),
 ]
