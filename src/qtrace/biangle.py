@@ -360,6 +360,8 @@ class BiangleDiagram:
     left: tuple
     slices: tuple
     right: tuple = field(init=False, compare=False)
+    # biangle_trace's sweeps: left states -> {right states: nonzero amplitude}
+    _amplitudes: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         current = tuple(self.left)
@@ -432,7 +434,12 @@ def _slice_tables(n: int) -> dict:
 
 def biangle_trace(diagram: BiangleDiagram, state: BiangleState) -> RootScalar:
     """State sum over compatible internal states of the products of
-    slice matrix entries."""
+    slice matrix entries.
+
+    One sweep from a left state gives the amplitudes of every right
+    state at once; the first call for a left state makes that sweep and
+    keeps its result on the diagram, and later calls look it up.
+    """
     n = diagram.n
     left = tuple(state.left)
     right = tuple(state.right)
@@ -442,19 +449,21 @@ def biangle_trace(diagram: BiangleDiagram, state: BiangleState) -> RootScalar:
         if not 1 <= value <= n:
             raise ValueError("states must lie in 1..%d" % n)
 
-    amplitudes = {left: RootScalar.one()}
-    for s in diagram.slices:
-        p, w, table = s.pos - 1, _WIDTH[s.kind], _slice_tables(n)[s.kind]
-        updated = {}
-        for states, amp in amplitudes.items():
-            for after, extra in table.get(states[p : p + w], ()):
-                key = states[:p] + after + states[p + w :]
-                value = amp * extra
-                old = updated.get(key)
-                updated[key] = value if old is None else old + value
-        amplitudes = {k: v for k, v in updated.items() if not v.is_zero()}
-
-    return amplitudes.get(right, RootScalar.zero())
+    amplitudes = diagram._amplitudes.get(left)
+    if amplitudes is None:
+        amplitudes = {left: RootScalar.one()}
+        for s in diagram.slices:
+            p, w, table = s.pos - 1, _WIDTH[s.kind], _slice_tables(n)[s.kind]
+            updated = {}
+            for states, amp in amplitudes.items():
+                for after, extra in table.get(states[p : p + w], ()):
+                    key = states[:p] + after + states[p + w :]
+                    value = amp * extra
+                    old = updated.get(key)
+                    updated[key] = value if old is None else old + value
+            amplitudes = {k: v for k, v in updated.items() if not v.is_zero()}
+        diagram._amplitudes[left] = amplitudes
+    return amplitudes.get(right, ZERO)
 
 
 def skein_checks(n: int) -> dict:

@@ -480,9 +480,6 @@ class TorusMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def __matmul__(self, other: "TorusMatrix") -> "TorusMatrix":
-        return mat_mul(self, other)
-
     def __mul__(self, other):
         if isinstance(other, (int, RootScalar, TorusElement)):
             return self.map(lambda x: x * other)

@@ -479,26 +479,29 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
     for arcs in tri_arcs.values():
         arcs.sort(key=lambda a: a.height)
 
-    tensor_spec = surface.tensor_spec
+    tri_spec = surface.tri.spec
     factor_cache = {}
 
-    def triangle_factor(t, state_pairs):
+    def triangle_terms(t, state_pairs):
+        """(local exponent, coefficient) pairs of the height-ordered
+        product of a triangle's arc entries, in the triangle's torus."""
         key = (t, state_pairs)
-        if key in factor_cache:
-            return factor_cache[key]
-        elem = TorusElement.one(surface.tri.spec)
-        for arc, (s_in, s_out) in zip(tri_arcs[t], state_pairs):
-            entry = arc_quantum_matrix(surface.tri, arc.entry, arc.turn)[s_in - 1, s_out - 1]
-            if entry.is_zero():
-                elem = TorusElement.zero(surface.tri.spec)
-                break
-            elem = normal_product(elem, entry)
-        off = surface.tri_offset[t]
-        embedded = elem.map_exponents(tensor_spec, {i: off + i for i in range(surface.tri.spec.N)})
-        factor_cache[key] = embedded
-        return embedded
+        if key not in factor_cache:
+            elem = TorusElement.one(tri_spec)
+            for arc, (s_in, s_out) in zip(tri_arcs.get(t, ()), state_pairs):
+                entry = arc_quantum_matrix(surface.tri, arc.entry, arc.turn)[s_in - 1, s_out - 1]
+                if entry.is_zero():
+                    elem = TorusElement.zero(tri_spec)
+                    break
+                elem = normal_product(elem, entry)
+            factor_cache[key] = list(elem.terms.items())
+        return factor_cache[key]
 
     def state_terms():
+        # Factors of different triangles commute in the block-diagonal
+        # tensor torus, so a product of one term from each is the
+        # concatenation of their exponent blocks in triangle order (a
+        # triangle without arcs gives the zero block).
         for combo in iter_product(*(table.items() for _, table in edge_tables)):
             slot_state = {}
             amp = RootScalar.one()
@@ -508,22 +511,20 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
                     slot_state[(edge_id, 0, pos)] = v
                 for pos, v in enumerate(rs, start=1):
                     slot_state[(edge_id, 1, pos)] = v
-            term = TorusElement.scalar(tensor_spec, amp)
-            for t, arcs in sorted(tri_arcs.items()):
+            partial = [((), amp)]
+            for t in range(tr.n_triangles):
                 pairs = []
-                for arc in arcs:
+                for arc in tri_arcs.get(t, ()):
                     k_in, k_out = arc_keys[arc]
                     s_in = k_in[1] if k_in[0] == "state" else slot_state[k_in[1:]]
                     s_out = k_out[1] if k_out[0] == "state" else slot_state[k_out[1:]]
                     pairs.append((s_in, s_out))
-                factor = triangle_factor(t, tuple(pairs))
-                if factor.is_zero():
+                partial = [(e + f, c * d) for e, c in partial for f, d in triangle_terms(t, tuple(pairs))]
+                if not partial:
                     break
-                term = normal_product(term, factor)
-            else:
-                yield term
+            yield from partial
 
-    return TracePolynomial(tensor=torus_sum(tensor_spec, state_terms()), surface=surface)
+    return TracePolynomial(tensor=TorusElement(surface.tensor_spec, state_terms()), surface=surface)
 
 
 def project_to_glued(p, surface: SurfaceTorusSpec) -> TorusElement:

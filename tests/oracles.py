@@ -7,16 +7,26 @@ implementation.  The exact oracle ``classical_trace_polynomial``
 multiplies the library's commutative edge and turn matrices along a
 closed curve, independently of the state sum.  ``weyl_order`` orders a
 word of generators with its own dense loop over P, independently of the
-spec's ordering form.
+spec's ordering form.  ``enumerated_trace`` is the state sum taken term
+by term in the tensor torus, with one biangle sweep per state.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
+from qtrace.biangle import BiangleDiagram, BiangleState, biangle_trace
 from qtrace.fock_goncharov import commutative_spec, edge_matrix, turn_matrix
-from qtrace.qtorus import RootScalar, TorusElement, TorusMatrix, mat_mul, normal_product
-from qtrace.surface import inward_sequence, rotate_vertex, turn_exit_side
+from qtrace.qtorus import RootScalar, TorusElement, TorusMatrix, mat_mul, normal_product, torus_sum
+from qtrace.surface import (
+    _endpoint_key,
+    _expected_profiles,
+    arc_quantum_matrix,
+    inward_sequence,
+    rotate_vertex,
+    turn_exit_side,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +236,60 @@ def weyl_order(word, spec):
     for i, m in word:
         out = normal_product(out, TorusElement.generator(spec, i, m))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the state sum, enumerated in the tensor torus
+
+
+def enumerated_trace(link, surface):
+    """Tensor-torus quantum trace of a link in good position, summed
+    state by state: for every choice of internal boundary states, the
+    product of the biangle amplitudes times the normal_product, in
+    triangle order, of each triangle's height-ordered arc factor
+    embedded in the tensor torus.  Every amplitude is swept on a freshly
+    built diagram, so no state reuses another state's sweep."""
+    n = surface.n
+    tensor_spec, tri_spec = surface.tensor_spec, surface.tri.spec
+    edge_tables = []
+    for edge in surface.triangulation.internal_edges:
+        left, right = _expected_profiles(link, edge)
+        table = {}
+        for ls in product(range(1, n + 1), repeat=len(left)):
+            for rs in product(range(1, n + 1), repeat=len(right)):
+                diagram = BiangleDiagram(n, left, link.slices.get(edge.id, ()))
+                value = biangle_trace(diagram, BiangleState(ls, rs))
+                if not value.is_zero():
+                    table[(ls, rs)] = value
+        edge_tables.append((edge.id, table))
+
+    tri_arcs = {}
+    for arc in sorted(link.arcs, key=lambda a: a.height):
+        tri_arcs.setdefault(arc.triangle, []).append(arc)
+
+    def factor(t, slot_state):
+        def state(arc, role):
+            key = _endpoint_key(link, surface, arc, role)
+            return key[1] if key[0] == "state" else slot_state[key[1:]]
+
+        elem = TorusElement.one(tri_spec)
+        for arc in tri_arcs[t]:
+            entry = arc_quantum_matrix(surface.tri, arc.entry, arc.turn)[state(arc, "entry") - 1, state(arc, "exit") - 1]
+            elem = normal_product(elem, entry)
+        off = surface.tri_offset[t]
+        return elem.map_exponents(tensor_spec, {i: off + i for i in range(tri_spec.N)})
+
+    def terms():
+        for combo in product(*(table.items() for _, table in edge_tables)):
+            slot_state = {}
+            amp = RootScalar.one()
+            for (edge_id, _), ((ls, rs), value) in zip(edge_tables, combo):
+                amp = amp * value
+                slot_state.update({(edge_id, 0, pos): v for pos, v in enumerate(ls, start=1)})
+                slot_state.update({(edge_id, 1, pos): v for pos, v in enumerate(rs, start=1)})
+            term = TorusElement.scalar(tensor_spec, amp)
+            for t in sorted(tri_arcs):
+                term = normal_product(term, factor(t, slot_state))
+            yield term
+
+    return torus_sum(tensor_spec, terms())

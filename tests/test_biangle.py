@@ -1,6 +1,7 @@
 """Biangle scalars: U-turns, crossings, skein relations, duality."""
 
 import itertools
+import random
 
 import pytest
 
@@ -250,6 +251,45 @@ class TestBiangleEngine:
         )
         state = BiangleState((1, 2, 2, 3), (2, 1, 3, 2))
         assert biangle_trace(d1, state) == biangle_trace(d2, state)
+
+    # Two strands with a crossing word, a kink and a zig-zag.
+    BRAIDED = (
+        Slice("pos_same_to_lower", 1),
+        Slice("kink_pos", 2),
+        Slice("inc_ccw", 2),
+        Slice("inc_cw", 1),
+        Slice("neg_same_to_higher", 1),
+        Slice("pos_same_to_higher", 1),
+    )
+
+    def test_swept_amplitudes_match_fresh_diagrams(self):
+        diagram = BiangleDiagram(3, ("l", "l"), self.BRAIDED)
+        states = list(itertools.product(range(1, 4), repeat=2))
+        pairs = list(itertools.product(states, states))
+        random.Random(3).shuffle(pairs)
+        nonzero = 0
+        for ls, rs in pairs:
+            fresh = BiangleDiagram(3, ("l", "l"), self.BRAIDED)
+            value = biangle_trace(diagram, BiangleState(ls, rs))
+            assert value == biangle_trace(fresh, BiangleState(ls, rs))
+            nonzero += not value.is_zero()
+        # more than the 9 entries of the identity: the word mixes states
+        assert nonzero > 9
+
+    def test_swept_diagram_still_checks_states(self):
+        diagram = BiangleDiagram(3, ("l", "l"), self.BRAIDED)
+        biangle_trace(diagram, BiangleState((1, 2), (2, 1)))
+        for ls, rs in [((1,), (2, 1)), ((1, 2, 3), (2, 1)), ((1, 2), (2,)), ((1, 2), (2, 4)), ((1, 2), (0, 1))]:
+            with pytest.raises(ValueError):
+                biangle_trace(diagram, BiangleState(ls, rs))
+
+    def test_swept_diagram_equals_a_fresh_one(self):
+        swept = BiangleDiagram(3, ("l", "l"), self.BRAIDED)
+        for ls in itertools.product(range(1, 4), repeat=2):
+            biangle_trace(swept, BiangleState(ls, (1, 1)))
+        fresh = BiangleDiagram(3, ("l", "l"), self.BRAIDED)
+        assert swept == fresh and hash(swept) == hash(fresh) and repr(swept) == repr(fresh)
+        assert swept != BiangleDiagram(3, ("l", "l"), self.BRAIDED[:-1])
 
     def test_malformed_slices_rejected(self):
         for left, kind, pos in [

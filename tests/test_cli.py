@@ -42,6 +42,18 @@ arc T0 2 right 1
 slice b inc_cw 1
 """
 
+CURVE_B = """\
+arc T0 2 left 1
+arc T1 2 right 1
+"""
+
+CURVE_B_MOVED = """\
+arc T0 2 left 1
+arc T1 2 left 2
+arc T1 0 left 1
+slice r inc_ccw 1
+"""
+
 UNKNOT = """\
 slice d inc_ccw 1
 slice d dec_ccw 1
@@ -161,6 +173,24 @@ class TestTraceCommand:
             assert main(["trace", str(surface), str(link), "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    # The two good positions of each fixture knot of scripts/run_verification.py,
+    # at every rank up to 5, with the number of terms they emit.
+    @pytest.mark.parametrize("n,n_terms", [(2, 3), (3, 8), (4, 21), (5, 55)])
+    @pytest.mark.parametrize("positions", [(CURVE_A, CURVE_A_MOVED), (CURVE_B, CURVE_B_MOVED)], ids=["knot_a", "knot_b"])
+    def test_fixture_positions_agree_at_every_rank(self, tmp_path, positions, n, n_terms):
+        surface = tmp_path / "torus.surface"
+        surface.write_text(TORUS_SURFACE.replace("n 3", f"n {n}"))
+        outputs = []
+        for i, content in enumerate(positions):
+            link = tmp_path / f"pos{i}.link"
+            link.write_text(content)
+            out = tmp_path / f"pos{i}.poly"
+            assert main(["trace", str(surface), str(link), "--out", str(out)]) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+        assert f"n {n}\n" in outputs[0]
+        assert sum(line.startswith("term ") for line in outputs[0].splitlines()) == n_terms
 
     def test_repeated_runs_are_deterministic(self, torus_files, capsys):
         tmp_path, surface = torus_files

@@ -4,8 +4,10 @@ multiplicative consistency properties."""
 
 import random
 import time
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtrace.qtorus import (
     RootScalar,
@@ -14,7 +16,7 @@ from qtrace.qtorus import (
     mat_mul,
     normal_product,
 )
-from qtrace.biangle import Slice, kink_scalar, unknot_value
+from qtrace.biangle import CROSSING_KINDS, Slice, kink_scalar, unknot_value
 from qtrace.surface import (
     Edge,
     GoodPositionLink,
@@ -188,6 +190,66 @@ class TestQuantumTrace:
             glued = quantum_trace(link, torus).glued()
             for coeff in glued.terms.values():
                 assert all(k % 2 == 0 for k in coeff.terms)
+
+
+@lru_cache(maxsize=None)
+def torus_at(n):
+    return build_surface(once_punctured_torus(), n)
+
+
+@lru_cache(maxsize=None)
+def strip_at(n, m):
+    """A fan of m triangles, T(i-1) side 1 glued to Ti side 0."""
+    edges = [Edge("e0", ((0, 0),)), Edge("e1", ((m - 1, 1),))]
+    edges += [Edge(f"i{i}", ((i - 1, 1), (i, 0))) for i in range(1, m)]
+    edges += [Edge(f"s{i}", ((i, 2),)) for i in range(m)]
+    return build_surface(IdealTriangulation(m, tuple(edges)), n)
+
+
+# Zig-zags that straighten on the bottom strand of curve a's biangles.
+ZIGZAGS = {"d": (Slice("inc_ccw", 2), Slice("inc_cw", 1)), "r": (Slice("inc_ccw", 1), Slice("inc_cw", 2))}
+SAME_KINDS = [kind for kind in CROSSING_KINDS if "_same_" in kind]
+
+
+@st.composite
+def braided_bundles(draw):
+    """k parallel copies of curve a with random words of crossings, kinks
+    and zig-zags in the biangles d and r."""
+    n, k = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    arcs = []
+    for h in range(1, k + 1):
+        arcs += [TriangleArc(1, 0, "right", h), TriangleArc(0, 0, "left", h)]
+    slices = {}
+    for edge in ("d", "r"):
+        word = []
+        for _ in range(draw(st.integers(0, 4))):
+            letter = draw(st.sampled_from(("crossing", "kink", "zigzag") if k > 1 else ("kink", "zigzag")))
+            if letter == "crossing":
+                word.append(Slice(draw(st.sampled_from(SAME_KINDS)), draw(st.integers(1, k - 1))))
+            elif letter == "kink":
+                word.append(Slice(draw(st.sampled_from(("kink_pos", "kink_neg"))), draw(st.integers(1, k))))
+            else:
+                word += ZIGZAGS[edge]
+        slices[edge] = tuple(word)
+    return GoodPositionLink(arcs=arcs, slices=slices), torus_at(n)
+
+
+@st.composite
+def strips(draw):
+    """One left-turning arc through a fan of m triangles, with random
+    boundary states."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(1, 5))
+    states = {("e0", 1): draw(st.integers(1, n)), ("e1", 1): draw(st.integers(1, n))}
+    arcs = [TriangleArc(i, 0, "left", 1) for i in range(m)]
+    return GoodPositionLink(arcs=arcs, boundary_states=states), strip_at(n, m)
+
+
+class TestStateSumEngine:
+    @given(case=st.one_of(braided_bundles(), strips()))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_enumeration_in_the_tensor_torus(self, case):
+        link, surface = case
+        assert quantum_trace(link, surface).tensor == oracles.enumerated_trace(link, surface)
 
 
 class TestProjection:
