@@ -127,11 +127,6 @@ class RootScalar:
         """Evaluate at h = 1."""
         return sum(self._t.values())
 
-    def evaluate(self, h_value: float) -> float:
-        if h_value == 0:
-            raise ValueError("h must be nonzero")
-        return sum(c * h_value**k for k, c in self._t.items())
-
     def __repr__(self):
         if not self._t:
             return "0"
@@ -358,30 +353,6 @@ class TorusElement:
             if v:
                 out[e] = v
         return out
-
-    def evaluate(self, h_value: float, gen_values) -> float:
-        """Numeric value at h = h_value and X_i = gen_values[i] > 0."""
-        n = self.spec.n
-        total = 0.0
-        for e, c in self._terms.items():
-            m = c.evaluate(h_value)
-            for i, ei in enumerate(e):
-                if ei:
-                    m *= gen_values[i] ** (ei / n)
-            total += m
-        return total
-
-    def map_exponents(self, target_spec, index_map) -> "TorusElement":
-        """Reindex monomials into another spec via generator index map."""
-
-        def reindexed(e):
-            e2 = [0] * target_spec.N
-            for i, ei in enumerate(e):
-                if ei:
-                    e2[index_map[i]] += ei
-            return tuple(e2)
-
-        return TorusElement(target_spec, ((reindexed(e), c) for e, c in self._terms.items()))
 
     def __repr__(self):
         if not self._terms:

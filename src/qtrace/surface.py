@@ -122,12 +122,6 @@ class IdealTriangulation:
                 return e
         raise KeyError(f"no edge {edge_id!r}")
 
-    def edge_at(self, triangle: int, side: int) -> Edge:
-        for e in self.edges:
-            if (triangle, side) in e.incidences:
-                return e
-        raise KeyError(f"no edge at triangle {triangle} side {side}")
-
     @property
     def internal_edges(self):
         return tuple(e for e in self.edges if not e.is_boundary)
@@ -288,28 +282,23 @@ class GoodPositionLink:
         self.slices = {k: tuple(v) for k, v in dict(self.slices).items()}
         self.boundary_states = dict(self.boundary_states)
 
-    def side_arcs(self, triangle: int, side: int):
-        """Arcs of a triangle incident to one side, bottom to top, with
-        their role there ('entry' or 'exit')."""
-        out = []
-        for arc in self.arcs:
-            if arc.triangle != triangle:
-                continue
-            if arc.entry == side:
-                out.append((arc, "entry"))
-            if arc.exit == side:
-                out.append((arc, "exit"))
-        out.sort(key=lambda pair: pair[0].height)
-        return out
+
+def _sides(link: GoodPositionLink):
+    """The arc ends on each (triangle, side), bottom to top, as (arc,
+    role) pairs with role 'entry' or 'exit'.  An arc never enters and
+    exits through one side, so every pair is one arc end."""
+    sides = {}
+    for arc in sorted(link.arcs, key=lambda a: a.height):
+        sides.setdefault((arc.triangle, arc.entry), []).append((arc, "entry"))
+        sides.setdefault((arc.triangle, arc.exit), []).append((arc, "exit"))
+    return sides
 
 
-def _expected_profiles(link: GoodPositionLink, edge: Edge):
+def _profiles(sides, edge: Edge):
     """Boundary orientation profiles of an internal edge's biangle as
     forced by the adjacent triangle arcs."""
-    t0, s0 = edge.incidences[0]
-    t1, s1 = edge.incidences[1]
-    left = tuple("r" if role == "exit" else "l" for _, role in link.side_arcs(t0, s0))
-    right = tuple("r" if role == "entry" else "l" for _, role in link.side_arcs(t1, s1))
+    left = tuple("r" if role == "exit" else "l" for _, role in sides.get(edge.incidences[0], ()))
+    right = tuple("r" if role == "entry" else "l" for _, role in sides.get(edge.incidences[1], ()))
     return left, right
 
 
@@ -345,8 +334,9 @@ def validate_good_position(link: GoodPositionLink, surface: SurfaceTorusSpec):
         if edge.is_boundary:
             problems.append(f"edge {edge_id!r} is a boundary edge and has no biangle")
 
+    sides = _sides(link)
     for edge in tr.internal_edges:
-        left, right = _expected_profiles(link, edge)
+        left, right = _profiles(sides, edge)
         try:
             diagram = BiangleDiagram(surface.n, left, link.slices.get(edge.id, ()))
         except ValueError as err:
@@ -358,22 +348,18 @@ def validate_good_position(link: GoodPositionLink, surface: SurfaceTorusSpec):
                 f"the adjacent triangle arcs {right}"
             )
 
-    for edge in tr.boundary_edges:
-        t, s = edge.incidences[0]
-        slots = link.side_arcs(t, s)
-        for pos in range(1, len(slots) + 1):
-            if (edge.id, pos) not in link.boundary_states:
-                problems.append(f"missing boundary state for edge {edge.id!r} position {pos}")
-        for (eid, pos), value in link.boundary_states.items():
-            if eid == edge.id:
-                if not 1 <= pos <= len(slots):
-                    problems.append(f"boundary state at edge {eid!r} position {pos} has no strand")
-                elif not 1 <= value <= surface.n:
-                    problems.append(f"boundary state at edge {eid!r} position {pos} out of range")
-    known = {e.id for e in tr.boundary_edges}
-    for eid, _ in link.boundary_states:
-        if eid not in known:
+    strands = {e.id: len(sides.get(e.incidences[0], ())) for e in tr.boundary_edges}
+    for eid, count in strands.items():
+        for pos in range(1, count + 1):
+            if (eid, pos) not in link.boundary_states:
+                problems.append(f"missing boundary state for edge {eid!r} position {pos}")
+    for (eid, pos), value in link.boundary_states.items():
+        if eid not in strands:
             problems.append(f"boundary state given for non-boundary edge {eid!r}")
+        elif not 1 <= pos <= strands[eid]:
+            problems.append(f"boundary state at edge {eid!r} position {pos} has no strand")
+        elif not 1 <= value <= surface.n:
+            problems.append(f"boundary state at edge {eid!r} position {pos} out of range")
     return problems
 
 
@@ -417,27 +403,6 @@ class TracePolynomial:
     tensor: TorusElement
     surface: SurfaceTorusSpec
 
-    def glued(self) -> TorusElement:
-        return project_to_glued(self, self.surface)
-
-    def __eq__(self, other):
-        return isinstance(other, TracePolynomial) and self.tensor == other.tensor
-
-
-def _endpoint_key(link, surface, arc, role):
-    """Identify an arc endpoint: ('slot', edge id, incidence, pos) for
-    an internal interface, or ('state', fixed value) at the boundary."""
-    side = arc.entry if role == "entry" else arc.exit
-    edge = surface.triangulation.edge_at(arc.triangle, side)
-    pairs = link.side_arcs(arc.triangle, side)
-    pos = 1 + [a for a, r in pairs].index(arc)
-    # an arc cannot enter and exit through the same side, so the index
-    # lookup above is unambiguous
-    if edge.is_boundary:
-        return ("state", link.boundary_states[(edge.id, pos)])
-    inc = edge.incidences.index((arc.triangle, side))
-    return ("slot", edge.id, inc, pos)
-
 
 def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePolynomial:
     """State-sum quantum trace of a link in good position.
@@ -451,33 +416,42 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
         raise ValueError("link is not in good position:\n" + "\n".join(problems))
     n = surface.n
     tr = surface.triangulation
+    sides = _sides(link)
 
-    # per-edge tables of nonzero biangle amplitudes
+    # Each arc end reads one entry of a flat state tuple: the fixed
+    # boundary states first, then each internal edge's left and right
+    # strands, bottom to top, in edge order.
+    ends = {}
+    fixed = ()
+    for edge in tr.boundary_edges:
+        for pos, end in enumerate(sides.get(edge.incidences[0], ()), start=1):
+            ends[end] = len(ends)
+            fixed += (link.boundary_states[(edge.id, pos)],)
+
+    # per-edge tables of nonzero biangle amplitudes, keyed by the edge's
+    # block of the state tuple
     edge_tables = []
     for edge in tr.internal_edges:
-        left, right = _expected_profiles(link, edge)
+        left, right = _profiles(sides, edge)
         diagram = BiangleDiagram(n, left, link.slices.get(edge.id, ()))
         table = {}
         for ls in iter_product(range(1, n + 1), repeat=len(left)):
             for rs in iter_product(range(1, n + 1), repeat=len(right)):
                 value = biangle_trace(diagram, BiangleState(ls, rs))
                 if not value.is_zero():
-                    table[(ls, rs)] = value
-        edge_tables.append((edge.id, table))
-
-    # arc endpoint wiring
-    arc_keys = {}
-    for arc in link.arcs:
-        arc_keys[arc] = (
-            _endpoint_key(link, surface, arc, "entry"),
-            _endpoint_key(link, surface, arc, "exit"),
-        )
+                    table[ls + rs] = value
+        edge_tables.append(table)
+        for incidence in edge.incidences:
+            for end in sides.get(incidence, ()):
+                ends[end] = len(ends)
 
     tri_arcs = {}
-    for arc in link.arcs:
+    for arc in sorted(link.arcs, key=lambda a: a.height):
         tri_arcs.setdefault(arc.triangle, []).append(arc)
-    for arcs in tri_arcs.values():
-        arcs.sort(key=lambda a: a.height)
+    tri_ends = [
+        [(ends[(arc, "entry")], ends[(arc, "exit")]) for arc in tri_arcs.get(t, ())]
+        for t in range(tr.n_triangles)
+    ]
 
     tri_spec = surface.tri.spec
     factor_cache = {}
@@ -502,24 +476,16 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
         # tensor torus, so a product of one term from each is the
         # concatenation of their exponent blocks in triangle order (a
         # triangle without arcs gives the zero block).
-        for combo in iter_product(*(table.items() for _, table in edge_tables)):
-            slot_state = {}
+        for combo in iter_product(*(table.items() for table in edge_tables)):
+            states = fixed
             amp = RootScalar.one()
-            for (edge_id, _), ((ls, rs), value) in zip(edge_tables, combo):
+            for key, value in combo:
+                states += key
                 amp = amp * value
-                for pos, v in enumerate(ls, start=1):
-                    slot_state[(edge_id, 0, pos)] = v
-                for pos, v in enumerate(rs, start=1):
-                    slot_state[(edge_id, 1, pos)] = v
             partial = [((), amp)]
-            for t in range(tr.n_triangles):
-                pairs = []
-                for arc in tri_arcs.get(t, ()):
-                    k_in, k_out = arc_keys[arc]
-                    s_in = k_in[1] if k_in[0] == "state" else slot_state[k_in[1:]]
-                    s_out = k_out[1] if k_out[0] == "state" else slot_state[k_out[1:]]
-                    pairs.append((s_in, s_out))
-                partial = [(e + f, c * d) for e, c in partial for f, d in triangle_terms(t, tuple(pairs))]
+            for t, arc_ends in enumerate(tri_ends):
+                pairs = tuple((states[i], states[j]) for i, j in arc_ends)
+                partial = [(e + f, c * d) for e, c in partial for f, d in triangle_terms(t, pairs)]
                 if not partial:
                     break
             yield from partial
@@ -562,44 +528,6 @@ def project_to_glued(p, surface: SurfaceTorusSpec) -> TorusElement:
             yield glued_e, coeff * RootScalar({glued.ordering(glued_e, glued_e) - tensor.ordering(e, e): 1})
 
     return TorusElement(glued, glued_pairs())
-
-
-# ---------------------------------------------------------------------------
-# canonical fixtures
-
-
-def once_punctured_torus() -> IdealTriangulation:
-    """Two triangles glued along three edges d, r, b (the diagonal and
-    the two identified sides of the square model)."""
-    return IdealTriangulation(
-        n_triangles=2,
-        edges=(
-            Edge("d", ((0, 0), (1, 2))),
-            Edge("r", ((0, 1), (1, 0))),
-            Edge("b", ((0, 2), (1, 1))),
-        ),
-    )
-
-
-def glued_square() -> IdealTriangulation:
-    """Two triangles glued along one edge, four boundary edges."""
-    return IdealTriangulation(
-        n_triangles=2,
-        edges=(
-            Edge("d", ((0, 0), (1, 2))),
-            Edge("p", ((0, 1),)),
-            Edge("q", ((0, 2),)),
-            Edge("u", ((1, 0),)),
-            Edge("v", ((1, 1),)),
-        ),
-    )
-
-
-def single_triangle() -> IdealTriangulation:
-    return IdealTriangulation(
-        n_triangles=1,
-        edges=(Edge("x", ((0, 0),)), Edge("y", ((0, 1),)), Edge("z", ((0, 2),))),
-    )
 
 
 # ---------------------------------------------------------------------------

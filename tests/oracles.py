@@ -8,7 +8,9 @@ multiplies the library's commutative edge and turn matrices along a
 closed curve, independently of the state sum.  ``weyl_order`` orders a
 word of generators with its own dense loop over P, independently of the
 spec's ordering form.  ``enumerated_trace`` is the state sum taken term
-by term in the tensor torus, with one biangle sweep per state.
+by term in the tensor torus, with one biangle sweep per state; it finds
+each arc end's edge and strand position by its own scans, so it shares
+no wiring with ``quantum_trace``.
 """
 
 from dataclasses import dataclass
@@ -19,14 +21,7 @@ import numpy as np
 from qtrace.biangle import BiangleDiagram, BiangleState, biangle_trace
 from qtrace.fock_goncharov import commutative_spec, edge_matrix, turn_matrix
 from qtrace.qtorus import RootScalar, TorusElement, TorusMatrix, mat_mul, normal_product, torus_sum
-from qtrace.surface import (
-    _endpoint_key,
-    _expected_profiles,
-    arc_quantum_matrix,
-    inward_sequence,
-    rotate_vertex,
-    turn_exit_side,
-)
+from qtrace.surface import arc_quantum_matrix, inward_sequence, rotate_vertex, turn_exit_side
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +77,13 @@ def exit_edge(surface, triangle, entry_edge, turn):
     side = side_of(surface.triangulation, entry_edge, triangle)
     if turn in ("uturn_cw", "uturn_ccw"):
         return entry_edge
-    return surface.triangulation.edge_at(triangle, turn_exit_side(side, turn)).id
+    return edge_at(surface.triangulation, triangle, turn_exit_side(side, turn)).id
+
+
+def edge_at(triangulation, triangle, side):
+    """The edge glued to one side of a triangle, by a scan over edges."""
+    (edge,) = [e for e in triangulation.edges if (triangle, side) in e.incidences]
+    return edge
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +219,41 @@ def evaluate_classical(n, poly, values):
     return total
 
 
+def evaluate_scalar(c, h_value):
+    """Numeric value of a Laurent polynomial in h at h = h_value."""
+    if h_value == 0:
+        raise ValueError("h must be nonzero")
+    return sum(a * h_value**k for k, a in c.terms.items())
+
+
+def evaluate_element(elem, h_value, gen_values):
+    """Numeric value of a torus element at h = h_value and
+    X_i = gen_values[i] > 0."""
+    n = elem.spec.n
+    total = 0.0
+    for e, c in elem.terms.items():
+        m = evaluate_scalar(c, h_value)
+        for i, ei in enumerate(e):
+            if ei:
+                m *= gen_values[i] ** (ei / n)
+        total += m
+    return total
+
+
+def map_exponents(elem, target_spec, index_map):
+    """Reindex a torus element's monomials into another spec via a
+    generator index map."""
+
+    def reindexed(e):
+        e2 = [0] * target_spec.N
+        for i, ei in enumerate(e):
+            if ei:
+                e2[index_map[i]] += ei
+        return tuple(e2)
+
+    return TorusElement(target_spec, ((reindexed(e), c) for e, c in elem.terms.items()))
+
+
 # ---------------------------------------------------------------------------
 # Weyl ordering of a word
 
@@ -242,6 +278,31 @@ def weyl_order(word, spec):
 # the state sum, enumerated in the tensor torus
 
 
+def side_arcs(link, triangle, side):
+    """Arcs of a triangle incident to one side, bottom to top, with
+    their role there ('entry' or 'exit'), by a scan over all arcs."""
+    out = []
+    for arc in link.arcs:
+        if arc.triangle == triangle and arc.entry == side:
+            out.append((arc, "entry"))
+        if arc.triangle == triangle and arc.exit == side:
+            out.append((arc, "exit"))
+    return sorted(out, key=lambda pair: pair[0].height)
+
+
+def endpoint_key(link, surface, arc, role):
+    """Identify an arc end: ('slot', edge id, incidence, pos) for an
+    internal interface, or ('state', fixed value) at the boundary."""
+    side = arc.entry if role == "entry" else arc.exit
+    edge = edge_at(surface.triangulation, arc.triangle, side)
+    # an arc cannot enter and exit through the same side, so the arc
+    # occurs once on this side
+    pos = 1 + [a for a, _ in side_arcs(link, arc.triangle, side)].index(arc)
+    if edge.is_boundary:
+        return ("state", link.boundary_states[(edge.id, pos)])
+    return ("slot", edge.id, edge.incidences.index((arc.triangle, side)), pos)
+
+
 def enumerated_trace(link, surface):
     """Tensor-torus quantum trace of a link in good position, summed
     state by state: for every choice of internal boundary states, the
@@ -253,7 +314,9 @@ def enumerated_trace(link, surface):
     tensor_spec, tri_spec = surface.tensor_spec, surface.tri.spec
     edge_tables = []
     for edge in surface.triangulation.internal_edges:
-        left, right = _expected_profiles(link, edge)
+        (t0, s0), (t1, s1) = edge.incidences
+        left = tuple("r" if role == "exit" else "l" for _, role in side_arcs(link, t0, s0))
+        right = tuple("r" if role == "entry" else "l" for _, role in side_arcs(link, t1, s1))
         table = {}
         for ls in product(range(1, n + 1), repeat=len(left)):
             for rs in product(range(1, n + 1), repeat=len(right)):
@@ -269,7 +332,7 @@ def enumerated_trace(link, surface):
 
     def factor(t, slot_state):
         def state(arc, role):
-            key = _endpoint_key(link, surface, arc, role)
+            key = endpoint_key(link, surface, arc, role)
             return key[1] if key[0] == "state" else slot_state[key[1:]]
 
         elem = TorusElement.one(tri_spec)
@@ -277,7 +340,7 @@ def enumerated_trace(link, surface):
             entry = arc_quantum_matrix(surface.tri, arc.entry, arc.turn)[state(arc, "entry") - 1, state(arc, "exit") - 1]
             elem = normal_product(elem, entry)
         off = surface.tri_offset[t]
-        return elem.map_exponents(tensor_spec, {i: off + i for i in range(tri_spec.N)})
+        return map_exponents(elem, tensor_spec, {i: off + i for i in range(tri_spec.N)})
 
     def terms():
         for combo in product(*(table.items() for _, table in edge_tables)):

@@ -10,6 +10,7 @@ import pytest
 import test_fock_goncharov as tfg
 import test_surface as tsf
 import oracles
+from triangulations import once_punctured_torus
 
 from qtrace.qtorus import RootScalar, TorusElement, TorusMatrix, mat_mul, normal_product
 from qtrace.fock_goncharov import (
@@ -32,8 +33,6 @@ from qtrace.surface import (
     GoodPositionLink,
     TriangleArc,
     build_surface,
-    once_punctured_torus,
-    quantum_trace,
     verify_moves,
 )
 from qtrace.cli import main
@@ -119,7 +118,7 @@ def test_criterion_07_classical_trace_property(torus):
     ok = True
     rng = random.Random(7)
     for make_link, steps in ((tsf.link_a, tsf.STEPS_A), (tsf.link_b, tsf.STEPS_B)):
-        poly = quantum_trace(make_link(), torus).glued().at_one()
+        poly = tsf.glued_trace(make_link(), torus).at_one()
         ok = ok and poly == oracles.classical_trace_polynomial(steps, torus)
         for _ in range(5):
             values = [rng.uniform(0.2, 3.0) for _ in range(torus.glued_spec.N)]
@@ -135,14 +134,14 @@ def test_criterion_08_state_sum_and_multiplication(torus):
         tsf.TestGluedSquare().test_state_sum_equals_direct_contraction()
     except AssertionError:
         ok = False
-    ga = quantum_trace(tsf.link_a(), torus).glued()
-    gb = quantum_trace(tsf.link_b(), torus).glued()
+    ga = tsf.glued_trace(tsf.link_a(), torus)
+    gb = tsf.glued_trace(tsf.link_b(), torus)
     raised = tuple(
         TriangleArc(x.triangle, x.entry, x.turn, 2) for x in tsf.link_b().arcs
     )
-    union = quantum_trace(
+    union = tsf.glued_trace(
         GoodPositionLink(arcs=tsf.link_a().arcs + raised), torus
-    ).glued()
+    )
     ok = ok and union == normal_product(ga, gb)
     spec = torus.glued_spec
     for e in ga.terms:
@@ -178,7 +177,7 @@ def test_criterion_09_even_h_exponents(torus):
     ]
     ok = True
     for link in links:
-        glued = quantum_trace(link, torus).glued()
+        glued = tsf.glued_trace(link, torus)
         ok = ok and bool(glued.terms)
         for coeff in glued.terms.values():
             ok = ok and all(k % 2 == 0 for k in coeff.terms)

@@ -17,9 +17,10 @@ from qtrace.cli import (
     render_monomial,
 )
 from qtrace.biangle import CROSSING_KINDS, SLICE_KINDS
-from qtrace.surface import build_surface, once_punctured_torus
+from qtrace.surface import build_surface
 
 from oracles import CurveStep, classical_trace_polynomial
+from triangulations import once_punctured_torus
 
 TORUS_SURFACE = """\
 # once-punctured torus

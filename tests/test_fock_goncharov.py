@@ -24,9 +24,10 @@ from qtrace.fock_goncharov import (
     triangle_poisson,
     triangle_vertices,
 )
-from qtrace.surface import build_surface, once_punctured_torus, rotate_vertex
+from qtrace.surface import build_surface, rotate_vertex
 
 from oracles import CurveStep, classical_trace_polynomial, classical_uturn
+from triangulations import once_punctured_torus
 
 
 def name_index(tri):

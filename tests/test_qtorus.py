@@ -20,7 +20,7 @@ from qtrace.qtorus import (
     weyl_monomial,
 )
 
-from oracles import weyl_order
+from oracles import evaluate_element, evaluate_scalar, map_exponents, weyl_order
 
 
 def small_antisymmetric(n_gens, rng):
@@ -68,7 +68,7 @@ class TestRootScalar:
     def test_at_one_and_evaluate(self):
         a = RootScalar.h_power(4, 2) + RootScalar.h_power(-1, 3)
         assert a.at_one() == 5
-        assert abs(a.evaluate(1.1) - (2 * 1.1**4 + 3 / 1.1)) < 1e-12
+        assert abs(evaluate_scalar(a, 1.1) - (2 * 1.1**4 + 3 / 1.1)) < 1e-12
 
 
 exponents = st.tuples(*(st.integers(-4, 4) for _ in range(4)))
@@ -173,7 +173,7 @@ class TestElements:
     def test_map_exponents_embedding(self, spec3):
         big = make_spec(3, [list(row) + [0, 0] for row in spec3.P] + [[0] * 6, [0] * 6])
         a = weyl_monomial(spec3, (1, -2, 0, 3))
-        image = a.map_exponents(big, {i: i for i in range(4)})
+        image = map_exponents(a, big, {i: i for i in range(4)})
         assert set(image.terms) == {(1, -2, 0, 3, 0, 0)}
 
     def test_cancelling_pairs_sum_to_zero(self, spec3):
@@ -230,7 +230,7 @@ class TestElements:
         a = weyl_monomial(spec3, (3, -3, 6, 0)) + TorusElement.one(spec3)
         gens = [1.0, 1.0, 1.0, 1.0]
         total = sum(coeff for coeff in a.at_one().values())
-        assert abs(a.evaluate(1.0, gens) - total) < 1e-12
+        assert abs(evaluate_element(a, 1.0, gens) - total) < 1e-12
 
 
 class TestMatrices:

@@ -7,7 +7,7 @@ import time
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtrace.qtorus import (
     RootScalar,
@@ -25,21 +25,29 @@ from qtrace.surface import (
     TriangleArc,
     arc_quantum_matrix,
     build_surface,
-    glued_square,
-    once_punctured_torus,
+    project_to_glued,
     quantum_trace,
-    single_triangle,
     validate_good_position,
     verify_moves,
 )
 
 import oracles
 from oracles import CurveStep, classical_trace_polynomial
+from triangulations import glued_square, once_punctured_torus, single_triangle
 
 
 @pytest.fixture(scope="module")
 def torus():
     return build_surface(once_punctured_torus(), 3)
+
+
+# one arc through each triangle of the glued square, from edge q to edge v
+SQUARE_ARCS = (TriangleArc(0, 2, "left", 1), TriangleArc(1, 2, "right", 1))
+
+
+def glued_trace(link, surface):
+    """The quantum trace of a link, projected to the glued torus."""
+    return project_to_glued(quantum_trace(link, surface), surface)
 
 
 def link_a():
@@ -127,6 +135,44 @@ class TestGoodPositionValidation:
         bad = GoodPositionLink(arcs=(TriangleArc(0, 0, "uturn", 1),))
         assert validate_good_position(bad, torus)
 
+    @pytest.mark.parametrize(
+        "where,link,message",
+        [
+            ("torus", GoodPositionLink(arcs=(TriangleArc(0, 0, "uturn", 1),)),
+             "arc in triangle 0: unknown turn 'uturn'"),
+            ("torus", GoodPositionLink(arcs=(TriangleArc(5, 0, "left", 1),)),
+             "arc refers to missing triangle 5"),
+            ("torus", GoodPositionLink(arcs=(TriangleArc(0, 3, "left", 1),)),
+             "arc in triangle 0: bad entry side 3"),
+            ("torus", GoodPositionLink(arcs=(TriangleArc(0, 0, "left", 1), TriangleArc(0, 1, "left", 1))),
+             "triangle 0: duplicate height 1"),
+            ("torus", GoodPositionLink(slices={"zz": ()}),
+             "slices given for unknown edge 'zz'"),
+            ("square", GoodPositionLink(slices={"p": ()}),
+             "edge 'p' is a boundary edge and has no biangle"),
+            ("torus", GoodPositionLink(arcs=link_a().arcs, slices={"d": (Slice("inc_ccw", 3),)}),
+             "biangle 'd': inc_ccw position 3 out of range"),
+            ("torus", GoodPositionLink(arcs=(TriangleArc(1, 0, "right", 1), TriangleArc(0, 0, "right", 1))),
+             "biangle 'r': right boundary () does not match the adjacent triangle arcs ('r',)"),
+            ("square", GoodPositionLink(arcs=SQUARE_ARCS, boundary_states={("q", 1): 1}),
+             "missing boundary state for edge 'v' position 1"),
+            ("square", GoodPositionLink(arcs=SQUARE_ARCS, boundary_states={("q", 1): 1, ("v", 1): 2, ("q", 2): 1}),
+             "boundary state at edge 'q' position 2 has no strand"),
+            ("square", GoodPositionLink(arcs=SQUARE_ARCS, boundary_states={("q", 1): 4, ("v", 1): 2}),
+             "boundary state at edge 'q' position 1 out of range"),
+            ("square", GoodPositionLink(arcs=SQUARE_ARCS, boundary_states={("q", 1): 1, ("v", 1): 2, ("d", 1): 1}),
+             "boundary state given for non-boundary edge 'd'"),
+        ],
+        ids=[
+            "unknown_turn", "missing_triangle", "bad_entry_side", "duplicate_height",
+            "slices_unknown_edge", "slices_boundary_edge", "biangle_error", "right_boundary",
+            "missing_state", "state_without_strand", "state_out_of_range", "state_internal_edge",
+        ],
+    )
+    def test_each_diagnostic(self, torus, where, link, message):
+        surface = torus if where == "torus" else square_at(3)
+        assert message in validate_good_position(link, surface)
+
 
 class TestMoveSuite:
     def test_all_moves_hold(self):
@@ -155,7 +201,7 @@ class TestQuantumTrace:
             ),
             slices={"b": (Slice("inc_cw", 1),)},
         )
-        assert quantum_trace(moved, torus) == quantum_trace(link_a(), torus)
+        assert quantum_trace(moved, torus).tensor == quantum_trace(link_a(), torus).tensor
 
     def test_negative_kink_gives_inverse_ribbon_factor(self, torus):
         kinked = GoodPositionLink(
@@ -173,7 +219,7 @@ class TestQuantumTrace:
     @pytest.mark.parametrize("fixture", ["a", "b"])
     def test_even_h_exponents_on_closed_curves(self, torus, fixture):
         link = link_a() if fixture == "a" else link_b()
-        glued = quantum_trace(link, torus).glued()
+        glued = glued_trace(link, torus)
         assert glued.terms
         for coeff in glued.terms.values():
             assert all(k % 2 == 0 for k in coeff.terms)
@@ -187,7 +233,7 @@ class TestQuantumTrace:
             slices={"d": (Slice("inc_ccw", 1), Slice("dec_ccw", 1))}
         )
         for link in (union, unknot):
-            glued = quantum_trace(link, torus).glued()
+            glued = glued_trace(link, torus)
             for coeff in glued.terms.values():
                 assert all(k % 2 == 0 for k in coeff.terms)
 
@@ -244,9 +290,52 @@ def strips(draw):
     return GoodPositionLink(arcs=arcs, boundary_states=states), strip_at(n, m)
 
 
+@lru_cache(maxsize=None)
+def square_at(n):
+    return build_surface(glued_square(), n)
+
+
+SQUARE_BOUNDARY = {(0, 1): "p", (0, 2): "q", (1, 0): "u", (1, 1): "v"}
+
+
+@st.composite
+def squares(draw):
+    """k strands across the glued square's diagonal, each entering T0
+    through p or q and leaving T1 through u or v, listed in random order
+    with random boundary states; several strands can share one boundary
+    edge.  A random word of crossings in the diagonal's biangle gives,
+    at k = 3, amplitudes that change when left and right are swapped."""
+    n, k = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    arcs = []
+    for h in range(1, k + 1):
+        entry, turn = draw(st.sampled_from(((2, "left"), (1, "right"))))
+        arcs += [TriangleArc(0, entry, turn, h), TriangleArc(1, 2, draw(st.sampled_from(("right", "left"))), h)]
+    arcs = draw(st.permutations(arcs))
+    strands = {}
+    for arc in arcs:
+        for side in (arc.entry, arc.exit):
+            edge = SQUARE_BOUNDARY.get((arc.triangle, side))
+            if edge:
+                strands[edge] = strands.get(edge, 0) + 1
+    states = {(edge, pos): draw(st.integers(1, n)) for edge, count in strands.items() for pos in range(1, count + 1)}
+    word = [Slice(draw(st.sampled_from(SAME_KINDS)), draw(st.integers(1, k - 1))) for _ in range(draw(st.integers(0, 3)))] if k > 1 else []
+    return GoodPositionLink(arcs=arcs, slices={"d": tuple(word)}, boundary_states=states), square_at(n)
+
+
+# Three strands from q to v under a crossing word whose amplitude table
+# is not symmetric in left and right: a state sum that read the
+# biangle's left states on T1 and its right states on T0 would differ.
+ASYMMETRIC_SQUARE = GoodPositionLink(
+    arcs=[TriangleArc(0, 2, "left", h) for h in (1, 2, 3)] + [TriangleArc(1, 2, "right", h) for h in (1, 2, 3)],
+    slices={"d": (Slice("pos_same_to_lower", 1), Slice("pos_same_to_lower", 2))},
+    boundary_states={("q", 1): 1, ("q", 2): 2, ("q", 3): 3, ("v", 1): 3, ("v", 2): 2, ("v", 3): 1},
+)
+
+
 class TestStateSumEngine:
-    @given(case=st.one_of(braided_bundles(), strips()))
-    @settings(max_examples=100, deadline=None)
+    @given(case=st.one_of(braided_bundles(), strips(), squares()))
+    @example(case=(ASYMMETRIC_SQUARE, square_at(3)))
+    @settings(max_examples=150, deadline=None)
     def test_matches_enumeration_in_the_tensor_torus(self, case):
         link, surface = case
         assert quantum_trace(link, surface).tensor == oracles.enumerated_trace(link, surface)
@@ -260,15 +349,13 @@ class TestProjection:
         e[0] = 1  # T0.Zpp1, an edge dot
         lone = TorusElement.monomial(torus.tensor_spec, tuple(e))
         with pytest.raises(ValueError):
-            TracePolynomial(tensor=lone, surface=torus).glued()
+            project_to_glued(TracePolynomial(tensor=lone, surface=torus), torus)
 
     def test_interior_monomial_projects(self, torus):
         idx = torus.tensor_spec.names.index("T0.X111")
         e = [0] * torus.tensor_spec.N
         e[idx] = 2
-        image = TracePolynomial(
-            tensor=TorusElement.monomial(torus.tensor_spec, tuple(e)), surface=torus
-        ).glued()
+        image = project_to_glued(TorusElement.monomial(torus.tensor_spec, tuple(e)), torus)
         gidx = torus.glued_ids.index("T0.X111")
         assert set(image.terms) == {
             tuple(2 if i == gidx else 0 for i in range(torus.glued_spec.N))
@@ -282,7 +369,7 @@ class TestClassicalProperty:
         ids=["curve_a", "curve_b"],
     )
     def test_commutative_limit_matches_classical(self, torus, make_link, steps):
-        glued = quantum_trace(make_link(), torus).glued()
+        glued = glued_trace(make_link(), torus)
         assert glued.at_one() == classical_trace_polynomial(steps, torus)
 
     @pytest.mark.parametrize(
@@ -291,7 +378,7 @@ class TestClassicalProperty:
         ids=["curve_a", "curve_b"],
     )
     def test_numeric_oracle_agreement(self, torus, make_link, steps):
-        poly = quantum_trace(make_link(), torus).glued().at_one()
+        poly = glued_trace(make_link(), torus).at_one()
         rng = random.Random(20260823)
         for _ in range(5):
             values = [rng.uniform(0.2, 3.0) for _ in range(torus.glued_spec.N)]
@@ -302,17 +389,17 @@ class TestClassicalProperty:
 
 class TestMultiplication:
     def test_stacked_union_is_ordered_product(self, torus):
-        ga = quantum_trace(link_a(), torus).glued()
-        gb = quantum_trace(link_b(), torus).glued()
+        ga = glued_trace(link_a(), torus)
+        gb = glued_trace(link_b(), torus)
         raise_h = lambda link: tuple(
             TriangleArc(x.triangle, x.entry, x.turn, 2) for x in link.arcs
         )
-        union_ab = quantum_trace(
+        union_ab = glued_trace(
             GoodPositionLink(arcs=link_a().arcs + raise_h(link_b())), torus
-        ).glued()
-        union_ba = quantum_trace(
+        )
+        union_ba = glued_trace(
             GoodPositionLink(arcs=link_b().arcs + raise_h(link_a())), torus
-        ).glued()
+        )
         assert union_ab == normal_product(ga, gb)
         assert union_ba == normal_product(gb, ga)
         assert union_ab != union_ba
@@ -321,8 +408,8 @@ class TestMultiplication:
         # swapping the heights reorders the product; each monomial pair
         # commutes up to h^(2 <e, Pf>) with the pairing recomputed here
         # directly from the glued form
-        ga = quantum_trace(link_a(), torus).glued()
-        gb = quantum_trace(link_b(), torus).glued()
+        ga = glued_trace(link_a(), torus)
+        gb = glued_trace(link_b(), torus)
         spec = torus.glued_spec
         for e in ga.terms:
             for f in gb.terms:
@@ -351,7 +438,7 @@ class TestGluedSquare:
         def embed(M, t):
             mapping = {i: surf.tri_offset[t] + i for i in range(surf.tri.spec.N)}
             rows = [
-                [x.map_exponents(surf.tensor_spec, mapping) for x in row]
+                [oracles.map_exponents(x, surf.tensor_spec, mapping) for x in row]
                 for row in M.entries
             ]
             return TorusMatrix(surf.tensor_spec, rows)
