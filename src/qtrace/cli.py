@@ -56,6 +56,7 @@ from .surface import (
     GoodPositionLink,
     IdealTriangulation,
     TriangleArc,
+    TriangulationError,
     build_surface,
     project_to_glued,
     quantum_trace,
@@ -85,6 +86,7 @@ def parse_surface_file(path, text):
     n = None
     n_triangles = None
     edges = []
+    edge_lines = []
     for line_no, tokens in _content_lines(path, text):
         key = tokens[0]
         if key == "n":
@@ -95,6 +97,8 @@ def parse_surface_file(path, text):
             if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(path, line_no, "expected 'triangles <count>'")
             n_triangles = int(tokens[1])
+            if n_triangles < 1:
+                raise ParseError(path, line_no, "a triangulation needs at least one triangle")
         elif key == "edge":
             if len(tokens) not in (3, 4):
                 raise ParseError(
@@ -114,6 +118,7 @@ def parse_surface_file(path, text):
                     )
                 incidences.append((int(parts[0][1:]), int(parts[1])))
             edges.append(Edge(tokens[1], tuple(incidences)))
+            edge_lines.append(line_no)
         else:
             raise ParseError(path, line_no, f"unknown directive {key!r}")
     if n is None:
@@ -122,8 +127,8 @@ def parse_surface_file(path, text):
         raise ParseError(path, 1, "missing 'triangles' directive")
     try:
         triangulation = IdealTriangulation(n_triangles=n_triangles, edges=tuple(edges))
-    except ValueError as err:
-        raise ParseError(path, 1, str(err))
+    except TriangulationError as err:
+        raise ParseError(path, 1 if err.edge is None else edge_lines[err.edge], str(err))
     return n, triangulation
 
 

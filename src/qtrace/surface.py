@@ -30,6 +30,9 @@ Conventions used throughout:
 
 from dataclasses import dataclass, field
 from itertools import product as iter_product
+from math import prod
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .qtorus import (
     RootScalar,
@@ -80,6 +83,15 @@ class Edge:
         return len(self.incidences) == 1
 
 
+class TriangulationError(ValueError):
+    """A fault of a triangulation; edge is the index of the offending
+    edge, or None when the fault names no edge."""
+
+    def __init__(self, message, edge=None):
+        super().__init__(message)
+        self.edge = edge
+
+
 @dataclass(frozen=True)
 class IdealTriangulation:
     """Triangles are indexed 0 .. n_triangles-1; every (triangle, side)
@@ -91,30 +103,30 @@ class IdealTriangulation:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
         if self.n_triangles < 1:
-            raise ValueError("a triangulation needs at least one triangle")
+            raise TriangulationError("a triangulation needs at least one triangle")
         seen = {}
         ids = set()
-        for e in self.edges:
+        for k, e in enumerate(self.edges):
             if e.id in ids:
-                raise ValueError(f"duplicate edge id {e.id!r}")
+                raise TriangulationError(f"duplicate edge id {e.id!r}", k)
             ids.add(e.id)
             if len(e.incidences) not in (1, 2):
-                raise ValueError(f"edge {e.id!r} must have one or two incidences")
+                raise TriangulationError(f"edge {e.id!r} must have one or two incidences", k)
             tris = [t for t, _ in e.incidences]
             if len(e.incidences) == 2 and tris[0] == tris[1]:
-                raise ValueError(f"edge {e.id!r} would make triangle {tris[0]} self-folded")
+                raise TriangulationError(f"edge {e.id!r} would make triangle {tris[0]} self-folded", k)
             for t, s in e.incidences:
                 if not 0 <= t < self.n_triangles:
-                    raise ValueError(f"edge {e.id!r} refers to missing triangle {t}")
+                    raise TriangulationError(f"edge {e.id!r} refers to missing triangle {t}", k)
                 if s not in (0, 1, 2):
-                    raise ValueError(f"edge {e.id!r} has bad side {s}")
+                    raise TriangulationError(f"edge {e.id!r} has bad side {s}", k)
                 if (t, s) in seen:
-                    raise ValueError(f"side {s} of triangle {t} is claimed twice")
+                    raise TriangulationError(f"side {s} of triangle {t} is claimed twice", k)
                 seen[(t, s)] = e.id
         for t in range(self.n_triangles):
             for s in (0, 1, 2):
                 if (t, s) not in seen:
-                    raise ValueError(f"side {s} of triangle {t} is not glued to any edge")
+                    raise TriangulationError(f"side {s} of triangle {t} is not glued to any edge")
 
     def edge_by_id(self, edge_id: str) -> Edge:
         for e in self.edges:
@@ -396,6 +408,16 @@ def arc_quantum_matrix(tri: TriangleCoordinates, entry: int, turn: str) -> Torus
 # the state-sum trace
 
 
+class _Factor(NamedTuple):
+    """A factor of the state sum: the internal edges it reads, the
+    triangles whose blocks its exponents join, and its reader of the
+    flat state list (see quantum_trace)."""
+
+    edges: tuple
+    tris: tuple
+    read: Callable
+
+
 @dataclass
 class TracePolynomial:
     """Quantum trace in the tensor algebra, with its surface context."""
@@ -410,6 +432,12 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
     Every internal interface state is summed over; each biangle
     contributes a scalar amplitude, each triangle the height-ordered
     (lowest first) product of its arcs' turn matrix entries.
+
+    The sum is a tensor network whose indices are the internal edges'
+    states.  Its edges are summed out one at a time, always the edge
+    whose bucket (the factors that read it, and the edges those read) has
+    the fewest state combinations; the last bucket, once it spans every
+    edge left, is streamed into the result instead of being tabulated.
     """
     problems = validate_good_position(link, surface)
     if problems:
@@ -418,19 +446,20 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
     tr = surface.triangulation
     sides = _sides(link)
 
-    # Each arc end reads one entry of a flat state tuple: the fixed
+    # Each arc end reads one entry of a flat state list: the fixed
     # boundary states first, then each internal edge's left and right
     # strands, bottom to top, in edge order.
     ends = {}
-    fixed = ()
+    states = []
     for edge in tr.boundary_edges:
         for pos, end in enumerate(sides.get(edge.incidences[0], ()), start=1):
             ends[end] = len(ends)
-            fixed += (link.boundary_states[(edge.id, pos)],)
+            states.append(link.boundary_states[(edge.id, pos)])
 
     # per-edge tables of nonzero biangle amplitudes, keyed by the edge's
-    # block of the state tuple
+    # block of the state list, states[slots[edge]]
     edge_tables = []
+    slots = []
     for edge in tr.internal_edges:
         left, right = _profiles(sides, edge)
         diagram = BiangleDiagram(n, left, link.slices.get(edge.id, ()))
@@ -441,54 +470,109 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
                 if not value.is_zero():
                     table[ls + rs] = value
         edge_tables.append(table)
+        first = len(ends)
         for incidence in edge.incidences:
             for end in sides.get(incidence, ()):
                 ends[end] = len(ends)
+        slots.append(slice(first, len(ends)))
+    states += [None] * (len(ends) - len(states))
+    index = range(len(ends))
+    owner = {i: k for k, block in enumerate(slots) for i in index[block]}
 
     tri_arcs = {}
     for arc in sorted(link.arcs, key=lambda a: a.height):
         tri_arcs.setdefault(arc.triangle, []).append(arc)
-    tri_ends = [
-        [(ends[(arc, "entry")], ends[(arc, "exit")]) for arc in tri_arcs.get(t, ())]
-        for t in range(tr.n_triangles)
-    ]
 
     tri_spec = surface.tri.spec
-    factor_cache = {}
 
-    def triangle_terms(t, state_pairs):
-        """(local exponent, coefficient) pairs of the height-ordered
-        product of a triangle's arc entries, in the triangle's torus."""
-        key = (t, state_pairs)
-        if key not in factor_cache:
-            elem = TorusElement.one(tri_spec)
-            for arc, (s_in, s_out) in zip(tri_arcs.get(t, ()), state_pairs):
-                entry = arc_quantum_matrix(surface.tri, arc.entry, arc.turn)[s_in - 1, s_out - 1]
-                if entry.is_zero():
-                    elem = TorusElement.zero(tri_spec)
-                    break
-                elem = normal_product(elem, entry)
-            factor_cache[key] = list(elem.terms.items())
-        return factor_cache[key]
+    # A factor reads the states of some internal edges from the flat
+    # state list and gives (exponent, coefficient) pairs whose exponents
+    # join the blocks of its triangles, in their order (a triangle without
+    # arcs gives the zero block).  Factors of different triangles commute
+    # in the block-diagonal tensor torus, so multiplying two terms joins
+    # their blocks.
+    def triangle_factor(t):
+        arcs = tri_arcs.get(t, ())
+        arc_ends = [(ends[(arc, "entry")], ends[(arc, "exit")]) for arc in arcs]
+        edges = tuple(sorted({owner[i] for end in arc_ends for i in end if i in owner}))
+        cache = {}
+
+        def read(states):
+            """The height-ordered product of the triangle's arc entries,
+            in the triangle's own torus, computed once for each tuple of
+            (entry, exit) state pairs."""
+            pairs = tuple((states[i], states[j]) for i, j in arc_ends)
+            if pairs not in cache:
+                elem = TorusElement.one(tri_spec)
+                for arc, (s_in, s_out) in zip(arcs, pairs):
+                    entry = arc_quantum_matrix(surface.tri, arc.entry, arc.turn)[s_in - 1, s_out - 1]
+                    if entry.is_zero():
+                        elem = TorusElement.zero(tri_spec)
+                        break
+                    elem = normal_product(elem, entry)
+                cache[pairs] = list(elem.terms.items())
+            return cache[pairs]
+
+        return _Factor(edges, (t,), read)
+
+    def table_factor(edges, tris, table):
+        places = [i for k in edges for i in index[slots[k]]]
+        return _Factor(tuple(edges), tris, lambda states: table.get(tuple(states[i] for i in places), ()))
+
+    def times(terms, factors):
+        for factor in factors:
+            terms = [(e + f, c * d) for e, c in terms for f, d in factor.read(states)]
+            if not terms:
+                break
+        return terms
+
+    factors = [triangle_factor(t) for t in range(tr.n_triangles)]
+    alive = set(range(len(edge_tables)))
+    while alive:
+        buckets = {v: sorted({v}.union(*(f.edges for f in factors if v in f.edges))) for v in alive}
+        v = min(alive, key=lambda u: (prod(len(edge_tables[k]) for k in buckets[u]), u))
+        if len(buckets[v]) == len(alive):
+            break
+        # Sum out v: for each state of the bucket's other edges, the
+        # product of the factors that read v, summed over v's states.
+        rest = [k for k in buckets[v] if k != v]
+        inside = sorted((f for f in factors if v in f.edges), key=lambda f: f.tris)
+        table = {}
+        for combo in iter_product(*(edge_tables[k] for k in rest)):
+            for k, key in zip(rest, combo):
+                states[slots[k]] = key
+            sums = {}
+            for key, amp in edge_tables[v].items():
+                states[slots[v]] = key
+                for e, c in times([((), amp)], inside):
+                    sums[e] = sums[e] + c if e in sums else c
+            terms = [(e, c) for e, c in sums.items() if not c.is_zero()]
+            if terms:
+                table[sum(combo, ())] = terms
+        factors = [f for f in factors if v not in f.edges]
+        factors.append(table_factor(rest, sum((f.tris for f in inside), ()), table))
+        alive.remove(v)
+
+    # The last bucket spans every edge left: stream it.  The factors that
+    # read no edge are multiplied together once, first.
+    edges = sorted(alive)
+    factors.sort(key=lambda f: (bool(f.edges), f.tris))
+    order = sum((f.tris for f in factors), ())
+    start = times([((), RootScalar.one())], [f for f in factors if not f.edges])
+    factors = [f for f in factors if f.edges]
+    reorder = None
+    if order != tuple(range(tr.n_triangles)):
+        Nt, block = tri_spec.N, {t: k for k, t in enumerate(order)}
+        reorder = itemgetter(*(block[t] * Nt + i for t in range(tr.n_triangles) for i in range(Nt)))
 
     def state_terms():
-        # Factors of different triangles commute in the block-diagonal
-        # tensor torus, so a product of one term from each is the
-        # concatenation of their exponent blocks in triangle order (a
-        # triangle without arcs gives the zero block).
-        for combo in iter_product(*(table.items() for table in edge_tables)):
-            states = fixed
+        for combo in iter_product(*(edge_tables[k].items() for k in edges)):
             amp = RootScalar.one()
-            for key, value in combo:
-                states += key
+            for k, (key, value) in zip(edges, combo):
+                states[slots[k]] = key
                 amp = amp * value
-            partial = [((), amp)]
-            for t, arc_ends in enumerate(tri_ends):
-                pairs = tuple((states[i], states[j]) for i, j in arc_ends)
-                partial = [(e + f, c * d) for e, c in partial for f, d in triangle_terms(t, pairs)]
-                if not partial:
-                    break
-            yield from partial
+            terms = times([(e, c * amp) for e, c in start], factors)
+            yield from terms if reorder is None else ((reorder(e), c) for e, c in terms)
 
     return TracePolynomial(tensor=TorusElement(surface.tensor_spec, state_terms()), surface=surface)
 

@@ -91,6 +91,21 @@ class TestParsers:
         # str.isdigit accepts a superscript two, which int rejects
         with pytest.raises(ParseError, match=r"s\.surface:1: expected 'n <integer>'"):
             parse_surface_file("s.surface", "n \u00b2\ntriangles 1\n")
+        # a triangulation error names the line of the offending edge
+        torus = "n 3\ntriangles 2\nedge d T0.0 T1.2\nedge r T0.1 T1.0\nedge b T0.2 T1.1\n"
+        for text, where in [
+            (torus + "edge x T0.0\n", ":6: side 0 of triangle 0 is claimed twice"),
+            (torus + "edge r T0.0\n", ":6: duplicate edge id 'r'"),
+            ("n 3\ntriangles 1\nedge d T0.0 T0.1\nedge q T0.2\n", ":3: edge 'd' would make triangle 0 self-folded"),
+            ("n 3\ntriangles 1\n# a comment\nedge d T0.0 T9.2\n", ":4: edge 'd' refers to missing triangle 9"),
+            ("n 3\ntriangles 1\nedge p T0.1\nedge d T0.7\n", ":4: edge 'd' has bad side 7"),
+            ("n 3\n\ntriangles 0\n", ":3: a triangulation needs at least one triangle"),
+            # a side that no edge claims has no line of its own
+            ("n 3\ntriangles 1\nedge d T0.0\nedge p T0.1\n", ":1: side 2 of triangle 0 is not glued to any edge"),
+        ]:
+            with pytest.raises(ParseError) as err:
+                parse_surface_file("s.surface", text)
+            assert str(err.value) == "s.surface" + where
 
     def test_link_round_trip(self):
         link = parse_link_file(
@@ -238,7 +253,7 @@ class TestTraceCommand:
         link = tmp_path / "a.link"
         link.write_text(CURVE_A)
         assert main(["trace", str(surface), str(link)]) == 2
-        assert "bad.surface:1" in capsys.readouterr().err
+        assert "bad.surface:3" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "no.surface"), str(tmp_path / "no.link")]) == 2

@@ -48,17 +48,17 @@ CURVE_A_THRICE_BRAIDED = CURVE_A_THRICE + (
     "slice r neg_same_to_lower 2\nslice r pos_same_to_higher 1\nslice r pos_same_to_lower 2\n"
 )
 
-STRIP_M2 = (
-    "n 3\ntriangles 2\nedge e0 T0.0\nedge i1 T0.1 T1.0\nedge s0 T0.2\nedge s1 T1.2\nedge e1 T1.1\n",
-    "arc T0 0 left 1\narc T1 0 left 1\nstate e0 1 1\nstate e1 1 3\n",
-)
-STRIP_M5 = (
-    "n 3\ntriangles 5\nedge e0 T0.0\n"
-    "edge i1 T0.1 T1.0\nedge i2 T1.1 T2.0\nedge i3 T2.1 T3.0\nedge i4 T3.1 T4.0\n"
-    "edge s0 T0.2\nedge s1 T1.2\nedge s2 T2.2\nedge s3 T3.2\nedge s4 T4.2\nedge e1 T4.1\n",
-    "arc T0 0 left 1\narc T1 0 left 1\narc T2 0 left 1\narc T3 0 left 1\narc T4 0 left 1\n"
-    "state e0 1 1\nstate e1 1 3\n",
-)
+
+def strip(m):
+    """One left-turning arc through a fan of m triangles at n = 3, from
+    state 1 on edge e0 to state 3 on edge e1."""
+    surface = ["n 3", f"triangles {m}", "edge e0 T0.0"]
+    surface += [f"edge i{i} T{i - 1}.1 T{i}.0" for i in range(1, m)]
+    surface += [f"edge s{i} T{i}.2" for i in range(m)]
+    surface.append(f"edge e1 T{m - 1}.1")
+    link = [f"arc T{i} 0 left 1" for i in range(m)] + ["state e0 1 1", "state e1 1 3"]
+    return "\n".join(surface) + "\n", "\n".join(link) + "\n"
+
 
 # (case id, surface text, link text, golden file)
 TRACES = [
@@ -73,8 +73,7 @@ TRACES = [
     ("bundle-n4-k2-a", torus_surface(4), CURVE_A_TWICE, "bundle-n4-k2-a.poly"),
     ("braided-n3-k2-a", torus_surface(3), CURVE_A_TWICE_BRAIDED, "bundle-n3-k2-a.poly"),
     ("braided-n3-k3-a", torus_surface(3), CURVE_A_THRICE_BRAIDED, "bundle-n3-k3-a.poly"),
-    ("strip-n3-m2", *STRIP_M2, "strip-n3-m2.poly"),
-    ("strip-n3-m5", *STRIP_M5, "strip-n3-m5.poly"),
+    *((f"strip-n3-m{m}", *strip(m), f"strip-n3-m{m}.poly") for m in (2, 5, 8, 12)),
 ]
 
 

@@ -31,9 +31,10 @@ from qtrace.surface import (
     verify_moves,
 )
 
+import qtrace.surface as surface_module
 import oracles
 from oracles import CurveStep, classical_trace_polynomial
-from triangulations import glued_square, once_punctured_torus, single_triangle
+from triangulations import fan_edges, glued_square, once_punctured_torus, single_triangle
 
 
 @pytest.fixture(scope="module")
@@ -244,12 +245,41 @@ def torus_at(n):
 
 
 @lru_cache(maxsize=None)
+def fan_at(n, order):
+    """A fan whose chain runs through the triangles in order."""
+    return build_surface(IdealTriangulation(len(order), fan_edges(order)), n)
+
+
 def strip_at(n, m):
     """A fan of m triangles, T(i-1) side 1 glued to Ti side 0."""
-    edges = [Edge("e0", ((0, 0),)), Edge("e1", ((m - 1, 1),))]
-    edges += [Edge(f"i{i}", ((i - 1, 1), (i, 0))) for i in range(1, m)]
-    edges += [Edge(f"s{i}", ((i, 2),)) for i in range(m)]
-    return build_surface(IdealTriangulation(m, tuple(edges)), n)
+    return fan_at(n, tuple(range(m)))
+
+
+def boundary_slots(arcs, surface):
+    """(boundary edge id, position) of every arc end on a boundary edge."""
+    where = {e.incidences[0]: e.id for e in surface.triangulation.boundary_edges}
+    count = {}
+    for arc in arcs:
+        for side in (arc.entry, arc.exit):
+            edge = where.get((arc.triangle, side))
+            if edge:
+                count[edge] = count.get(edge, 0) + 1
+    return [(edge, pos) for edge, c in count.items() for pos in range(1, c + 1)]
+
+
+def fan_arcs(order, strands):
+    """Arcs of strands along a fan's chain, the first strand lowest.  A
+    strand (a, b, from_e0, to_e1) runs through the chain positions a..b:
+    it enters through e0 or the side edge of position a, turns left
+    along the chain, and leaves through e1 or, by a right turn, through
+    the side edge of position b."""
+    arcs = []
+    for h, (a, b, from_e0, to_e1) in enumerate(strands, start=1):
+        for k in range(a, b + 1):
+            entry = 0 if k > a or from_e0 else 2
+            exit_side = 1 if k < b or to_e1 else 2
+            arcs.append(TriangleArc(order[k], entry, "left" if (entry, exit_side) == (0, 1) else "right", h))
+    return arcs
 
 
 # Zig-zags that straighten on the bottom strand of curve a's biangles.
@@ -295,9 +325,6 @@ def square_at(n):
     return build_surface(glued_square(), n)
 
 
-SQUARE_BOUNDARY = {(0, 1): "p", (0, 2): "q", (1, 0): "u", (1, 1): "v"}
-
-
 @st.composite
 def squares(draw):
     """k strands across the glued square's diagonal, each entering T0
@@ -311,13 +338,7 @@ def squares(draw):
         entry, turn = draw(st.sampled_from(((2, "left"), (1, "right"))))
         arcs += [TriangleArc(0, entry, turn, h), TriangleArc(1, 2, draw(st.sampled_from(("right", "left"))), h)]
     arcs = draw(st.permutations(arcs))
-    strands = {}
-    for arc in arcs:
-        for side in (arc.entry, arc.exit):
-            edge = SQUARE_BOUNDARY.get((arc.triangle, side))
-            if edge:
-                strands[edge] = strands.get(edge, 0) + 1
-    states = {(edge, pos): draw(st.integers(1, n)) for edge, count in strands.items() for pos in range(1, count + 1)}
+    states = {slot: draw(st.integers(1, n)) for slot in boundary_slots(arcs, square_at(n))}
     word = [Slice(draw(st.sampled_from(SAME_KINDS)), draw(st.integers(1, k - 1))) for _ in range(draw(st.integers(0, 3)))] if k > 1 else []
     return GoodPositionLink(arcs=arcs, slices={"d": tuple(word)}, boundary_states=states), square_at(n)
 
@@ -332,13 +353,128 @@ ASYMMETRIC_SQUARE = GoodPositionLink(
 )
 
 
+@st.composite
+def fans(draw):
+    """One or two strands along a fan of m triangles numbered by a random
+    permutation (see fan_arcs), with random boundary states and random
+    words of same-direction crossings in the internal biangles.  The
+    edge tables carry amplitudes other than 1, and a contraction that
+    follows the chain visits the triangles out of their order."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    order = tuple(draw(st.permutations(range(m))))
+    strands = []
+    lo, hi = m - 1, 0
+    for _ in range(draw(st.integers(1, 2))):
+        # a second strand spans the first one, so that both cross the
+        # same biangles
+        a = draw(st.integers(0, lo))
+        b = draw(st.integers(max(a, hi), m - 1))
+        from_e0 = a == 0 and draw(st.booleans())
+        to_e1 = b == m - 1 and draw(st.booleans())
+        if a == b and not (from_e0 or to_e1):
+            # no arc enters and leaves a triangle through its side edge
+            b, to_e1 = (b + 1, False) if b < m - 1 else (b, True)
+        strands.append((a, b, from_e0, to_e1))
+        lo, hi = a, b
+    slices = {}
+    for k in range(1, m):
+        if sum(a < k <= b for a, b, _, _ in strands) > 1:
+            word = [Slice(draw(st.sampled_from(SAME_KINDS)), 1) for _ in range(draw(st.integers(0, 3)))]
+            slices[f"i{k}"] = tuple(word)
+    surface = fan_at(n, order)
+    arcs = fan_arcs(order, strands)
+    states = {slot: draw(st.integers(1, n)) for slot in boundary_slots(arcs, surface)}
+    return GoodPositionLink(arcs=arcs, slices=slices, boundary_states=states), surface
+
+
+def stated(arcs, slices, surface):
+    """A link of the arcs with every boundary state set to 1 + (position
+    mod n), and its surface."""
+    states = {(edge, pos): 1 + pos % surface.n for edge, pos in boundary_slots(arcs, surface)}
+    return GoodPositionLink(arcs=arcs, slices=slices, boundary_states=states), surface
+
+
+def fan_case(n, order, strands, slices=None):
+    """A stated link of strands along fan_at(n, order)."""
+    return stated(fan_arcs(order, strands), slices or {}, fan_at(n, order))
+
+
+# Two crossing strands through a fan whose chain visits T2, T0, T3, T1,
+# and a kink on the one strand through i3: the contraction sums out i3
+# first, with amplitudes other than 1, and joins the triangles' blocks
+# out of their order.
+SHUFFLED_FAN = fan_case(
+    3,
+    (2, 0, 3, 1),
+    [(0, 3, True, True), (0, 2, False, False)],
+    {
+        "i1": (Slice("pos_same_to_lower", 1),),
+        "i2": (Slice("neg_same_to_higher", 1), Slice("pos_same_to_lower", 1)),
+        "i3": (Slice("kink_neg", 1),),
+    },
+)
+
+
+def two_fans():
+    """Two fans with no edge in common, their triangles interleaved."""
+    orders = ((0, 2), (3, 1))
+    surface = build_surface(IdealTriangulation(4, fan_edges(orders[0]) + fan_edges(orders[1], "b")), 3)
+    arcs = [*fan_arcs(orders[0], [(0, 1, True, False)]), *fan_arcs(orders[1], [(0, 1, True, True), (0, 1, False, True)])]
+    return stated(arcs, {"bi1": (Slice("neg_same_to_lower", 1),)}, surface)
+
+
+def arcless_middle():
+    """A fan of three triangles whose middle one carries no arc, between
+    two biangles that each hold a U-turn: the strand through e0 turns
+    back into s0 at i1, and the strand from s2 turns back into e1 at i2."""
+    arcs = [
+        TriangleArc(1, 0, "left", 1), TriangleArc(1, 1, "left", 2),
+        TriangleArc(0, 2, "left", 1), TriangleArc(0, 0, "left", 2),
+    ]
+    return stated(arcs, {"i1": (Slice("dec_ccw", 1),), "i2": (Slice("dec_cw", 1),)}, fan_at(3, (1, 2, 0)))
+
+
+EDGE_CASES = {
+    # a strand from e0 that leaves by s1: i2 is crossed by nothing and
+    # the last triangle of the chain carries no arc
+    "uncrossed_edge": fan_case(3, (1, 2, 0), [(0, 1, True, False)]),
+    "arcless_triangle_between_crossed_edges": arcless_middle(),
+    "disconnected_pieces": two_fans(),
+}
+
+# Kinks that cancel; the empty-table case below makes every amplitude of
+# a biangle holding them zero.
+ZERO_MARK = (Slice("kink_pos", 1), Slice("kink_neg", 1))
+
+
 class TestStateSumEngine:
-    @given(case=st.one_of(braided_bundles(), strips(), squares()))
+    @given(case=st.one_of(braided_bundles(), strips(), squares(), fans()))
     @example(case=(ASYMMETRIC_SQUARE, square_at(3)))
-    @settings(max_examples=150, deadline=None)
+    @example(case=SHUFFLED_FAN)
+    @settings(max_examples=200, deadline=None)
     def test_matches_enumeration_in_the_tensor_torus(self, case):
         link, surface = case
         assert quantum_trace(link, surface).tensor == oracles.enumerated_trace(link, surface)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_case_matches_enumeration(self, name):
+        link, surface = EDGE_CASES[name]
+        assert not validate_good_position(link, surface)
+        expected = oracles.enumerated_trace(link, surface)
+        assert not expected.is_zero()
+        assert quantum_trace(link, surface).tensor == expected
+
+    def test_empty_edge_table_gives_zero(self, monkeypatch):
+        amplitude = surface_module.biangle_trace
+
+        def trace(diagram, state):
+            return RootScalar.zero() if diagram.slices == ZERO_MARK else amplitude(diagram, state)
+
+        monkeypatch.setattr(surface_module, "biangle_trace", trace)
+        monkeypatch.setattr(oracles, "biangle_trace", trace)
+        link, surface = fan_case(3, (2, 0, 1), [(0, 2, True, True)], {"i2": ZERO_MARK})
+        assert quantum_trace(link, surface).tensor.is_zero()
+        assert oracles.enumerated_trace(link, surface).is_zero()
 
 
 class TestProjection:
