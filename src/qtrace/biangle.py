@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import product
 
 from .qtorus import (
+    ONE,
     ZERO,
     RootScalar,
     TorusMatrix,
@@ -38,7 +39,7 @@ def coribbon(n: int) -> RootScalar:
 
     Equals (-1)^(n-1) q^((1-n^2)/n), an integer power of h.
     """
-    return RootScalar.h_power(2 * n * (1 - n * n), (-1) ** (n - 1))
+    return RootScalar({2 * n * (1 - n * n): (-1) ** (n - 1)})
 
 
 def quantum_integer(n: int) -> RootScalar:
@@ -48,17 +49,17 @@ def quantum_integer(n: int) -> RootScalar:
 
 def unknot_value(n: int) -> RootScalar:
     """Value of a contractible untwisted unknot: (-1)^(n-1) [n]_q."""
-    return RootScalar.from_int((-1) ** (n - 1)) * quantum_integer(n)
+    return RootScalar({0: (-1) ** (n - 1)}) * quantum_integer(n)
 
 
 def duality_parameter(n: int, sign: int = 1) -> RootScalar:
     """The duality scale q^((1-n)/2n) = sqrt-coribbon * q^((n-1)/2)."""
-    return RootScalar.h_power(n * (1 - n), sign)
+    return RootScalar({n * (1 - n): sign})
 
 
 def _neg_q_pow(n: int, k: int) -> RootScalar:
     """(-q)^k as an exact scalar."""
-    return RootScalar.h_power(2 * n * n * k, (-1) ** (k % 2))
+    return RootScalar({2 * n * n * k: (-1) ** (k % 2)})
 
 
 def uturn_core(n: int, lam: RootScalar | None = None) -> TorusMatrix:
@@ -451,7 +452,7 @@ def biangle_trace(diagram: BiangleDiagram, state: BiangleState) -> RootScalar:
 
     amplitudes = diagram._amplitudes.get(left)
     if amplitudes is None:
-        amplitudes = {left: RootScalar.one()}
+        amplitudes = {left: ONE}
         for s in diagram.slices:
             p, w, table = s.pos - 1, _WIDTH[s.kind], _slice_tables(n)[s.kind]
             updated = {}
@@ -481,7 +482,7 @@ def skein_checks(n: int) -> dict:
     report["unknot"] = value == unknot_value(n)
 
     cancel = kink_scalar(n, 1) * kink_scalar(n, -1)
-    report["kink_cancellation"] = cancel == RootScalar.one()
+    report["kink_cancellation"] = cancel == ONE
     return report
 
 

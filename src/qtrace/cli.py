@@ -33,7 +33,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .qtorus import RootScalar, TorusElement
+from .qtorus import ONE, TorusElement
 from .fock_goncharov import (
     left_quantum_matrix,
     right_quantum_matrix,
@@ -89,6 +89,8 @@ def parse_surface_file(path, text):
     edge_lines = []
     for line_no, tokens in _content_lines(path, text):
         key = tokens[0]
+        if key in ("n", "triangles") and (n if key == "n" else n_triangles) is not None:
+            raise ParseError(path, line_no, f"repeated {key!r} directive")
         if key == "n":
             if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(path, line_no, "expected 'n <integer>'")
@@ -162,7 +164,10 @@ def parse_link_file(path, text):
         elif key == "state":
             if len(tokens) != 4 or not tokens[2].isdecimal() or not tokens[3].isdecimal():
                 raise ParseError(path, line_no, "expected 'state <edge> <position> <value>'")
-            states[(tokens[1], int(tokens[2]))] = int(tokens[3])
+            slot = (tokens[1], int(tokens[2]))
+            if slot in states:
+                raise ParseError(path, line_no, f"repeated state for edge {slot[0]!r} position {slot[1]}")
+            states[slot] = int(tokens[3])
         else:
             raise ParseError(path, line_no, f"unknown directive {key!r}")
     return GoodPositionLink(arcs=tuple(arcs), slices=slices, boundary_states=states)
@@ -186,7 +191,7 @@ def emit_polynomial(n, generator_ids, terms) -> str:
 
 
 def polynomial_terms(elem: TorusElement):
-    return {e: dict(c.terms) for e, c in elem.terms.items() if not c.is_zero()}
+    return {e: c.terms for e, c in elem.terms.items()}
 
 
 def parse_polynomial_file(path, text):
@@ -196,6 +201,8 @@ def parse_polynomial_file(path, text):
     saw_header = False
     for line_no, tokens in _content_lines(path, text):
         key = tokens[0]
+        if key in ("n", "generators") and (n if key == "n" else generator_ids) is not None:
+            raise ParseError(path, line_no, f"repeated {key!r} directive")
         if key == "polynomial":
             saw_header = True
         elif key == "n":
@@ -373,7 +380,7 @@ def _duality_suite(n: int):
     for sign, tag in ((1, "plus"), (-1, "minus")):
         report = duality_lemma_check(n, duality_parameter(n, sign))
         checks.append((f"duality.lemma_at_lambda_{tag} n={n}", all(report.values())))
-    at_one = duality_lemma_check(n, RootScalar.one())
+    at_one = duality_lemma_check(n, ONE)
     checks.append((f"duality.lemma_fails_at_lambda_one n={n}", not all(at_one.values())))
     return checks
 

@@ -256,8 +256,8 @@ def check_m2q(a: TorusElement, b: TorusElement, c: TorusElement, d: TorusElement
     """The six 2x2 quantum matrix relations for [[a, b], [c, d]]."""
     spec = a.spec
     n = spec.n
-    q = RootScalar.h_power(2 * n * n)
-    qinv = RootScalar.h_power(-2 * n * n)
+    q = RootScalar({2 * n * n: 1})
+    qinv = RootScalar({-2 * n * n: 1})
     return (
         b * a == q * (a * b)
         and d * c == q * (c * d)
@@ -283,7 +283,8 @@ def quantum_determinant(M: TorusMatrix) -> TorusElement:
 
     def terms():
         for perm in permutations(range(m)):
-            term = TorusElement.scalar(spec, RootScalar.h_power(2 * n * n * _inversions(perm), (-1) ** _inversions(perm)))
+            inv = _inversions(perm)
+            term = TorusElement.scalar(spec, RootScalar({2 * n * n * inv: (-1) ** inv}))
             for i in range(m):
                 e = M.entries[i][perm[i]]
                 if e.is_zero():

@@ -19,37 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import add
 from typing import Iterable, Mapping
 
 
 class RootScalar:
-    """Laurent polynomial in h with integer coefficients."""
+    """Laurent polynomial in h with integer coefficients.
+
+    ``RootScalar({k: c, ...})`` is sum c h^k.  The constructor is the one
+    place that drops zero coefficients; the operators accumulate and
+    construct.
+    """
 
     __slots__ = ("_t",)
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        t = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    t[int(k)] = int(c)
-        self._t = t
-
-    @staticmethod
-    def zero() -> "RootScalar":
-        return RootScalar()
-
-    @staticmethod
-    def one() -> "RootScalar":
-        return RootScalar({0: 1})
-
-    @staticmethod
-    def h_power(k: int, coeff: int = 1) -> "RootScalar":
-        return RootScalar({k: coeff})
-
-    @staticmethod
-    def from_int(c: int) -> "RootScalar":
-        return RootScalar({0: c})
+        self._t = {k: c for k, c in terms.items() if c} if terms else {}
 
     @property
     def terms(self) -> dict[int, int]:
@@ -64,11 +49,7 @@ class RootScalar:
             return NotImplemented
         t = dict(self._t)
         for k, c in other._t.items():
-            c2 = t.get(k, 0) + c
-            if c2:
-                t[k] = c2
-            else:
-                t.pop(k, None)
+            t[k] = t.get(k, 0) + c
         return RootScalar(t)
 
     __radd__ = __add__
@@ -96,11 +77,7 @@ class RootScalar:
         for k1, c1 in self._t.items():
             for k2, c2 in other._t.items():
                 k = k1 + k2
-                c = t.get(k, 0) + c1 * c2
-                if c:
-                    t[k] = c
-                else:
-                    t.pop(k, None)
+                t[k] = t.get(k, 0) + c1 * c2
         return RootScalar(t)
 
     __rmul__ = __mul__
@@ -119,9 +96,6 @@ class RootScalar:
         if other is NotImplemented:
             return NotImplemented
         return self._t == other._t
-
-    def __hash__(self):
-        return hash(frozenset(self._t.items()))
 
     def at_one(self) -> int:
         """Evaluate at h = 1."""
@@ -152,8 +126,8 @@ def _as_scalar(x) -> RootScalar:
     return NotImplemented
 
 
-ZERO = RootScalar.zero()
-ONE = RootScalar.one()
+ZERO = RootScalar()
+ONE = RootScalar({0: 1})
 
 
 def q_power(n: int, num: int, den: int = 1, coeff: int = 1) -> RootScalar:
@@ -224,9 +198,10 @@ class TorusElement:
     A monomial key e (length-N integer tuple) denotes
     X_0^(e[0]/n) X_1^(e[1]/n) ... multiplied in increasing index order.
 
-    ``terms`` is a mapping or an iterable of (exponent, coefficient)
-    pairs; the coefficients of a repeated exponent are added up, and each
-    distinct exponent of the sum is checked once.
+    ``terms`` is a mapping or an iterable of (exponent tuple, RootScalar)
+    pairs.  The constructor is the one place that canonicalises: it adds
+    up the coefficients of a repeated exponent, checks the length of each
+    distinct exponent once and drops the zero sums.  It converts nothing.
     """
 
     __slots__ = ("spec", "_terms")
@@ -235,18 +210,10 @@ class TorusElement:
         self.spec = spec
         sums: dict[tuple, RootScalar] = {}
         for e, c in terms.items() if hasattr(terms, "items") else terms:
-            if not isinstance(c, RootScalar):
-                c = RootScalar({0: int(c)})
-            old = sums.get(e)
-            sums[e] = c if old is None else old + c
-        t = {}
-        for e, c in sums.items():
-            if not c.is_zero():
-                e = tuple(int(x) for x in e)
-                if len(e) != spec.N:
-                    raise ValueError("monomial length mismatch")
-                t[e] = c
-        self._terms = t
+            sums[e] = sums[e] + c if e in sums else c
+        if any(len(e) != spec.N for e in sums):
+            raise ValueError("monomial length mismatch")
+        self._terms = {e: c for e, c in sums.items() if c._t}
 
     @property
     def terms(self) -> dict[tuple, RootScalar]:
@@ -257,17 +224,16 @@ class TorusElement:
         return TorusElement(spec)
 
     @staticmethod
-    def scalar(spec, c) -> "TorusElement":
-        c = _as_scalar(c)
+    def scalar(spec, c: RootScalar) -> "TorusElement":
         return TorusElement(spec, {(0,) * spec.N: c})
 
     @staticmethod
     def one(spec) -> "TorusElement":
-        return TorusElement.scalar(spec, 1)
+        return TorusElement.scalar(spec, ONE)
 
     @staticmethod
-    def monomial(spec, e, coeff=ONE) -> "TorusElement":
-        return TorusElement(spec, {tuple(e): _as_scalar(coeff)})
+    def monomial(spec, e, coeff: RootScalar = ONE) -> "TorusElement":
+        return TorusElement(spec, {tuple(e): coeff})
 
     @staticmethod
     def generator(spec, i: int, num: int = None) -> "TorusElement":
@@ -322,28 +288,15 @@ class TorusElement:
                 raise ValueError("torus spec mismatch")
             return other
         if isinstance(other, (int, RootScalar)):
-            return TorusElement.scalar(self.spec, other)
+            return TorusElement.scalar(self.spec, _as_scalar(other))
         return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, (int, RootScalar)):
-            other = TorusElement.scalar(self.spec, other)
+            other = TorusElement.scalar(self.spec, _as_scalar(other))
         if not isinstance(other, TorusElement):
             return NotImplemented
         return self.spec == other.spec and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.spec, frozenset((e, c) for e, c in self._terms.items())))
-
-    def inverse(self) -> "TorusElement":
-        """Inverse of a single monomial with an invertible coefficient."""
-        if len(self._terms) != 1:
-            raise ValueError("only monomials are invertible")
-        ((e, c),) = self._terms.items()
-        inv_e = tuple(-x for x in e)
-        # (c^-1 h^k X^-e)(c X^e) = h^(k - 2 ordering(e, e)) = 1
-        k = 2 * self.spec.ordering(e, e)
-        return TorusElement(self.spec, {inv_e: c.inverse() * RootScalar({k: 1})})
 
     def at_one(self) -> dict[tuple, int]:
         """Specialization h = 1: commutative monomial -> integer coefficient."""
@@ -393,20 +346,19 @@ def normal_product(a: TorusElement, b: TorusElement) -> TorusElement:
         for e, ce in a._terms.items():
             for f, cf in b._terms.items():
                 k = 2 * ordering(e, f)
-                yield tuple(x + y for x, y in zip(e, f)), ce * cf * RootScalar({k: 1}) if k else ce * cf
+                yield tuple(map(add, e, f)), ce * cf * RootScalar({k: 1}) if k else ce * cf
 
     return TorusElement(spec, products())
 
 
-def weyl_monomial(spec: QuantumTorusSpec, e, coeff=ONE) -> TorusElement:
+def weyl_monomial(spec: QuantumTorusSpec, e: tuple, coeff: RootScalar = ONE) -> TorusElement:
     """Weyl ordering of the commutative monomial X^e, times coeff."""
-    e = tuple(int(x) for x in e)
-    return TorusElement(spec, {e: _as_scalar(coeff) * RootScalar({spec.ordering(e, e): 1})})
+    return TorusElement(spec, {e: coeff * RootScalar({spec.ordering(e, e): 1})})
 
 
 def weyl_lift(commutative_terms: Mapping[tuple, int], spec: QuantumTorusSpec) -> TorusElement:
     """Weyl-lift a commutative polynomial term by term."""
-    return torus_sum(spec, (weyl_monomial(spec, e, int(c)) for e, c in commutative_terms.items()))
+    return torus_sum(spec, (weyl_monomial(spec, e, RootScalar({0: c})) for e, c in commutative_terms.items()))
 
 
 class TorusMatrix:

@@ -35,6 +35,8 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .qtorus import (
+    ONE,
+    ZERO,
     RootScalar,
     QuantumTorusSpec,
     TorusElement,
@@ -558,7 +560,7 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
     edges = sorted(alive)
     factors.sort(key=lambda f: (bool(f.edges), f.tris))
     order = sum((f.tris for f in factors), ())
-    start = times([((), RootScalar.one())], [f for f in factors if not f.edges])
+    start = times([((), ONE)], [f for f in factors if not f.edges])
     factors = [f for f in factors if f.edges]
     reorder = None
     if order != tuple(range(tr.n_triangles)):
@@ -567,7 +569,7 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
 
     def state_terms():
         for combo in iter_product(*(edge_tables[k].items() for k in edges)):
-            amp = RootScalar.one()
+            amp = ONE
             for k, (key, value) in zip(edges, combo):
                 states[slots[k]] = key
                 amp = amp * value
@@ -793,13 +795,13 @@ def verify_moves(n: int = 3) -> dict:
     T3 = kron(L1.transpose(), L1.transpose())
     pm = normal_product
 
-    one = sc(RootScalar.one())
+    one = sc(ONE)
     qq = _q3(3)
     qi = _q3(-3)
     d_ = qq - qi  # q - q^-1
-    u_ = RootScalar.one() - _q3(6)  # 1 - q^2
-    v_ = RootScalar.one() - _q3(-6)  # 1 - q^-2
-    w_ = RootScalar.from_int(2) - _q3(6) - _q3(-6)  # -q^2 + 2 - q^-2
+    u_ = ONE - _q3(6)  # 1 - q^2
+    v_ = ONE - _q3(-6)  # 1 - q^-2
+    w_ = RootScalar({0: 2}) - _q3(6) - _q3(-6)  # -q^2 + 2 - q^-2
 
     def lc(*pairs):
         return torus_sum(spec, (sc(coeff) * pm(x, y) for coeff, x, y in pairs))
@@ -828,9 +830,9 @@ def verify_moves(n: int = 3) -> dict:
         ],
         [
             lc((qq, c1, b1), (u_, b1, c1)),
-            lc((RootScalar.one(), f1, b1), (qi - qq, e1, c1)),
+            lc((ONE, f1, b1), (qi - qq, e1, c1)),
             pm(i1, b1),
-            lc((w_, e1, c1), (RootScalar.one(), c1, e1), (d_, f1, b1), (-d_, b1, f1)),
+            lc((w_, e1, c1), (ONE, c1, e1), (d_, f1, b1), (-d_, b1, f1)),
             lc((qq, f1, e1), (u_, e1, f1)),
             pm(i1, e1),
             lc((d_, i1, b1), (-d_, b1, i1)),
@@ -844,7 +846,7 @@ def verify_moves(n: int = 3) -> dict:
         ],
         [
             lc((qq, b1, c1)), pm(e1, c1), zero,
-            lc((RootScalar.one(), b1, f1), (d_, e1, c1)), lc((qq, e1, f1)), zero,
+            lc((ONE, b1, f1), (d_, e1, c1)), lc((qq, e1, f1)), zero,
             pm(b1, i1), pm(e1, i1), zero,
         ],
         [
@@ -875,13 +877,13 @@ def verify_moves(n: int = 3) -> dict:
         ],
         [
             pm(D2, a3), pm(E2, a3), zero,
-            lc((RootScalar.one(), D2, b3), (di, A2, e3)), pm(E2, b3), zero,
-            lc((RootScalar.one(), D2, c3), (di, A2, f3)), pm(E2, c3), zero,
+            lc((ONE, D2, b3), (di, A2, e3)), pm(E2, b3), zero,
+            lc((ONE, D2, c3), (di, A2, f3)), pm(E2, c3), zero,
         ],
         [
             pm(G2, a3), pm(H2, a3), pm(I2, a3),
             pm(G2, b3), pm(H2, b3), pm(I2, b3),
-            lc((RootScalar.one(), G2, c3), (di, A2, i3)), pm(H2, c3), pm(I2, c3),
+            lc((ONE, G2, c3), (di, A2, i3)), pm(H2, c3), pm(I2, c3),
         ],
         [
             zero, zero, zero,
@@ -896,8 +898,8 @@ def verify_moves(n: int = 3) -> dict:
         [
             zero, zero, zero,
             pm(G2, e3), pm(H2, e3), pm(I2, e3),
-            lc((RootScalar.one(), G2, f3), (di, D2, i3)),
-            lc((RootScalar.one(), H2, f3), (di, E2, i3)),
+            lc((ONE, G2, f3), (di, D2, i3)),
+            lc((ONE, H2, f3), (di, E2, i3)),
             pm(I2, f3),
         ],
         [zero, zero, zero, zero, zero, zero, pm(A2, i3), zero, zero],
@@ -934,7 +936,7 @@ def verify_moves(n: int = 3) -> dict:
     waves_cancel = True
     for s1 in range(1, 4):
         for s2 in range(1, 4):
-            expect = RootScalar.one() if s1 == s2 else RootScalar.zero()
+            expect = ONE if s1 == s2 else ZERO
             if biangle_trace(wave_a, BiangleState((s1,), (s2,))) != expect:
                 waves_cancel = False
             if biangle_trace(wave_b, BiangleState((s1,), (s2,))) != expect:
@@ -958,12 +960,12 @@ def verify_moves(n: int = 3) -> dict:
     for s1 in range(1, 4):
         for s2 in range(1, 4):
             state = BiangleState((s1,), (s2,))
-            pos_expect = kink_scalar(3, 1) if s1 == s2 else RootScalar.zero()
-            neg_expect = kink_scalar(3, -1) if s1 == s2 else RootScalar.zero()
+            pos_expect = kink_scalar(3, 1) if s1 == s2 else ZERO
+            neg_expect = kink_scalar(3, -1) if s1 == s2 else ZERO
             if biangle_trace(curl_pos, state) != pos_expect:
                 move_v = False
             if biangle_trace(curl_neg, state) != neg_expect:
                 move_v = False
-    report["move_v"] = move_v and kink_scalar(3, 1) * kink_scalar(3, -1) == RootScalar.one()
+    report["move_v"] = move_v and kink_scalar(3, 1) * kink_scalar(3, -1) == ONE
 
     return report

@@ -20,7 +20,7 @@ import numpy as np
 
 from qtrace.biangle import BiangleDiagram, BiangleState, biangle_trace
 from qtrace.fock_goncharov import commutative_spec, edge_matrix, turn_matrix
-from qtrace.qtorus import RootScalar, TorusElement, TorusMatrix, mat_mul, normal_product, torus_sum
+from qtrace.qtorus import ONE, RootScalar, TorusElement, TorusMatrix, mat_mul, normal_product, torus_sum
 from qtrace.surface import arc_quantum_matrix, inward_sequence, rotate_vertex, turn_exit_side
 
 
@@ -97,7 +97,7 @@ def classical_uturn(spec, ccw=False):
     M = [[zero for _ in range(n)] for _ in range(n)]
     for k in range(n):
         # row n-1-k, column k carries (-1)^k
-        M[n - 1 - k][k] = TorusElement.scalar(spec, (-1) ** k)
+        M[n - 1 - k][k] = TorusElement.scalar(spec, RootScalar({0: (-1) ** k}))
     U = TorusMatrix(spec, M)
     return U.transpose() if ccw else U
 
@@ -345,7 +345,7 @@ def enumerated_trace(link, surface):
     def terms():
         for combo in product(*(table.items() for _, table in edge_tables)):
             slot_state = {}
-            amp = RootScalar.one()
+            amp = ONE
             for (edge_id, _), ((ls, rs), value) in zip(edge_tables, combo):
                 amp = amp * value
                 slot_state.update({(edge_id, 0, pos): v for pos, v in enumerate(ls, start=1)})

@@ -102,6 +102,9 @@ class TestParsers:
             ("n 3\n\ntriangles 0\n", ":3: a triangulation needs at least one triangle"),
             # a side that no edge claims has no line of its own
             ("n 3\ntriangles 1\nedge d T0.0\nedge p T0.1\n", ":1: side 2 of triangle 0 is not glued to any edge"),
+            # a header directive may appear once
+            (torus + "n 4\n", ":6: repeated 'n' directive"),
+            ("n 3\ntriangles 1\ntriangles 2\nedge d T0.0\n", ":3: repeated 'triangles' directive"),
         ]:
             with pytest.raises(ParseError) as err:
                 parse_surface_file("s.surface", text)
@@ -125,6 +128,10 @@ class TestParsers:
             parse_link_file("l.link", "loop d\n")
         with pytest.raises(ParseError, match="expected 'state"):
             parse_link_file("l.link", "state q 1 \u00b2\n")
+        # one state per boundary position; the last must not silently win
+        with pytest.raises(ParseError) as err:
+            parse_link_file("l.link", "state q 1 2\nstate q 2 3\narc T0 2 left 1\nstate q 1 3\n")
+        assert str(err.value) == "l.link:4: repeated state for edge 'q' position 1"
 
     def test_every_slice_kind_parses(self):
         turns_and_kinks = {"dec_cw", "dec_ccw", "inc_ccw", "inc_cw", "kink_pos", "kink_neg"}
@@ -156,6 +163,14 @@ class TestParsers:
         for rank in ("0", "1"):
             with pytest.raises(ParseError, match=r"p\.poly:2: rank n must be at least 2"):
                 parse_polynomial_file("p.poly", f"polynomial\nn {rank}\ngenerators a\nterm 1 ; 1 1\n")
+        # a header directive may appear once; the last must not silently win
+        for text, where in [
+            ("polynomial\nn 3\ngenerators a b\nterm 1 2 ; 0 1\ngenerators x\n", ":5: repeated 'generators' directive"),
+            ("polynomial\nn 3\ngenerators a\nn 4\nterm 1 ; 0 1\n", ":4: repeated 'n' directive"),
+        ]:
+            with pytest.raises(ParseError) as err:
+                parse_polynomial_file("p.poly", text)
+            assert str(err.value) == "p.poly" + where
 
 
 class TestRendering:

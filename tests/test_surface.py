@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qtrace.qtorus import (
+    ZERO,
     RootScalar,
     TorusElement,
     TorusMatrix,
@@ -468,7 +469,7 @@ class TestStateSumEngine:
         amplitude = surface_module.biangle_trace
 
         def trace(diagram, state):
-            return RootScalar.zero() if diagram.slices == ZERO_MARK else amplitude(diagram, state)
+            return ZERO if diagram.slices == ZERO_MARK else amplitude(diagram, state)
 
         monkeypatch.setattr(surface_module, "biangle_trace", trace)
         monkeypatch.setattr(oracles, "biangle_trace", trace)
@@ -558,7 +559,7 @@ class TestMultiplication:
                     TorusElement.monomial(spec, e), TorusElement.monomial(spec, f)
                 )
                 rhs = TorusElement.scalar(
-                    spec, RootScalar.h_power(2 * pairing)
+                    spec, RootScalar({2 * pairing: 1})
                 ) * normal_product(
                     TorusElement.monomial(spec, f), TorusElement.monomial(spec, e)
                 )
