@@ -35,8 +35,6 @@ from fractions import Fraction
 
 from .qtorus import ONE, TorusElement
 from .fock_goncharov import (
-    left_quantum_matrix,
-    right_quantum_matrix,
     quantum_turn_matrix,
     is_mnq_point,
     is_slnq_point,
@@ -57,7 +55,9 @@ from .surface import (
     IdealTriangulation,
     TriangleArc,
     TriangulationError,
+    arc_quantum_matrix,
     build_surface,
+    inward_sequence,
     project_to_glued,
     quantum_trace,
     verify_moves,
@@ -353,13 +353,13 @@ def cmd_trace(args) -> int:
 
 def _matrix_suite(n: int):
     tri = triangle_poisson(n)
-    L = left_quantum_matrix(tri)
-    R = right_quantum_matrix(tri)
     checks = [
-        (f"matrices.left_is_slnq_point n={n}", is_slnq_point(L)),
-        (f"matrices.right_is_slnq_point n={n}", is_slnq_point(R)),
+        (f"matrices.{turn}_is_slnq_point n={n}", is_slnq_point(arc_quantum_matrix(tri, 0, turn)))
+        for turn in ("left", "right")
     ]
-    raw = quantum_turn_matrix("left", tri, tri.edge_vector(0), tri.edge_vector(1), normalized=False)
+    raw = quantum_turn_matrix(
+        "left", tri, inward_sequence(tri, 0), inward_sequence(tri, 1)[::-1], normalized=False
+    )
     checks.append((f"matrices.unnormalized_left_fails n={n}", not is_mnq_point(raw)))
     return checks
 

@@ -61,20 +61,6 @@ class TriangleCoordinates:
     spec: QuantumTorusSpec
     index: Mapping[tuple[int, int, int], int]
 
-    def edge_vector(self, which: int) -> tuple[int, ...]:
-        """Generator indices of one edge's dots, j = 1 .. n-1.
-
-        which 0: (j, 0, n-j);  which 1: (j, n-j, 0);  which 2: (0, j, n-j).
-        """
-        n = self.n
-        if which == 0:
-            return tuple(self.index[(j, 0, n - j)] for j in range(1, n))
-        if which == 1:
-            return tuple(self.index[(j, n - j, 0)] for j in range(1, n))
-        if which == 2:
-            return tuple(self.index[(0, j, n - j)] for j in range(1, n))
-        raise ValueError("edge selector must be 0, 1, or 2")
-
     def interior(self, a: int, b: int, c: int) -> int:
         if not (a > 0 and b > 0 and c > 0):
             raise ValueError("not an interior vertex")
@@ -240,16 +226,6 @@ def quantum_turn_matrix(
         edge_matrix(cspec, exit_edge, normalized),
     )
     return weyl_lift_matrix(prod, qspec)
-
-
-def left_quantum_matrix(tri: TriangleCoordinates) -> TorusMatrix:
-    """Quantum left matrix in the triangle's own labels: entry edge 0, exit edge 1."""
-    return quantum_turn_matrix("left", tri, tri.edge_vector(0), tri.edge_vector(1))
-
-
-def right_quantum_matrix(tri: TriangleCoordinates) -> TorusMatrix:
-    """Quantum right matrix in the triangle's own labels: entry edge 0, exit edge 2."""
-    return quantum_turn_matrix("right", tri, tri.edge_vector(0), tri.edge_vector(2))
 
 
 def check_m2q(a: TorusElement, b: TorusElement, c: TorusElement, d: TorusElement) -> bool:

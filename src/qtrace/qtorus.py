@@ -346,7 +346,8 @@ def normal_product(a: TorusElement, b: TorusElement) -> TorusElement:
         for e, ce in a._terms.items():
             for f, cf in b._terms.items():
                 k = 2 * ordering(e, f)
-                yield tuple(map(add, e, f)), ce * cf * RootScalar({k: 1}) if k else ce * cf
+                c = ce * cf
+                yield tuple(map(add, e, f)), RootScalar({h + k: v for h, v in c._t.items()}) if k else c
 
     return TorusElement(spec, products())
 
@@ -384,7 +385,7 @@ class TorusMatrix:
                         raise ValueError("scalar matrix entries must be scalars")
                 elif isinstance(x, RootScalar):
                     x = TorusElement.scalar(spec, x)
-                elif x.spec != spec:
+                elif x.spec is not spec and x.spec != spec:
                     raise ValueError("entry spec mismatch")
                 r.append(x)
             rows.append(tuple(r))
@@ -406,11 +407,6 @@ class TorusMatrix:
     def __mul__(self, other):
         if isinstance(other, (int, RootScalar, TorusElement)):
             return self.map(lambda x: x * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, RootScalar, TorusElement)):
-            return self.map(lambda x: other * x)
         return NotImplemented
 
     def __add__(self, other):
@@ -458,18 +454,15 @@ def mat_mul(A: TorusMatrix, B: TorusMatrix) -> TorusMatrix:
     if A.cols != B.rows:
         raise ValueError("dimension mismatch")
     zero = ZERO if spec is None else TorusElement.zero(spec)
+    b_rows = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B.entries]
     out = []
-    for i in range(A.rows):
-        row = []
-        for j in range(B.cols):
-            acc = zero
-            for k in range(A.cols):
-                a = A.entries[i][k]
-                b = B.entries[k][j]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b
-            row.append(acc)
+    for a_row in A.entries:
+        row = [zero] * B.cols
+        for a, b_row in zip(a_row, b_rows):
+            if a.is_zero():
+                continue
+            for j, b in b_row:
+                row[j] = row[j] + a * b
         out.append(row)
     return TorusMatrix(spec, out)
 

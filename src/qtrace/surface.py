@@ -385,23 +385,18 @@ _ARC_CACHE = {}
 
 def arc_quantum_matrix(tri: TriangleCoordinates, entry: int, turn: str) -> TorusMatrix:
     """Quantum turn matrix of a flat arc entering through a given side,
-    in the triangle's own torus."""
+    in the triangle's own torus; an exiting arc reads its exit side's
+    inward sequence reversed.  The trace and both verify suites read
+    turn matrices only from here."""
     key = (tri.n, entry, turn)
     if key in _ARC_CACHE:
         return _ARC_CACHE[key]
-    n = tri.n
-    entry_vec = tuple(tri.index[rotate_vertex((j, 0, n - j), entry)] for j in range(1, n))
-    if turn == "left":
-        exit_vec = tuple(tri.index[rotate_vertex((j, n - j, 0), entry)] for j in range(1, n))
-    elif turn == "right":
-        exit_vec = tuple(tri.index[rotate_vertex((0, j, n - j), entry)] for j in range(1, n))
-    else:
-        raise ValueError(f"unknown turn {turn!r}")
+    exit_vec = inward_sequence(tri, turn_exit_side(entry, turn))[::-1]
 
     def interior(a, b, c):
         return tri.index[rotate_vertex((a, b, c), entry)]
 
-    M = quantum_turn_matrix(turn, tri, entry_vec, exit_vec, interior)
+    M = quantum_turn_matrix(turn, tri, inward_sequence(tri, entry), exit_vec, interior)
     _ARC_CACHE[key] = M
     return M
 
@@ -631,16 +626,6 @@ def opposite_product(A: TorusMatrix, B: TorusMatrix, C: TorusMatrix) -> TorusMat
     return mat_mul(mat_mul(C.transpose(), B.transpose()), A.transpose()).transpose()
 
 
-def five_tuple_matrix(kind: str, tri: TriangleCoordinates, W, Z, Wp, Zp, X) -> TorusMatrix:
-    """Quantum left/right matrix as a function of the ordered dot
-    5-tuple (W, Z, W', Z', X)."""
-    if kind == "L":
-        return quantum_turn_matrix("left", tri, (W, Z), (Zp, Wp), interior=lambda a, b, c: X)
-    if kind == "R":
-        return quantum_turn_matrix("right", tri, (Wp, Zp), (Z, W), interior=lambda a, b, c: X)
-    raise ValueError(f"kind must be 'L' or 'R', got {kind!r}")
-
-
 def verify_moves(n: int = 3) -> dict:
     """Exact checks of the good position move identities at n = 3.
 
@@ -654,18 +639,14 @@ def verify_moves(n: int = 3) -> dict:
         raise ValueError("the move suite is pinned at n = 3")
     tri = triangle_poisson(3)
     spec = tri.spec
-    idx = {name: i for i, name in enumerate(spec.names)}
-    X = idx["X111"]
-    W2, Z2 = idx["Z1"], idx["Z2"]
-    W3, Z3 = idx["Zp2"], idx["Zp1"]
-    W1, Z1 = idx["Zpp2"], idx["Zpp1"]
-
-    L1 = five_tuple_matrix("L", tri, W2, Z2, W3, Z3, X)
-    R1 = five_tuple_matrix("R", tri, W2, Z2, W3, Z3, X)
-    L2 = five_tuple_matrix("L", tri, W3, Z3, W1, Z1, X)
-    R2 = five_tuple_matrix("R", tri, W3, Z3, W1, Z1, X)
-    L3 = five_tuple_matrix("L", tri, W1, Z1, W2, Z2, X)
-    R3 = five_tuple_matrix("R", tri, W1, Z1, W2, Z2, X)
+    # The paper's dots: (W_s, Z_s) are side s's inward sequence, with
+    # sides 2, 3, 1 the triangle's sides 0, 1, 2, and X = X111.
+    L1 = arc_quantum_matrix(tri, 0, "left")  # L(W2, Z2, W3, Z3, X)
+    R1 = arc_quantum_matrix(tri, 1, "right")  # R(W2, Z2, W3, Z3, X)
+    L2 = arc_quantum_matrix(tri, 1, "left")  # L(W3, Z3, W1, Z1, X)
+    R2 = arc_quantum_matrix(tri, 2, "right")  # R(W3, Z3, W1, Z1, X)
+    L3 = arc_quantum_matrix(tri, 2, "left")  # L(W1, Z1, W2, Z2, X)
+    R3 = arc_quantum_matrix(tri, 0, "right")  # R(W1, Z1, W2, Z2, X)
 
     U_dec_cw = uturn_matrix("dec_cw", 3)
     U_dec_ccw = uturn_matrix("dec_ccw", 3)

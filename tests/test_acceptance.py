@@ -16,9 +16,6 @@ from qtrace.qtorus import ONE, RootScalar, TorusElement, TorusMatrix, mat_mul, n
 from qtrace.fock_goncharov import (
     is_mnq_point,
     is_slnq_point,
-    left_quantum_matrix,
-    quantum_turn_matrix,
-    right_quantum_matrix,
     triangle_poisson,
 )
 from qtrace.biangle import (
@@ -32,6 +29,7 @@ from qtrace.biangle import (
 from qtrace.surface import (
     GoodPositionLink,
     TriangleArc,
+    arc_quantum_matrix,
     build_surface,
     verify_moves,
 )
@@ -53,13 +51,9 @@ def test_criterion_01_quantum_matrix_theorem():
     ok = True
     for n in (2, 3, 4):
         tri = triangle_poisson(n)
-        ok = ok and is_slnq_point(left_quantum_matrix(tri))
-        ok = ok and is_slnq_point(right_quantum_matrix(tri))
-    tri3 = triangle_poisson(3)
-    raw = quantum_turn_matrix(
-        "left", tri3, tri3.edge_vector(0), tri3.edge_vector(1), normalized=False
-    )
-    ok = ok and not is_mnq_point(raw)
+        ok = ok and is_slnq_point(arc_quantum_matrix(tri, 0, "left"))
+        ok = ok and is_slnq_point(arc_quantum_matrix(tri, 0, "right"))
+    ok = ok and not is_mnq_point(tfg.unnormalized_left(triangle_poisson(3)))
     ok = ok and time.time() - start < 30
     report(1, "left/right matrices are quantum SL(n) points, n=2,3,4", ok)
 

@@ -17,14 +17,12 @@ from qtrace.fock_goncharov import (
     commutative_spec,
     is_mnq_point,
     is_slnq_point,
-    left_quantum_matrix,
     quantum_determinant,
     quantum_turn_matrix,
-    right_quantum_matrix,
     triangle_poisson,
     triangle_vertices,
 )
-from qtrace.surface import build_surface, rotate_vertex
+from qtrace.surface import arc_quantum_matrix, build_surface, inward_sequence, rotate_vertex
 
 from oracles import CurveStep, classical_trace_polynomial, classical_uturn
 from triangulations import once_punctured_torus
@@ -32,6 +30,13 @@ from triangulations import once_punctured_torus
 
 def name_index(tri):
     return {name: i for i, name in enumerate(tri.spec.names)}
+
+
+def unnormalized_left(tri):
+    """The left matrix without its normalizing prefactors: the negative control."""
+    return quantum_turn_matrix(
+        "left", tri, inward_sequence(tri, 0), inward_sequence(tri, 1)[::-1], normalized=False
+    )
 
 
 def wm(tri, **exponents):
@@ -103,25 +108,46 @@ class TestQuiver:
 class TestQuantumMatrixTheorem:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_left_and_right_are_slnq_points(self, n):
+        # every (entry side, turn) pair the state sum multiplies
         start = time.time()
         tri = triangle_poisson(n)
-        assert is_slnq_point(left_quantum_matrix(tri))
-        assert is_slnq_point(right_quantum_matrix(tri))
+        for entry in (0, 1, 2):
+            for turn in ("left", "right"):
+                assert is_slnq_point(arc_quantum_matrix(tri, entry, turn)), (entry, turn)
         assert time.time() - start < 30
 
     def test_unnormalized_left_fails_negative_control(self):
         tri = triangle_poisson(3)
-        raw = quantum_turn_matrix(
-            "left", tri, tri.edge_vector(0), tri.edge_vector(1), normalized=False
-        )
+        raw = unnormalized_left(tri)
         assert not is_mnq_point(raw)
 
     def test_determinant_of_unnormalized_is_not_one(self):
         tri = triangle_poisson(3)
-        raw = quantum_turn_matrix(
-            "left", tri, tri.edge_vector(0), tri.edge_vector(1), normalized=False
-        )
+        raw = unnormalized_left(tri)
         assert quantum_determinant(raw) != TorusElement.one(tri.spec)
+
+    def test_five_tuple_matrices_are_arc_matrices(self):
+        # The move identities' L(W, Z, W', Z', X) and R(W, Z, W', Z', X)
+        # built from the displayed dot labels.
+        tri = triangle_poisson(3)
+        idx = name_index(tri)
+        X = idx["X111"]
+        W1, Z1 = idx["Zpp2"], idx["Zpp1"]
+        W2, Z2 = idx["Z1"], idx["Z2"]
+        W3, Z3 = idx["Zp2"], idx["Zp1"]
+
+        def L(W, Z, Wp, Zp):
+            return quantum_turn_matrix("left", tri, (W, Z), (Zp, Wp), lambda a, b, c: X)
+
+        def R(W, Z, Wp, Zp):
+            return quantum_turn_matrix("right", tri, (Wp, Zp), (Z, W), lambda a, b, c: X)
+
+        assert L(W2, Z2, W3, Z3) == arc_quantum_matrix(tri, 0, "left")
+        assert R(W2, Z2, W3, Z3) == arc_quantum_matrix(tri, 1, "right")
+        assert L(W3, Z3, W1, Z1) == arc_quantum_matrix(tri, 1, "left")
+        assert R(W3, Z3, W1, Z1) == arc_quantum_matrix(tri, 2, "right")
+        assert L(W1, Z1, W2, Z2) == arc_quantum_matrix(tri, 2, "left")
+        assert R(W1, Z1, W2, Z2) == arc_quantum_matrix(tri, 0, "right")
 
 
 class TestRank3RegressionPins:
@@ -130,7 +156,7 @@ class TestRank3RegressionPins:
 
     def test_left_entries(self):
         tri = triangle_poisson(3)
-        L = left_quantum_matrix(tri)
+        L = arc_quantum_matrix(tri, 0, "left")
         assert L[0, 0] == wm(tri, Z1=2, Z2=1, X111=2, Zp1=2, Zp2=1)
         assert L[0, 1] == wm(tri, Z1=2, Z2=1, X111=2, Zp1=-1, Zp2=1) + wm(
             tri, Z1=2, Z2=1, X111=-1, Zp1=-1, Zp2=1
@@ -145,7 +171,7 @@ class TestRank3RegressionPins:
         # in the right matrix the entry edge plays the primed role:
         # W' = Z1, Z' = Z2, Z = Zpp1, W = Zpp2
         tri = triangle_poisson(3)
-        R = right_quantum_matrix(tri)
+        R = arc_quantum_matrix(tri, 0, "right")
         assert R[0, 0] == wm(tri, Z1=2, Z2=1, X111=1, Zpp1=2, Zpp2=1)
         assert R[1, 0] == wm(tri, Z1=-1, Z2=1, X111=1, Zpp1=2, Zpp2=1)
         assert R[1, 1] == wm(tri, Z1=-1, Z2=1, X111=1, Zpp1=-1, Zpp2=1)
@@ -163,7 +189,7 @@ class TestRank4RegressionPins:
 
     def test_left_submatrix(self):
         tri = triangle_poisson(4)
-        L = left_quantum_matrix(tri)
+        L = arc_quantum_matrix(tri, 0, "left")
 
         def m(z, zp, x):
             kw = {f"Z{j}": v for j, v in enumerate(z, 1)}
@@ -185,7 +211,7 @@ class TestRank4RegressionPins:
 
     def test_right_submatrix(self):
         tri = triangle_poisson(4)
-        R = right_quantum_matrix(tri)
+        R = arc_quantum_matrix(tri, 0, "right")
 
         def m(z, zpp, x):
             kw = {f"Z{j}": v for j, v in enumerate(z, 1)}

@@ -285,7 +285,39 @@ class TestElements:
         assert abs(evaluate_element(a, 1.0, gens) - total) < 1e-12
 
 
+def sparse_matrices(spec, torus, rows, cols):
+    """Matrices over spec (torus) or the scalars, about half of whose
+    entries are zero; a drawn torus entry may also sum to zero."""
+    if torus:
+        nonzero = st.lists(st.tuples(exponents, st.integers(-4, 4), st.integers(-2, 2)), min_size=1, max_size=2).map(
+            lambda terms: TorusElement(spec, [(e, RootScalar({k: c})) for e, k, c in terms])
+        )
+    else:
+        nonzero = laurent.map(RootScalar)
+    entry = st.one_of(st.just(ZERO), nonzero)
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows).map(lambda m: TorusMatrix(spec if torus else None, m))
+
+
 class TestMatrices:
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_product_matches_entrywise_definition(self, data):
+        spec = make_spec(3, small_antisymmetric(4, random.Random(9)))
+        rows, inner, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
+        torus_a, torus_b = data.draw(st.booleans()), data.draw(st.booleans())
+        A = data.draw(sparse_matrices(spec, torus_a, rows, inner))
+        B = data.draw(sparse_matrices(spec, torus_b, inner, cols))
+        ring = spec if torus_a or torus_b else None
+        zero = ZERO if ring is None else TorusElement.zero(spec)
+        expected = [
+            [reduce(add, (A[i, k] * B[k, j] for k in range(inner)), zero) for j in range(cols)]
+            for i in range(rows)
+        ]
+        product = mat_mul(A, B)
+        assert product.spec is ring
+        assert product == TorusMatrix(ring, expected)
+
     def test_identity_and_product(self, spec3):
         A = TorusMatrix(
             spec3,
