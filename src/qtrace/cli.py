@@ -57,9 +57,8 @@ from .surface import (
     TriangulationError,
     arc_quantum_matrix,
     build_surface,
+    glued_trace,
     inward_sequence,
-    project_to_glued,
-    quantum_trace,
     verify_moves,
 )
 
@@ -337,7 +336,7 @@ def cmd_trace(args) -> int:
     if args.n is not None:
         n = args.n
     surface = build_surface(triangulation, n)
-    glued = project_to_glued(quantum_trace(link, surface), surface)
+    glued = glued_trace(link, surface)
     if args.classical:
         terms = {e: {0: c} for e, c in glued.at_one().items() if c}
     else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping
 
 
@@ -271,16 +271,14 @@ class TorusElement:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, RootScalar)):
+            return TorusElement(self.spec, {e: c * other for e, c in self._terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return normal_product(self, other)
 
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return normal_product(other, self)
+    __rmul__ = __mul__  # only scalars, which are central, reach it
 
     def _coerce(self, other):
         if isinstance(other, TorusElement):
@@ -340,12 +338,17 @@ def normal_product(a: TorusElement, b: TorusElement) -> TorusElement:
     if a.spec != b.spec:
         raise ValueError("torus spec mismatch")
     spec = a.spec
-    ordering = spec.ordering
 
     def products():
         for e, ce in a._terms.items():
+            # spec.ordering(e, f) == sum(map(mul, u, f)) for every f
+            u = [0] * spec.N
+            for ej, row in zip(e, spec.lower):
+                if ej:
+                    for i, p in row:
+                        u[i] += p * ej
             for f, cf in b._terms.items():
-                k = 2 * ordering(e, f)
+                k = 2 * sum(map(mul, u, f))
                 c = ce * cf
                 yield tuple(map(add, e, f)), RootScalar({h + k: v for h, v in c._t.items()}) if k else c
 

@@ -28,7 +28,9 @@ Conventions used throughout:
   torus.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product as iter_product
 from math import prod
 from operator import itemgetter
@@ -377,6 +379,12 @@ def validate_good_position(link: GoodPositionLink, surface: SurfaceTorusSpec):
     return problems
 
 
+def _require_good_position(link: GoodPositionLink, surface: SurfaceTorusSpec):
+    problems = validate_good_position(link, surface)
+    if problems:
+        raise ValueError("link is not in good position:\n" + "\n".join(problems))
+
+
 # ---------------------------------------------------------------------------
 # per-triangle arc matrices
 
@@ -436,9 +444,7 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
     the fewest state combinations; the last bucket, once it spans every
     edge left, is streamed into the result instead of being tabulated.
     """
-    problems = validate_good_position(link, surface)
-    if problems:
-        raise ValueError("link is not in good position:\n" + "\n".join(problems))
+    _require_good_position(link, surface)
     n = surface.n
     tr = surface.triangulation
     sides = _sides(link)
@@ -609,6 +615,54 @@ def project_to_glued(p, surface: SurfaceTorusSpec) -> TorusElement:
             yield glued_e, coeff * RootScalar({glued.ordering(glued_e, glued_e) - tensor.ordering(e, e): 1})
 
     return TorusElement(glued, glued_pairs())
+
+
+def _layers(link: GoodPositionLink, surface: SurfaceTorusSpec):
+    """The maximal height layers of a valid link, lowest first.
+
+    A cut above height h is valid when every internal edge's two sides
+    hold equally many arc ends at heights <= h, and no edge with slices
+    has ends on both sides of it.  Each layer numbers its boundary states
+    from 1; slices on an edge without ends go to the first layer."""
+    tr = surface.triangulation
+    sides = _sides(link)
+    ends = {e.id: [[arc.height for arc, _ in sides.get(i, ())] for i in e.incidences] for e in tr.internal_edges}
+
+    def can_cut(h):
+        for eid, (left, right) in ends.items():
+            low = bisect_right(left, h), bisect_right(right, h)
+            if (0 < sum(low) < len(left) + len(right)) if link.slices.get(eid) else low[0] != low[1]:
+                return False
+        return True
+
+    heights = sorted({arc.height for arc in link.arcs})
+    cuts = [h for h in heights[:-1] if can_cut(h)]
+    if not cuts:
+        return [link]
+    layers = [GoodPositionLink() for _ in range(len(cuts) + 1)]
+    for arc in link.arcs:
+        layers[bisect_left(cuts, arc.height)].arcs += (arc,)
+    for eid, word in link.slices.items():
+        layers[bisect_left(cuts, min(ends[eid][0] + ends[eid][1], default=cuts[0]))].slices[eid] = word
+    for edge in tr.boundary_edges:
+        count = [0] * len(layers)
+        for pos, (arc, _) in enumerate(sides.get(edge.incidences[0], ()), start=1):
+            k = bisect_left(cuts, arc.height)
+            count[k] += 1
+            layers[k].boundary_states[(edge.id, count[k])] = link.boundary_states[(edge.id, pos)]
+    return layers
+
+
+def glued_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TorusElement:
+    """The quantum trace of a link in the glued torus.
+
+    The trace is an algebra homomorphism, so a link stacked in height
+    layers traces to the lower-first product of the layers' traces; a
+    layer's state sum reads only its own strands.
+    """
+    _require_good_position(link, surface)
+    traces = (project_to_glued(quantum_trace(layer, surface), surface) for layer in _layers(link, surface))
+    return reduce(normal_product, traces)
 
 
 # ---------------------------------------------------------------------------

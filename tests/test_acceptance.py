@@ -112,7 +112,7 @@ def test_criterion_07_classical_trace_property(torus):
     ok = True
     rng = random.Random(7)
     for make_link, steps in ((tsf.link_a, tsf.STEPS_A), (tsf.link_b, tsf.STEPS_B)):
-        poly = tsf.glued_trace(make_link(), torus).at_one()
+        poly = tsf.unsplit_trace(make_link(), torus).at_one()
         ok = ok and poly == oracles.classical_trace_polynomial(steps, torus)
         for _ in range(5):
             values = [rng.uniform(0.2, 3.0) for _ in range(torus.glued_spec.N)]
@@ -128,12 +128,12 @@ def test_criterion_08_state_sum_and_multiplication(torus):
         tsf.TestGluedSquare().test_state_sum_equals_direct_contraction()
     except AssertionError:
         ok = False
-    ga = tsf.glued_trace(tsf.link_a(), torus)
-    gb = tsf.glued_trace(tsf.link_b(), torus)
+    ga = tsf.unsplit_trace(tsf.link_a(), torus)
+    gb = tsf.unsplit_trace(tsf.link_b(), torus)
     raised = tuple(
         TriangleArc(x.triangle, x.entry, x.turn, 2) for x in tsf.link_b().arcs
     )
-    union = tsf.glued_trace(
+    union = tsf.unsplit_trace(
         GoodPositionLink(arcs=tsf.link_a().arcs + raised), torus
     )
     ok = ok and union == normal_product(ga, gb)
@@ -171,7 +171,7 @@ def test_criterion_09_even_h_exponents(torus):
     ]
     ok = True
     for link in links:
-        glued = tsf.glued_trace(link, torus)
+        glued = tsf.unsplit_trace(link, torus)
         ok = ok and bool(glued.terms)
         for coeff in glued.terms.values():
             ok = ok and all(k % 2 == 0 for k in coeff.terms)

@@ -36,6 +36,7 @@ CURVE_A_TWICE_BRAIDED = CURVE_A_TWICE + (
 )
 
 CURVE_A_THRICE = "".join(f"arc T1 0 right {h}\narc T0 0 left {h}\n" for h in (1, 2, 3))
+CURVE_A_FIVE = "".join(f"arc T1 0 right {h}\narc T0 0 left {h}\n" for h in range(1, 6))
 
 # Three copies of curve a with, in each of the biangles d and r, a word w of
 # three crossings, a kink pair, a zig-zag and w^-1: isotopic to CURVE_A_THRICE.
@@ -60,6 +61,14 @@ def strip(m):
     return "\n".join(surface) + "\n", "\n".join(link) + "\n"
 
 
+def two_strands(m):
+    """Two parallel left-turning arcs through the fan of strip(m), at
+    heights 1 and 2, from states 1 and 2 on e0 to states 3 and 3 on e1."""
+    link = [f"arc T{i} 0 left {h}" for h in (1, 2) for i in range(m)]
+    link += ["state e0 1 1", "state e0 2 2", "state e1 1 3", "state e1 2 3"]
+    return strip(m)[0], "\n".join(link) + "\n"
+
+
 # (case id, surface text, link text, golden file)
 TRACES = [
     *(
@@ -71,9 +80,11 @@ TRACES = [
     ("bundle-n3-k3-a", torus_surface(3), CURVE_A_THRICE, "bundle-n3-k3-a.poly"),
     ("bundle-n3-k3-b", torus_surface(3), CURVE_B_THRICE, "bundle-n3-k3-b.poly"),
     ("bundle-n4-k2-a", torus_surface(4), CURVE_A_TWICE, "bundle-n4-k2-a.poly"),
+    ("bundle-n3-k5-a", torus_surface(3), CURVE_A_FIVE, "bundle-n3-k5-a.poly"),
     ("braided-n3-k2-a", torus_surface(3), CURVE_A_TWICE_BRAIDED, "bundle-n3-k2-a.poly"),
     ("braided-n3-k3-a", torus_surface(3), CURVE_A_THRICE_BRAIDED, "bundle-n3-k3-a.poly"),
     *((f"strip-n3-m{m}", *strip(m), f"strip-n3-m{m}.poly") for m in (2, 5, 8, 12)),
+    ("strip2-n3-m5", *two_strands(5), "strip2-n3-m5.poly"),
 ]
 
 

@@ -4,7 +4,7 @@ multiplicative consistency properties."""
 
 import random
 import time
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +26,7 @@ from qtrace.surface import (
     TriangleArc,
     arc_quantum_matrix,
     build_surface,
+    glued_trace,
     project_to_glued,
     quantum_trace,
     validate_good_position,
@@ -47,8 +48,9 @@ def torus():
 SQUARE_ARCS = (TriangleArc(0, 2, "left", 1), TriangleArc(1, 2, "right", 1))
 
 
-def glued_trace(link, surface):
-    """The quantum trace of a link, projected to the glued torus."""
+def unsplit_trace(link, surface):
+    """The quantum trace of a link, projected to the glued torus, from
+    one state sum over the whole link (no height layers)."""
     return project_to_glued(quantum_trace(link, surface), surface)
 
 
@@ -221,7 +223,7 @@ class TestQuantumTrace:
     @pytest.mark.parametrize("fixture", ["a", "b"])
     def test_even_h_exponents_on_closed_curves(self, torus, fixture):
         link = link_a() if fixture == "a" else link_b()
-        glued = glued_trace(link, torus)
+        glued = unsplit_trace(link, torus)
         assert glued.terms
         for coeff in glued.terms.values():
             assert all(k % 2 == 0 for k in coeff.terms)
@@ -235,7 +237,7 @@ class TestQuantumTrace:
             slices={"d": (Slice("inc_ccw", 1), Slice("dec_ccw", 1))}
         )
         for link in (union, unknot):
-            glued = glued_trace(link, torus)
+            glued = unsplit_trace(link, torus)
             for coeff in glued.terms.values():
                 assert all(k % 2 == 0 for k in coeff.terms)
 
@@ -478,15 +480,39 @@ class TestStateSumEngine:
         assert oracles.enumerated_trace(link, surface).is_zero()
 
 
+def lone_edge_dot(surface):
+    """T0.Zpp1 alone: a dot on one triangle copy of the internal edge b,
+    which has no well defined image in the glued torus."""
+    e = [0] * surface.tensor_spec.N
+    e[0] = 1
+    return TorusElement.monomial(surface.tensor_spec, tuple(e))
+
+
+NO_GLUE = r"monomial does not glue: generator 'b\.2' pairs exponents 1 and 0"
+
+
 class TestProjection:
     def test_unpaired_edge_exponents_rejected(self, torus):
-        # a lone dot on one triangle copy of an internal edge has no
-        # well defined image in the glued torus
-        e = [0] * torus.tensor_spec.N
-        e[0] = 1  # T0.Zpp1, an edge dot
-        lone = TorusElement.monomial(torus.tensor_spec, tuple(e))
-        with pytest.raises(ValueError):
+        lone = lone_edge_dot(torus)
+        with pytest.raises(ValueError, match=NO_GLUE):
             project_to_glued(TracePolynomial(tensor=lone, surface=torus), torus)
+
+    def test_layered_trace_keeps_the_diagnostic(self, torus, monkeypatch):
+        # the lower layer of two stacked copies of curve a traces to a
+        # term that does not glue
+        traced = []
+        engine = surface_module.quantum_trace
+
+        def trace(link, surface):
+            traced.append(link)
+            if len(traced) == 1:
+                return TracePolynomial(tensor=lone_edge_dot(surface), surface=surface)
+            return engine(link, surface)
+
+        monkeypatch.setattr(surface_module, "quantum_trace", trace)
+        with pytest.raises(ValueError, match=NO_GLUE):
+            glued_trace(copies("a", 2), torus)
+        assert [link.arcs for link in traced] == [link_a().arcs]
 
     def test_interior_monomial_projects(self, torus):
         idx = torus.tensor_spec.names.index("T0.X111")
@@ -506,7 +532,7 @@ class TestClassicalProperty:
         ids=["curve_a", "curve_b"],
     )
     def test_commutative_limit_matches_classical(self, torus, make_link, steps):
-        glued = glued_trace(make_link(), torus)
+        glued = unsplit_trace(make_link(), torus)
         assert glued.at_one() == classical_trace_polynomial(steps, torus)
 
     @pytest.mark.parametrize(
@@ -515,7 +541,7 @@ class TestClassicalProperty:
         ids=["curve_a", "curve_b"],
     )
     def test_numeric_oracle_agreement(self, torus, make_link, steps):
-        poly = glued_trace(make_link(), torus).at_one()
+        poly = unsplit_trace(make_link(), torus).at_one()
         rng = random.Random(20260823)
         for _ in range(5):
             values = [rng.uniform(0.2, 3.0) for _ in range(torus.glued_spec.N)]
@@ -526,15 +552,15 @@ class TestClassicalProperty:
 
 class TestMultiplication:
     def test_stacked_union_is_ordered_product(self, torus):
-        ga = glued_trace(link_a(), torus)
-        gb = glued_trace(link_b(), torus)
+        ga = unsplit_trace(link_a(), torus)
+        gb = unsplit_trace(link_b(), torus)
         raise_h = lambda link: tuple(
             TriangleArc(x.triangle, x.entry, x.turn, 2) for x in link.arcs
         )
-        union_ab = glued_trace(
+        union_ab = unsplit_trace(
             GoodPositionLink(arcs=link_a().arcs + raise_h(link_b())), torus
         )
-        union_ba = glued_trace(
+        union_ba = unsplit_trace(
             GoodPositionLink(arcs=link_b().arcs + raise_h(link_a())), torus
         )
         assert union_ab == normal_product(ga, gb)
@@ -545,8 +571,8 @@ class TestMultiplication:
         # swapping the heights reorders the product; each monomial pair
         # commutes up to h^(2 <e, Pf>) with the pairing recomputed here
         # directly from the glued form
-        ga = glued_trace(link_a(), torus)
-        gb = glued_trace(link_b(), torus)
+        ga = unsplit_trace(link_a(), torus)
+        gb = unsplit_trace(link_b(), torus)
         spec = torus.glued_spec
         for e in ga.terms:
             for f in gb.terms:
@@ -564,6 +590,128 @@ class TestMultiplication:
                     TorusElement.monomial(spec, f), TorusElement.monomial(spec, e)
                 )
                 assert lhs == rhs
+
+
+CURVES = {"a": link_a().arcs, "b": link_b().arcs}
+# the edge that only copies of the curve cross; both cross d
+PRIVATE_EDGE = {"a": "r", "b": "b"}
+
+
+def copies(curve, k, heights=None):
+    """k parallel copies of a fixture curve, the i-th at heights[i]
+    (default 1..k) in both triangles."""
+    heights = heights or range(1, k + 1)
+    return GoodPositionLink(arcs=[TriangleArc(a.triangle, a.entry, a.turn, h) for h in heights for a in CURVES[curve]])
+
+
+def cut_count(link):
+    """The layers of a link whose every internal edge is crossed by all
+    of its strands: one per height, or one if any biangle holds a slice."""
+    return 1 if any(link.slices.values()) else len({a.height for a in link.arcs})
+
+
+@st.composite
+def torus_stacks(draw):
+    """Runs of parallel copies of curves a and b stacked on the torus at
+    shared heights with gaps.  The edge private to a curve that only one
+    run uses may carry kinks and crossings, which tie the run into one
+    layer; every other copy is a layer of its own.  Gives (link, surface,
+    layer count)."""
+    n = draw(st.integers(2, 5))
+    letters = draw(st.lists(st.sampled_from("ab"), min_size=1, max_size={2: 4, 3: 3}.get(n, 2)))
+    heights = sorted(draw(st.sets(st.integers(1, 30), min_size=len(letters), max_size=len(letters))))
+    runs = []
+    for letter in letters:
+        if runs and runs[-1][0] == letter:
+            runs[-1][1] += 1
+        else:
+            runs.append([letter, 1])
+    arcs, slices, layers = [], {}, 0
+    for h, letter in zip(heights, letters):
+        arcs += copies(letter, 1, [h]).arcs
+    for letter, size in runs:
+        word = []
+        if sum(r[0] == letter for r in runs) == 1:
+            for _ in range(draw(st.integers(0, 3))):
+                if size > 1 and draw(st.booleans()):
+                    word.append(Slice(draw(st.sampled_from(SAME_KINDS)), draw(st.integers(1, size - 1))))
+                else:
+                    word.append(Slice(draw(st.sampled_from(("kink_pos", "kink_neg"))), draw(st.integers(1, size))))
+            slices[PRIVATE_EDGE[letter]] = tuple(word)
+        layers += 1 if word else size
+    return GoodPositionLink(arcs=arcs, slices=slices), torus_at(n), layers
+
+
+@st.composite
+def stated_strips(draw):
+    """Parallel left-turning arcs through a strip, one per height, with
+    random boundary states: each arc is a layer."""
+    n = draw(st.integers(2, 5))
+    m, k = draw(st.integers(1, {4: 3, 5: 2}.get(n, 4))), draw(st.integers(1, 3 if n < 4 else 2))
+    arcs = [TriangleArc(i, 0, "left", h) for h in range(1, k + 1) for i in range(m)]
+    states = {(e, pos): draw(st.integers(1, n)) for e in ("e0", "e1") for pos in range(1, k + 1)}
+    return GoodPositionLink(arcs=arcs, boundary_states=states), strip_at(n, m), k
+
+
+@st.composite
+def unknots_next_to_arcs(draw):
+    """The biangle unknot of the fixture files next to copies of curve b:
+    on edge r, which no arc crosses, it joins the first layer; on edge d,
+    between the strands, it ties them into one layer."""
+    n, k = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    link = copies("b", k)
+    edge = draw(st.sampled_from(("r", "d")))
+    pos = 1 if edge == "r" else draw(st.integers(1, k + 1))
+    link.slices[edge] = (Slice("inc_ccw", pos), Slice("dec_ccw", pos))
+    return link, torus_at(n), k if edge == "r" else 1
+
+
+def with_cut_count(case):
+    return (*case, cut_count(case[0]))
+
+
+class TestLayeredTrace:
+    @given(case=st.one_of(
+        torus_stacks(),
+        stated_strips(),
+        unknots_next_to_arcs(),
+        fans().map(with_cut_count),
+        squares().map(with_cut_count),
+        braided_bundles().map(with_cut_count),
+    ))
+    @example(case=(copies("a", 3), torus_at(3), 3))
+    @example(case=(copies("b", 2, [2, 7]), torus_at(5), 2))
+    @example(case=(
+        GoodPositionLink(
+            arcs=[TriangleArc(i, 0, "left", h) for h in (1, 2) for i in range(3)],
+            boundary_states={("e0", 1): 1, ("e0", 2): 4, ("e1", 1): 4, ("e1", 2): 2},
+        ),
+        strip_at(4, 3),
+        2,
+    ))
+    @example(case=(ASYMMETRIC_SQUARE, square_at(3), 1))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_unsplit_engine(self, case):
+        link, surface, layers = case
+        assert len(surface_module._layers(link, surface)) == layers
+        assert glued_trace(link, surface) == unsplit_trace(link, surface)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_case_matches_unsplit_engine(self, name):
+        link, surface = EDGE_CASES[name]
+        assert glued_trace(link, surface) == unsplit_trace(link, surface)
+
+    @given(curve=st.sampled_from("ab"), n=st.integers(2, 5), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_copies_are_powers(self, curve, n, data):
+        k = data.draw(st.integers(1, {4: 3, 5: 2}.get(n, 4)))
+        heights = sorted(data.draw(st.sets(st.integers(1, 30), min_size=k, max_size=k)))
+        one = unsplit_trace(copies(curve, 1), torus_at(n))
+        assert glued_trace(copies(curve, k, heights), torus_at(n)) == reduce(normal_product, [one] * k)
+
+    def test_uncut_link_is_its_own_layer(self, torus):
+        link = GoodPositionLink(arcs=copies("a", 2).arcs, slices={"d": (Slice("kink_pos", 2),)})
+        assert surface_module._layers(link, torus) == [link]
 
 
 class TestGluedSquare:
