@@ -361,7 +361,7 @@ class BiangleDiagram:
     left: tuple
     slices: tuple
     right: tuple = field(init=False, compare=False)
-    # biangle_trace's sweeps: left states -> {right states: nonzero amplitude}
+    # biangle_amplitudes' sweeps: left states -> {right states: nonzero amplitude}
     _amplitudes: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -402,7 +402,8 @@ def _slice_table(kind: str, n: int) -> dict:
     """{states in the window before the slice: [(states after,
     amplitude), ...]} over the nonzero entries of the slice's matrix, so
     the state sum uses the matrices that the move and duality checks
-    verify."""
+    verify.  Each amplitude is given as its (h exponent, coefficient)
+    pairs."""
     table = {}
     states = range(1, n + 1)
     if kind in CROSSING_KINDS:
@@ -410,10 +411,10 @@ def _slice_table(kind: str, n: int) -> dict:
         for a, b, c, d in product(states, repeat=4):
             amp = C[_flat(n, a, b), _flat(n, c, d)]
             if not amp.is_zero():
-                table.setdefault((a, b), []).append(((c, d), amp))
+                table.setdefault((a, b), []).append(((c, d), tuple(amp.terms.items())))
     elif kind in ("kink_pos", "kink_neg"):
         amp = kink_scalar(n, 1 if kind == "kink_pos" else -1)
-        table = {(s,): [((s,), amp)] for s in states}
+        table = {(s,): [((s,), tuple(amp.terms.items()))] for s in states}
     else:
         U = uturn_matrix(kind, n)
         for bottom, top in product(states, repeat=2):
@@ -421,7 +422,7 @@ def _slice_table(kind: str, n: int) -> dict:
             amp = U[top - 1, bottom - 1] if kind.startswith("dec") else U[bottom - 1, top - 1]
             if not amp.is_zero():
                 before, after = ((), (bottom, top)) if _WIDTH[kind] == 0 else ((bottom, top), ())
-                table.setdefault(before, []).append((after, amp))
+                table.setdefault(before, []).append((after, tuple(amp.terms.items())))
     return table
 
 
@@ -433,14 +434,34 @@ def _slice_tables(n: int) -> dict:
     return {kind: _slice_table(kind, n) for kind in SLICE_KINDS}
 
 
+def biangle_amplitudes(diagram: BiangleDiagram, left: tuple) -> dict:
+    """{right states: nonzero amplitude} for one tuple of left states.
+
+    One sweep through the slices gives every right state at once; the
+    first call for a left state makes that sweep and keeps its result on
+    the diagram, and later calls look it up.
+    """
+    amplitudes = diagram._amplitudes.get(left)
+    if amplitudes is None:
+        # amplitudes as {h exponent: coefficient} while sweeping
+        sweep = {left: {0: 1}}
+        for s in diagram.slices:
+            p, w, table = s.pos - 1, _WIDTH[s.kind], _slice_tables(diagram.n)[s.kind]
+            updated = {}
+            for states, amp in sweep.items():
+                for after, extra in table.get(states[p : p + w], ()):
+                    acc = updated.setdefault(states[:p] + after + states[p + w :], {})
+                    for k1, c1 in amp.items():
+                        for k2, c2 in extra:
+                            acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+            sweep = {key: terms for key, acc in updated.items() if (terms := {k: c for k, c in acc.items() if c})}
+        amplitudes = diagram._amplitudes[left] = {key: RootScalar(terms) for key, terms in sweep.items()}
+    return amplitudes
+
+
 def biangle_trace(diagram: BiangleDiagram, state: BiangleState) -> RootScalar:
     """State sum over compatible internal states of the products of
-    slice matrix entries.
-
-    One sweep from a left state gives the amplitudes of every right
-    state at once; the first call for a left state makes that sweep and
-    keeps its result on the diagram, and later calls look it up.
-    """
+    slice matrix entries: a lookup into biangle_amplitudes."""
     n = diagram.n
     left = tuple(state.left)
     right = tuple(state.right)
@@ -449,22 +470,7 @@ def biangle_trace(diagram: BiangleDiagram, state: BiangleState) -> RootScalar:
     for value in left + right:
         if not 1 <= value <= n:
             raise ValueError("states must lie in 1..%d" % n)
-
-    amplitudes = diagram._amplitudes.get(left)
-    if amplitudes is None:
-        amplitudes = {left: ONE}
-        for s in diagram.slices:
-            p, w, table = s.pos - 1, _WIDTH[s.kind], _slice_tables(n)[s.kind]
-            updated = {}
-            for states, amp in amplitudes.items():
-                for after, extra in table.get(states[p : p + w], ()):
-                    key = states[:p] + after + states[p + w :]
-                    value = amp * extra
-                    old = updated.get(key)
-                    updated[key] = value if old is None else old + value
-            amplitudes = {k: v for k, v in updated.items() if not v.is_zero()}
-        diagram._amplitudes[left] = amplitudes
-    return amplitudes.get(right, ZERO)
+    return biangle_amplitudes(diagram, left).get(right, ZERO)
 
 
 def skein_checks(n: int) -> dict:

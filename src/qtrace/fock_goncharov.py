@@ -13,7 +13,7 @@ boundary arrows keep weight 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Mapping, Sequence
 
 from .qtorus import (
@@ -228,22 +228,6 @@ def quantum_turn_matrix(
     return weyl_lift_matrix(prod, qspec)
 
 
-def check_m2q(a: TorusElement, b: TorusElement, c: TorusElement, d: TorusElement) -> bool:
-    """The six 2x2 quantum matrix relations for [[a, b], [c, d]]."""
-    spec = a.spec
-    n = spec.n
-    q = RootScalar({2 * n * n: 1})
-    qinv = RootScalar({-2 * n * n: 1})
-    return (
-        b * a == q * (a * b)
-        and d * c == q * (c * d)
-        and c * a == q * (a * c)
-        and d * b == q * (b * d)
-        and b * c == c * b
-        and d * a - a * d == (q - qinv) * (b * c)
-    )
-
-
 def _inversions(perm: Sequence[int]) -> int:
     return sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
 
@@ -273,19 +257,29 @@ def quantum_determinant(M: TorusMatrix) -> TorusElement:
 
 
 def is_mnq_point(M: TorusMatrix) -> bool:
-    """Every 2x2 submatrix satisfies the quantum matrix relations."""
-    m = M.rows
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(m):
-                for l in range(k + 1, m):
-                    a = M.entries[i][k]
-                    b = M.entries[i][l]
-                    c = M.entries[j][k]
-                    d = M.entries[j][l]
-                    if not check_m2q(a, b, c, d):
-                        return False
-    return True
+    """Every 2x2 submatrix [[a, b], [c, d]] satisfies the quantum matrix
+    relations b a = q a b, c a = q a c, d b = q b d, d c = q c d, b c =
+    c b and d a - a d = (q - q^-1) b c.  A same-row or same-column pair
+    lies in many submatrices, so its relation is checked once."""
+    E = M.entries
+    n = M.spec.n
+    q = RootScalar({2 * n * n: 1})
+    qinv = RootScalar({-2 * n * n: 1})
+    pairs = lambda size: combinations(range(size), 2)
+
+    def q_commute(a, b):
+        return b * a == q * (a * b)
+
+    return (
+        all(q_commute(row[k], row[l]) for row in E for k, l in pairs(M.cols))
+        and all(q_commute(E[i][k], E[j][k]) for k in range(M.cols) for i, j in pairs(M.rows))
+        and all(
+            E[i][l] * E[j][k] == E[j][k] * E[i][l]
+            and E[j][l] * E[i][k] - E[i][k] * E[j][l] == (q - qinv) * (E[i][l] * E[j][k])
+            for i, j in pairs(M.rows)
+            for k, l in pairs(M.cols)
+        )
+    )
 
 
 def is_slnq_point(M: TorusMatrix) -> bool:

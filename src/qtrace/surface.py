@@ -60,6 +60,7 @@ from .biangle import (
     BiangleDiagram,
     BiangleState,
     Slice,
+    biangle_amplitudes,
     biangle_trace,
     crossing_matrix,
     kink_scalar,
@@ -431,12 +432,36 @@ class TracePolynomial:
     surface: SurfaceTorusSpec
 
 
+def _edge_tables(link: GoodPositionLink, surface: SurfaceTorusSpec) -> list:
+    """Per internal edge, the biangle amplitudes keyed by the edge's left
+    states then its right states, bottom to top.  One sweep per left
+    state names the right states with a nonzero amplitude; only those are
+    read, each through biangle_trace, the one reader of an amplitude."""
+    n = surface.n
+    sides = _sides(link)
+    tables = []
+    for edge in surface.triangulation.internal_edges:
+        diagram = BiangleDiagram(n, _profiles(sides, edge)[0], link.slices.get(edge.id, ()))
+        lefts = iter_product(range(1, n + 1), repeat=len(diagram.left))
+        pairs = [(ls, rs) for ls in lefts for rs in biangle_amplitudes(diagram, ls)]
+        tables.append({ls + rs: biangle_trace(diagram, BiangleState(ls, rs)) for ls, rs in pairs})
+    return tables
+
+
 def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePolynomial:
     """State-sum quantum trace of a link in good position.
 
     Every internal interface state is summed over; each biangle
     contributes a scalar amplitude, each triangle the height-ordered
     (lowest first) product of its arcs' turn matrix entries.
+    """
+    _require_good_position(link, surface)
+    return TracePolynomial(tensor=_state_sum(link, surface, _edge_tables(link, surface)), surface=surface)
+
+
+def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: list) -> TorusElement:
+    """The state sum of a valid link over the given edge tables (keyed as
+    in _edge_tables), in the tensor torus.
 
     The sum is a tensor network whose indices are the internal edges'
     states.  Its edges are summed out one at a time, always the edge
@@ -444,8 +469,6 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
     the fewest state combinations; the last bucket, once it spans every
     edge left, is streamed into the result instead of being tabulated.
     """
-    _require_good_position(link, surface)
-    n = surface.n
     tr = surface.triangulation
     sides = _sides(link)
 
@@ -459,20 +482,9 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
             ends[end] = len(ends)
             states.append(link.boundary_states[(edge.id, pos)])
 
-    # per-edge tables of nonzero biangle amplitudes, keyed by the edge's
-    # block of the state list, states[slots[edge]]
-    edge_tables = []
+    # edge k's table is keyed by its block of the state list, states[slots[k]]
     slots = []
     for edge in tr.internal_edges:
-        left, right = _profiles(sides, edge)
-        diagram = BiangleDiagram(n, left, link.slices.get(edge.id, ()))
-        table = {}
-        for ls in iter_product(range(1, n + 1), repeat=len(left)):
-            for rs in iter_product(range(1, n + 1), repeat=len(right)):
-                value = biangle_trace(diagram, BiangleState(ls, rs))
-                if not value.is_zero():
-                    table[ls + rs] = value
-        edge_tables.append(table)
         first = len(ends)
         for incidence in edge.incidences:
             for end in sides.get(incidence, ()):
@@ -577,7 +589,7 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
             terms = times([(e, c * amp) for e, c in start], factors)
             yield from terms if reorder is None else ((reorder(e), c) for e, c in terms)
 
-    return TracePolynomial(tensor=TorusElement(surface.tensor_spec, state_terms()), surface=surface)
+    return TorusElement(surface.tensor_spec, state_terms())
 
 
 def project_to_glued(p, surface: SurfaceTorusSpec) -> TorusElement:
@@ -617,40 +629,67 @@ def project_to_glued(p, surface: SurfaceTorusSpec) -> TorusElement:
     return TorusElement(glued, glued_pairs())
 
 
-def _layers(link: GoodPositionLink, surface: SurfaceTorusSpec):
-    """The maximal height layers of a valid link, lowest first.
+def _split(table: dict, left: list, right: list, h: int):
+    """An edge table cut in two above height h, or None.
 
-    A cut above height h is valid when every internal edge's two sides
-    hold equally many arc ends at heights <= h, and no edge with slices
-    has ends on both sides of it.  Each layer numbers its boundary states
-    from 1; slices on an edge without ends go to the first layer."""
+    Keys hold the states of the ends at heights left, then right, both
+    ascending; the lower table reads those at heights <= h.  A table
+    whose ends all lie on one side of h goes whole to that side (below,
+    if it has no ends).  Otherwise it splits when table[x + y] =
+    lower[x] * upper[y] exactly, on supp lower x supp upper and nowhere
+    else; both are read off the first entry that is a unit +-h^k.
+    """
+    a, b, la = bisect_right(left, h), bisect_right(right, h), len(left)
+    if (a, b) == (la, len(right)):
+        return table, {(): ONE}
+    if a == b == 0:
+        return {(): ONE}, table
+    parts = [(key[:a] + key[la : la + b], key[a:la] + key[la + b :], value) for key, value in table.items()]
+    pivot = next(((x, y, v.inverse()) for x, y, v in parts if list(v.terms.values()) in ([1], [-1])), None)
+    if pivot is None:
+        return None
+    x0, y0, inverse = pivot
+    lower = {x: value * inverse for x, y, value in parts if y == y0}
+    upper = {y: value for x, y, value in parts if x == x0}
+    if len(lower) * len(upper) == len(parts) and all(
+        x in lower and y in upper and lower[x] * upper[y] == value for x, y, value in parts
+    ):
+        return lower, upper
+    return None
+
+
+def _layers(link: GoodPositionLink, surface: SurfaceTorusSpec):
+    """The maximal height layers of a valid link, lowest first, each as a
+    link without slices and its part of the edge tables.
+
+    A cut above height h is valid when every internal edge's table splits
+    there (see _split), so that the state sum is the product of the sums
+    below and above h.  Cuts are taken lowest first, each splitting what
+    the cuts below it left.  Each layer numbers its boundary states from
+    1."""
     tr = surface.triangulation
     sides = _sides(link)
-    ends = {e.id: [[arc.height for arc, _ in sides.get(i, ())] for i in e.incidences] for e in tr.internal_edges}
-
-    def can_cut(h):
-        for eid, (left, right) in ends.items():
-            low = bisect_right(left, h), bisect_right(right, h)
-            if (0 < sum(low) < len(left) + len(right)) if link.slices.get(eid) else low[0] != low[1]:
-                return False
-        return True
-
+    ends = [[[arc.height for arc, _ in sides.get(i, ())] for i in e.incidences] for e in tr.internal_edges]
     heights = sorted({arc.height for arc in link.arcs})
-    cuts = [h for h in heights[:-1] if can_cut(h)]
-    if not cuts:
-        return [link]
+    rest = _edge_tables(link, surface)
+    cuts, tables = [], []
+    for h in heights[:-1]:
+        splits = [_split(table, left, right, h) for table, (left, right) in zip(rest, ends)]
+        if None not in splits:
+            cuts.append(h)
+            tables.append([lower for lower, _ in splits])
+            rest = [upper for _, upper in splits]
+            ends = [[side[bisect_right(side, h) :] for side in pair] for pair in ends]
     layers = [GoodPositionLink() for _ in range(len(cuts) + 1)]
     for arc in link.arcs:
         layers[bisect_left(cuts, arc.height)].arcs += (arc,)
-    for eid, word in link.slices.items():
-        layers[bisect_left(cuts, min(ends[eid][0] + ends[eid][1], default=cuts[0]))].slices[eid] = word
     for edge in tr.boundary_edges:
         count = [0] * len(layers)
         for pos, (arc, _) in enumerate(sides.get(edge.incidences[0], ()), start=1):
             k = bisect_left(cuts, arc.height)
             count[k] += 1
             layers[k].boundary_states[(edge.id, count[k])] = link.boundary_states[(edge.id, pos)]
-    return layers
+    return list(zip(layers, tables + [rest]))
 
 
 def glued_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TorusElement:
@@ -658,10 +697,10 @@ def glued_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TorusEleme
 
     The trace is an algebra homomorphism, so a link stacked in height
     layers traces to the lower-first product of the layers' traces; a
-    layer's state sum reads only its own strands.
+    layer's state sum reads only its own strands and its share of the tables.
     """
     _require_good_position(link, surface)
-    traces = (project_to_glued(quantum_trace(layer, surface), surface) for layer in _layers(link, surface))
+    traces = (project_to_glued(_state_sum(layer, surface, tables), surface) for layer, tables in _layers(link, surface))
     return reduce(normal_product, traces)
 
 

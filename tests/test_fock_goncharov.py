@@ -9,6 +9,7 @@ import pytest
 from qtrace.qtorus import (
     RootScalar,
     TorusElement,
+    TorusMatrix,
     normal_product,
     q_power,
     weyl_monomial,
@@ -105,6 +106,34 @@ class TestQuiver:
         assert q_commutes("Z3", "Zp3", 2)
 
 
+def m2q_by_submatrix(M):
+    """The quantum matrix relations checked on each 2x2 submatrix
+    [[a, b], [c, d]] in turn: the definition is_mnq_point must equal."""
+    n = M.spec.n
+    q, qinv = RootScalar({2 * n * n: 1}), RootScalar({-2 * n * n: 1})
+    for i in range(M.rows):
+        for j in range(i + 1, M.rows):
+            for k in range(M.cols):
+                for l in range(k + 1, M.cols):
+                    a, b, c, d = M[i, k], M[i, l], M[j, k], M[j, l]
+                    if not (
+                        b * a == q * (a * b)
+                        and d * c == q * (c * d)
+                        and c * a == q * (a * c)
+                        and d * b == q * (b * d)
+                        and b * c == c * b
+                        and d * a - a * d == (q - qinv) * (b * c)
+                    ):
+                        return False
+    return True
+
+
+def scaled_entry(M, i, j, factor):
+    rows = [list(row) for row in M.entries]
+    rows[i][j] = factor * rows[i][j]
+    return TorusMatrix(M.spec, rows)
+
+
 class TestQuantumMatrixTheorem:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_left_and_right_are_slnq_points(self, n):
@@ -115,6 +144,39 @@ class TestQuantumMatrixTheorem:
             for turn in ("left", "right"):
                 assert is_slnq_point(arc_quantum_matrix(tri, entry, turn)), (entry, turn)
         assert time.time() - start < 30
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_point_check_matches_the_submatrix_definition(self, n):
+        tri = triangle_poisson(n)
+        for entry in (0, 1, 2):
+            for turn in ("left", "right"):
+                M = arc_quantum_matrix(tri, entry, turn)
+                assert is_mnq_point(M) and m2q_by_submatrix(M), (entry, turn)
+
+    def test_point_check_matches_the_definition_on_every_scaled_entry(self):
+        # at n = 2 each relation of a triangular matrix is homogeneous in
+        # every entry, so no scaled entry fails; n = 3 has failing ones
+        tri = triangle_poisson(3)
+        perturbed = scaled_entry(arc_quantum_matrix(tri, 0, "left"), 0, 1, q_power(3, 1))
+        assert not m2q_by_submatrix(perturbed)
+        assert not is_mnq_point(perturbed)
+        for entry in (0, 1, 2):
+            for turn in ("left", "right"):
+                M = arc_quantum_matrix(tri, entry, turn)
+                for i in range(3):
+                    for j in range(3):
+                        P = scaled_entry(M, i, j, q_power(3, 1))
+                        assert is_mnq_point(P) == m2q_by_submatrix(P), (entry, turn, i, j)
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 1], [0, 0]], [[1, 0], [1, 0]], [[0, 1], [1, 0]]], ids=["row", "column", "cross"]
+    )
+    def test_point_check_reads_each_kind_of_relation(self, rows):
+        # each matrix breaks only the same-row, the same-column or the
+        # cross relations
+        M = TorusMatrix(triangle_poisson(2).spec, rows)
+        assert not m2q_by_submatrix(M)
+        assert not is_mnq_point(M)
 
     def test_unnormalized_left_fails_negative_control(self):
         tri = triangle_poisson(3)

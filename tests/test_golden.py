@@ -49,6 +49,10 @@ CURVE_A_THRICE_BRAIDED = CURVE_A_THRICE + (
     "slice r neg_same_to_lower 2\nslice r pos_same_to_higher 1\nslice r pos_same_to_lower 2\n"
 )
 
+# Three copies of curve a with one uncancelled crossing of the two lowest
+# strands in the biangle d: the table splits above height 2, not height 1.
+CURVE_A_THRICE_LOW_CROSSING = CURVE_A_THRICE + "slice d pos_same_to_lower 1\n"
+
 
 def strip(m):
     """One left-turning arc through a fan of m triangles at n = 3, from
@@ -83,6 +87,7 @@ TRACES = [
     ("bundle-n3-k5-a", torus_surface(3), CURVE_A_FIVE, "bundle-n3-k5-a.poly"),
     ("braided-n3-k2-a", torus_surface(3), CURVE_A_TWICE_BRAIDED, "bundle-n3-k2-a.poly"),
     ("braided-n3-k3-a", torus_surface(3), CURVE_A_THRICE_BRAIDED, "bundle-n3-k3-a.poly"),
+    ("braided-low-n3-k3-a", torus_surface(3), CURVE_A_THRICE_LOW_CROSSING, "braided-low-n3-k3-a.poly"),
     *((f"strip-n3-m{m}", *strip(m), f"strip-n3-m{m}.poly") for m in (2, 5, 8, 12)),
     ("strip2-n3-m5", *two_strands(5), "strip2-n3-m5.poly"),
 ]

@@ -501,15 +501,15 @@ class TestProjection:
         # the lower layer of two stacked copies of curve a traces to a
         # term that does not glue
         traced = []
-        engine = surface_module.quantum_trace
+        engine = surface_module._state_sum
 
-        def trace(link, surface):
+        def trace(link, surface, tables):
             traced.append(link)
             if len(traced) == 1:
-                return TracePolynomial(tensor=lone_edge_dot(surface), surface=surface)
-            return engine(link, surface)
+                return lone_edge_dot(surface)
+            return engine(link, surface, tables)
 
-        monkeypatch.setattr(surface_module, "quantum_trace", trace)
+        monkeypatch.setattr(surface_module, "_state_sum", trace)
         with pytest.raises(ValueError, match=NO_GLUE):
             glued_trace(copies("a", 2), torus)
         assert [link.arcs for link in traced] == [link_a().arcs]
@@ -604,19 +604,41 @@ def copies(curve, k, heights=None):
     return GoodPositionLink(arcs=[TriangleArc(a.triangle, a.entry, a.turn, h) for h in heights for a in CURVES[curve]])
 
 
+def braided_positions(word):
+    """The crossing positions a word of same-direction crossings, kinks
+    and zig-zags still braids across: kinks are scalars and zig-zags
+    straighten, and a crossing cancels its inverse at the same position
+    when only crossings two or more positions away lie between them."""
+    def cancel(letters):
+        for i, (pos, sign) in enumerate(letters):
+            for j in range(i + 1, len(letters)):
+                if letters[j] == (pos, not sign):
+                    return letters[:i] + letters[i + 1 : j] + letters[j + 1 :]
+                if abs(letters[j][0] - pos) < 2:
+                    break
+        return None
+
+    letters = [(s.pos, s.kind.startswith("pos")) for s in word if s.kind in CROSSING_KINDS]
+    while (shorter := cancel(letters)) is not None:
+        letters = shorter
+    return {pos for pos, _ in letters}
+
+
 def cut_count(link):
-    """The layers of a link whose every internal edge is crossed by all
-    of its strands: one per height, or one if any biangle holds a slice."""
-    return 1 if any(link.slices.values()) else len({a.height for a in link.arcs})
+    """The layers of a link whose every sliced biangle is crossed by all
+    of its strands, bottom to top in height order: one per height, less
+    one for each cut that a biangle's word still braids across."""
+    blocked = set().union(*map(braided_positions, link.slices.values()))
+    return len({a.height for a in link.arcs}) - len(blocked)
 
 
 @st.composite
 def torus_stacks(draw):
     """Runs of parallel copies of curves a and b stacked on the torus at
     shared heights with gaps.  The edge private to a curve that only one
-    run uses may carry kinks and crossings, which tie the run into one
-    layer; every other copy is a layer of its own.  Gives (link, surface,
-    layer count)."""
+    run uses may carry kinks and crossings; the cuts that its word still
+    braids across tie copies of the run together, and every other copy
+    is a layer of its own.  Gives (link, surface, layer count)."""
     n = draw(st.integers(2, 5))
     letters = draw(st.lists(st.sampled_from("ab"), min_size=1, max_size={2: 4, 3: 3}.get(n, 2)))
     heights = sorted(draw(st.sets(st.integers(1, 30), min_size=len(letters), max_size=len(letters))))
@@ -638,7 +660,7 @@ def torus_stacks(draw):
                 else:
                     word.append(Slice(draw(st.sampled_from(("kink_pos", "kink_neg"))), draw(st.integers(1, size))))
             slices[PRIVATE_EDGE[letter]] = tuple(word)
-        layers += 1 if word else size
+        layers += size - len(braided_positions(word))
     return GoodPositionLink(arcs=arcs, slices=slices), torus_at(n), layers
 
 
@@ -710,8 +732,62 @@ class TestLayeredTrace:
         assert glued_trace(copies(curve, k, heights), torus_at(n)) == reduce(normal_product, [one] * k)
 
     def test_uncut_link_is_its_own_layer(self, torus):
-        link = GoodPositionLink(arcs=copies("a", 2).arcs, slices={"d": (Slice("kink_pos", 2),)})
-        assert surface_module._layers(link, torus) == [link]
+        link = GoodPositionLink(arcs=copies("a", 2).arcs, slices={"d": (Slice("pos_same_to_lower", 1),)})
+        assert [layer.arcs for layer, _ in surface_module._layers(link, torus)] == [link.arcs]
+
+    def test_crossing_blocks_only_the_cut_it_braids_across(self, torus):
+        link = GoodPositionLink(arcs=copies("a", 3).arcs, slices={"d": (Slice("pos_same_to_lower", 1),)})
+        layers = surface_module._layers(link, torus)
+        assert [{arc.height for arc in layer.arcs} for layer, _ in layers] == [{1, 2}, {3}]
+        assert glued_trace(link, torus) == unsplit_trace(link, torus)
+
+    @pytest.mark.parametrize("n,k", [(2, 3), (3, 3), (2, 4)])
+    def test_word_times_its_inverse_cuts_at_every_height(self, n, k):
+        word = [Slice("pos_same_to_lower", 1 + i % (k - 1)) for i in range(3)] + [Slice("neg_same_to_higher", k - 1)]
+        inverse = [Slice(("neg" if s.kind.startswith("pos") else "pos") + s.kind[3:], s.pos) for s in reversed(word)]
+        link = GoodPositionLink(arcs=copies("a", k).arcs, slices={"d": (*word, *inverse), "r": ZIGZAGS["r"]})
+        assert len(surface_module._layers(link, torus_at(n))) == k
+        assert glued_trace(link, torus_at(n)) == unsplit_trace(link, torus_at(n))
+
+    def test_unknot_in_an_edge_without_ends_still_cuts(self, torus):
+        link = copies("b", 2)
+        link.slices["r"] = (Slice("inc_ccw", 1), Slice("dec_ccw", 1))
+        layers = surface_module._layers(link, torus)
+        assert [{arc.height for arc in layer.arcs} for layer, _ in layers] == [{1}, {2}]
+        assert glued_trace(link, torus) == unsplit_trace(link, torus)
+
+    @pytest.mark.parametrize("curves", ["aab", "baa"])
+    def test_biangle_without_a_unit_amplitude_on_one_side_does_not_block(self, torus, curves):
+        # the unknot between the copies of a on r has no unit amplitude
+        link = GoodPositionLink(arcs=[arc for h, c in enumerate(curves, start=1) for arc in copies(c, 1, [h]).arcs])
+        link.slices["r"] = (Slice("inc_ccw", 2), Slice("dec_ccw", 2))
+        layers = surface_module._layers(link, torus)
+        assert len(layers) == 2
+        assert glued_trace(link, torus) == unsplit_trace(link, torus)
+
+    def test_split_needs_the_whole_product_support(self):
+        # every entry is a product of its row and column entries through
+        # the pivot, but the entry at (2, 2) is missing
+        one = RootScalar({0: 1})
+        table = {(1, 1): one, (1, 2): one, (2, 1): one}
+        assert surface_module._split(table, [1], [2], 1) is None
+        assert surface_module._split({**table, (2, 2): one}, [1], [2], 1) == ({(1,): one, (2,): one}, {(1,): one, (2,): one})
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_validates_once_per_trace(self, torus, monkeypatch, k):
+        calls = []
+        validate = surface_module.validate_good_position
+
+        def counted(link, surface):
+            calls.append(link)
+            return validate(link, surface)
+
+        monkeypatch.setattr(surface_module, "validate_good_position", counted)
+        link = copies("a", k)
+        assert len(surface_module._layers(link, torus)) == k
+        calls.clear()
+        glued_trace(link, torus)
+        assert calls == [link]
 
 
 class TestGluedSquare:
