@@ -2,7 +2,8 @@
 """End-to-end demonstration: writes the once-punctured torus fixtures
 to a scratch directory, runs every CLI verification suite, computes the
 fixture trace polynomials through two distinct good positions, and
-checks the outputs byte for byte.
+checks the outputs byte for byte.  It imports qtrace from the
+checkout's src/, so it runs without an install.
 
 Usage: python3 scripts/run_verification.py [scratch_dir]
 """
@@ -12,7 +13,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from qtrace.cli import main as cli
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qtrace.cli import main as cli  # noqa: E402
 
 TORUS = """\
 n 3

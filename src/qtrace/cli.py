@@ -94,6 +94,8 @@ def parse_surface_file(path, text):
             if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(path, line_no, "expected 'n <integer>'")
             n = int(tokens[1])
+            if n < 2:
+                raise ParseError(path, line_no, "rank n must be at least 2")
         elif key == "triangles":
             if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(path, line_no, "expected 'triangles <count>'")
@@ -333,8 +335,6 @@ def _read(path):
 def cmd_trace(args) -> int:
     n, triangulation = parse_surface_file(args.surface, _read(args.surface))
     link = parse_link_file(args.link, _read(args.link))
-    if args.n is not None:
-        n = args.n
     surface = build_surface(triangulation, n)
     glued = glued_trace(link, surface)
     if args.classical:
@@ -357,7 +357,8 @@ def _matrix_suite(n: int):
         for turn in ("left", "right")
     ]
     raw = quantum_turn_matrix(
-        "left", tri, inward_sequence(tri, 0), inward_sequence(tri, 1)[::-1], normalized=False
+        "left", tri, inward_sequence(tri, 0), inward_sequence(tri, 1)[::-1],
+        lambda a, b, c: tri.index[(a, b, c)], normalized=False,
     )
     checks.append((f"matrices.unnormalized_left_fails n={n}", not is_mnq_point(raw)))
     return checks
@@ -435,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="compute a quantum trace polynomial")
     p_trace.add_argument("surface", help="surface file")
     p_trace.add_argument("link", help="link file")
-    p_trace.add_argument("--n", type=int, default=None, help="override the rank")
     p_trace.add_argument("--classical", action="store_true", help="specialize at h = 1")
     p_trace.add_argument("--out", default=None, help="output path (default stdout)")
     p_trace.set_defaults(func=cmd_trace)

@@ -61,11 +61,6 @@ class TriangleCoordinates:
     spec: QuantumTorusSpec
     index: Mapping[tuple[int, int, int], int]
 
-    def interior(self, a: int, b: int, c: int) -> int:
-        if not (a > 0 and b > 0 and c > 0):
-            raise ValueError("not an interior vertex")
-        return self.index[(a, b, c)]
-
 
 def triangle_poisson(n: int) -> TriangleCoordinates:
     """Quiver-derived antisymmetric matrix for one triangle."""
@@ -133,12 +128,7 @@ def elementary_matrix(
         return TorusMatrix(spec, M)
     if kind == "left":
         # X^(-(j-1)/n) * (diag(X ... X, 1 ... 1) + E_{j,j+1}), X appearing j-1 times
-        if j == 1:
-            for k in range(n):
-                M[k][k] = one
-            M[0][1] = one
-            return TorusMatrix(spec, M)
-        pre = _gen(spec, var, -(j - 1)) if normalized else one
+        pre = _gen(spec, var, -(j - 1)) if normalized and j > 1 else one
         for k in range(n):
             M[k][k] = pre * _gen(spec, var, n) if k < j - 1 else pre
         M[j - 1][j] = pre
@@ -146,12 +136,7 @@ def elementary_matrix(
     if kind == "right":
         # X^((j-1)/n) * (diag(1 ... 1, X^-1 ... X^-1) + E_{n-j+1,n-j}),
         # X^-1 appearing j-1 times in the last rows
-        if j == 1:
-            for k in range(n):
-                M[k][k] = one
-            M[n - 1][n - 2] = one
-            return TorusMatrix(spec, M)
-        pre = _gen(spec, var, j - 1) if normalized else one
+        pre = _gen(spec, var, j - 1) if normalized and j > 1 else one
         for k in range(n):
             M[k][k] = pre * _gen(spec, var, -n) if k > n - j else pre
         M[n - j][n - j - 1] = pre
@@ -208,19 +193,18 @@ def quantum_turn_matrix(
     tri: TriangleCoordinates,
     entry_edge: Sequence[int],
     exit_edge: Sequence[int],
-    interior: Callable[[int, int, int], int] | None = None,
+    interior: Callable[[int, int, int], int],
     normalized: bool = True,
 ) -> TorusMatrix:
     """Weyl-ordered product edge * (left|right) * edge over the triangle torus.
 
     Edge vectors list generator indices for dot positions j = 1 .. n-1 on
-    the entry and exit edges.  The classical product is computed in the
+    the entry and exit edges; interior(a, b, c) gives the generator index
+    of an interior vertex.  The classical product is computed in the
     commutative twin algebra and each entry lifted term by term.
     """
     qspec = tri.spec
     cspec = commutative_spec(qspec)
-    if interior is None:
-        interior = tri.interior
     prod = mat_mul(
         mat_mul(edge_matrix(cspec, entry_edge, normalized), turn_matrix(cspec, kind, interior, normalized)),
         edge_matrix(cspec, exit_edge, normalized),

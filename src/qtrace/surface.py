@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product as iter_product
 from math import prod
-from operator import itemgetter
+from operator import add
 from typing import Callable, NamedTuple
 
 from .qtorus import (
@@ -186,8 +186,8 @@ class SurfaceTorusSpec:
     tri: TriangleCoordinates
     tensor_spec: QuantumTorusSpec
     glued_spec: QuantumTorusSpec
-    tri_offset: tuple
-    local_to_glued: tuple  # per triangle: dict local index -> glued index
+    tri_offset: tuple  # where each triangle's block starts in a tensor exponent
+    tensor_to_glued: tuple  # the glued index of each tensor generator
     glued_ids: tuple  # stable string id per glued generator
 
 
@@ -213,39 +213,26 @@ def build_surface(triangulation: IdealTriangulation, n: int) -> SurfaceTorusSpec
     # glued generators: edge dots (edges in declaration order), then
     # triangle interior dots (triangles in order, vertices lex)
     glued_ids = []
-    glued_index = {}
+    to_glued = [None] * NT
     for e in triangulation.edges:
-        for k in range(1, n):
-            glued_index[("E", e.id, k)] = len(glued_ids)
+        dots = [[t * Nt + i for i in inward_sequence(tri, s)] for t, s in e.incidences]
+        # the second incidence sees the edge's dots reversed
+        for k, pair in enumerate(zip(dots[0], *(seq[::-1] for seq in dots[1:])), start=1):
+            for i in pair:
+                to_glued[i] = len(glued_ids)
             glued_ids.append(f"{e.id}.{k}")
     interior_verts = [v for v in triangle_vertices(n) if all(x > 0 for x in v)]
     for t in range(m):
         for v in interior_verts:
-            glued_index[("T", t, v)] = len(glued_ids)
+            to_glued[t * Nt + tri.index[v]] = len(glued_ids)
             glued_ids.append(f"T{t}.{tri.spec.names[tri.index[v]]}")
-
-    local_to_glued = [dict() for _ in range(m)]
-    for e in triangulation.edges:
-        t0, s0 = e.incidences[0]
-        seq0 = inward_sequence(tri, s0)
-        for k in range(1, n):
-            local_to_glued[t0][seq0[k - 1]] = glued_index[("E", e.id, k)]
-        if not e.is_boundary:
-            t1, s1 = e.incidences[1]
-            seq1 = inward_sequence(tri, s1)
-            for k in range(1, n):
-                local_to_glued[t1][seq1[n - 1 - k]] = glued_index[("E", e.id, k)]
-    for t in range(m):
-        for v in interior_verts:
-            local_to_glued[t][tri.index[v]] = glued_index[("T", t, v)]
 
     NG = len(glued_ids)
     GP = [[0] * NG for _ in range(NG)]
-    for t in range(m):
-        g = local_to_glued[t]
-        for a in range(Nt):
-            for b in range(Nt):
-                GP[g[a]][g[b]] += tri.spec.P[a][b]
+    for j, row in enumerate(tensor_spec.lower):
+        for i, p in row:
+            GP[to_glued[j]][to_glued[i]] += p
+            GP[to_glued[i]][to_glued[j]] -= p
     glued_spec = make_spec(n, GP, glued_ids)
 
     return SurfaceTorusSpec(
@@ -255,7 +242,7 @@ def build_surface(triangulation: IdealTriangulation, n: int) -> SurfaceTorusSpec
         tensor_spec=tensor_spec,
         glued_spec=glued_spec,
         tri_offset=tuple(t * Nt for t in range(m)),
-        local_to_glued=tuple(local_to_glued),
+        tensor_to_glued=tuple(to_glued),
         glued_ids=tuple(glued_ids),
     )
 
@@ -415,21 +402,18 @@ def arc_quantum_matrix(tri: TriangleCoordinates, entry: int, turn: str) -> Torus
 
 
 class _Factor(NamedTuple):
-    """A factor of the state sum: the internal edges it reads, the
-    triangles whose blocks its exponents join, and its reader of the
-    flat state list (see quantum_trace)."""
+    """A factor of the state sum: the internal edges it reads and its
+    reader of the flat state list (see _state_sum)."""
 
     edges: tuple
-    tris: tuple
     read: Callable
 
 
 @dataclass
 class TracePolynomial:
-    """Quantum trace in the tensor algebra, with its surface context."""
+    """Quantum trace in the tensor algebra."""
 
     tensor: TorusElement
-    surface: SurfaceTorusSpec
 
 
 def _edge_tables(link: GoodPositionLink, surface: SurfaceTorusSpec) -> list:
@@ -456,7 +440,7 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
     (lowest first) product of its arcs' turn matrix entries.
     """
     _require_good_position(link, surface)
-    return TracePolynomial(tensor=_state_sum(link, surface, _edge_tables(link, surface)), surface=surface)
+    return TracePolynomial(tensor=_state_sum(link, surface, _edge_tables(link, surface)))
 
 
 def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: list) -> TorusElement:
@@ -474,7 +458,7 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
 
     # Each arc end reads one entry of a flat state list: the fixed
     # boundary states first, then each internal edge's left and right
-    # strands, bottom to top, in edge order.
+    # strands, bottom to top, edge by edge.
     ends = {}
     states = []
     for edge in tr.boundary_edges:
@@ -499,23 +483,25 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
         tri_arcs.setdefault(arc.triangle, []).append(arc)
 
     tri_spec = surface.tri.spec
+    NT = surface.tensor_spec.N
 
     # A factor reads the states of some internal edges from the flat
-    # state list and gives (exponent, coefficient) pairs whose exponents
-    # join the blocks of its triangles, in their order (a triangle without
-    # arcs gives the zero block).  Factors of different triangles commute
-    # in the block-diagonal tensor torus, so multiplying two terms joins
-    # their blocks.
+    # state list and gives (exponent, coefficient) pairs with whole
+    # tensor exponents.  Factors of different triangles commute in the
+    # block-diagonal tensor torus, so multiplying two terms adds their
+    # exponents.  A triangle without arcs is the unit and has no factor.
     def triangle_factor(t):
-        arcs = tri_arcs.get(t, ())
+        arcs = tri_arcs[t]
         arc_ends = [(ends[(arc, "entry")], ends[(arc, "exit")]) for arc in arcs]
         edges = tuple(sorted({owner[i] for end in arc_ends for i in end if i in owner}))
+        off = surface.tri_offset[t]
+        head, tail = (0,) * off, (0,) * (NT - off - tri_spec.N)
         cache = {}
 
         def read(states):
             """The height-ordered product of the triangle's arc entries,
-            in the triangle's own torus, computed once for each tuple of
-            (entry, exit) state pairs."""
+            computed once in the triangle's own torus for each tuple of
+            (entry, exit) state pairs and padded to the tensor torus."""
             pairs = tuple((states[i], states[j]) for i, j in arc_ends)
             if pairs not in cache:
                 elem = TorusElement.one(tri_spec)
@@ -525,23 +511,24 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
                         elem = TorusElement.zero(tri_spec)
                         break
                     elem = normal_product(elem, entry)
-                cache[pairs] = list(elem.terms.items())
+                cache[pairs] = [(head + e + tail, c) for e, c in elem.terms.items()]
             return cache[pairs]
 
-        return _Factor(edges, (t,), read)
+        return _Factor(edges, read)
 
-    def table_factor(edges, tris, table):
+    def table_factor(edges, table):
         places = [i for k in edges for i in index[slots[k]]]
-        return _Factor(tuple(edges), tris, lambda states: table.get(tuple(states[i] for i in places), ()))
+        return _Factor(tuple(edges), lambda states: table.get(tuple(states[i] for i in places), ()))
 
     def times(terms, factors):
         for factor in factors:
-            terms = [(e + f, c * d) for e, c in terms for f, d in factor.read(states)]
+            terms = [(tuple(map(add, e, f)), c * d) for e, c in terms for f, d in factor.read(states)]
             if not terms:
                 break
         return terms
 
-    factors = [triangle_factor(t) for t in range(tr.n_triangles)]
+    unit = (0,) * NT
+    factors = [triangle_factor(t) for t in sorted(tri_arcs)]
     alive = set(range(len(edge_tables)))
     while alive:
         buckets = {v: sorted({v}.union(*(f.edges for f in factors if v in f.edges))) for v in alive}
@@ -551,7 +538,7 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
         # Sum out v: for each state of the bucket's other edges, the
         # product of the factors that read v, summed over v's states.
         rest = [k for k in buckets[v] if k != v]
-        inside = sorted((f for f in factors if v in f.edges), key=lambda f: f.tris)
+        inside = [f for f in factors if v in f.edges]
         table = {}
         for combo in iter_product(*(edge_tables[k] for k in rest)):
             for k, key in zip(rest, combo):
@@ -559,26 +546,20 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
             sums = {}
             for key, amp in edge_tables[v].items():
                 states[slots[v]] = key
-                for e, c in times([((), amp)], inside):
+                for e, c in times([(unit, amp)], inside):
                     sums[e] = sums[e] + c if e in sums else c
             terms = [(e, c) for e, c in sums.items() if not c.is_zero()]
             if terms:
                 table[sum(combo, ())] = terms
         factors = [f for f in factors if v not in f.edges]
-        factors.append(table_factor(rest, sum((f.tris for f in inside), ()), table))
+        factors.append(table_factor(rest, table))
         alive.remove(v)
 
     # The last bucket spans every edge left: stream it.  The factors that
     # read no edge are multiplied together once, first.
     edges = sorted(alive)
-    factors.sort(key=lambda f: (bool(f.edges), f.tris))
-    order = sum((f.tris for f in factors), ())
-    start = times([((), ONE)], [f for f in factors if not f.edges])
+    start = times([(unit, ONE)], [f for f in factors if not f.edges])
     factors = [f for f in factors if f.edges]
-    reorder = None
-    if order != tuple(range(tr.n_triangles)):
-        Nt, block = tri_spec.N, {t: k for k, t in enumerate(order)}
-        reorder = itemgetter(*(block[t] * Nt + i for t in range(tr.n_triangles) for i in range(Nt)))
 
     def state_terms():
         for combo in iter_product(*(edge_tables[k].items() for k in edges)):
@@ -586,13 +567,12 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
             for k, (key, value) in zip(edges, combo):
                 states[slots[k]] = key
                 amp = amp * value
-            terms = times([(e, c * amp) for e, c in start], factors)
-            yield from terms if reorder is None else ((reorder(e), c) for e, c in terms)
+            yield from times([(e, c * amp) for e, c in start], factors)
 
     return TorusElement(surface.tensor_spec, state_terms())
 
 
-def project_to_glued(p, surface: SurfaceTorusSpec) -> TorusElement:
+def project_to_glued(elem: TorusElement, surface: SurfaceTorusSpec) -> TorusElement:
     """Rewrite a tensor-algebra element over the glued surface torus.
 
     Each monomial must carry equal exponents on the two triangle copies
@@ -601,29 +581,23 @@ def project_to_glued(p, surface: SurfaceTorusSpec) -> TorusElement:
     matched, which multiplies each coefficient by the ratio of the two
     normal-ordering factors.
     """
-    elem = p.tensor if isinstance(p, TracePolynomial) else p
     if elem.spec is not surface.tensor_spec and elem.spec != surface.tensor_spec:
         raise ValueError("element does not live in this surface's tensor algebra")
-    tri_spec = surface.tri.spec
     tensor, glued = elem.spec, surface.glued_spec
-    NG = glued.N
 
     def glued_pairs():
         for e, coeff in elem.terms.items():
-            glued_e = [None] * NG
-            for off, g in zip(surface.tri_offset, surface.local_to_glued):
-                for i in range(tri_spec.N):
-                    value = e[off + i]
-                    target = g[i]
-                    if glued_e[target] is None:
-                        glued_e[target] = value
-                    elif glued_e[target] != value:
-                        raise ValueError(
-                            "monomial does not glue: generator "
-                            f"{surface.glued_ids[target]!r} pairs exponents "
-                            f"{glued_e[target]} and {value}"
-                        )
-            glued_e = tuple(0 if v is None else v for v in glued_e)
+            glued_e = [None] * glued.N
+            for value, target in zip(e, surface.tensor_to_glued):
+                if glued_e[target] is None:
+                    glued_e[target] = value
+                elif glued_e[target] != value:
+                    raise ValueError(
+                        "monomial does not glue: generator "
+                        f"{surface.glued_ids[target]!r} pairs exponents "
+                        f"{glued_e[target]} and {value}"
+                    )
+            glued_e = tuple(glued_e)
             yield glued_e, coeff * RootScalar({glued.ordering(glued_e, glued_e) - tensor.ordering(e, e): 1})
 
     return TorusElement(glued, glued_pairs())

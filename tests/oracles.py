@@ -57,7 +57,7 @@ def edge_dot_indices(surface, edge_id, triangle):
     """Glued generator indices of an edge's dots in the order seen by a
     curve entering the given triangle through that edge."""
     side = side_of(surface.triangulation, edge_id, triangle)
-    m = surface.local_to_glued[triangle]
+    m = surface.tensor_to_glued[surface.tri_offset[triangle] :]
     return tuple(m[i] for i in inward_sequence(surface.tri, side))
 
 
@@ -65,7 +65,7 @@ def interior_lookup(surface, triangle, entry_edge):
     """Interior dot lookup in the frame where the entry edge plays side
     0, mapped to glued indices."""
     side = side_of(surface.triangulation, entry_edge, triangle)
-    m = surface.local_to_glued[triangle]
+    m = surface.tensor_to_glued[surface.tri_offset[triangle] :]
 
     def lookup(a, b, c):
         return m[surface.tri.index[rotate_vertex((a, b, c), side)]]

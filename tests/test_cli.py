@@ -1,6 +1,11 @@
 """Command line interface: file parsing, exit codes, byte-deterministic
 output, and the pretty printer."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -105,6 +110,9 @@ class TestParsers:
             # a header directive may appear once
             (torus + "n 4\n", ":6: repeated 'n' directive"),
             ("n 3\ntriangles 1\ntriangles 2\nedge d T0.0\n", ":3: repeated 'triangles' directive"),
+            # the rank is checked where it is read
+            ("n 1\ntriangles 1\nedge d T0.0\nedge p T0.1\nedge q T0.2\n", ":1: rank n must be at least 2"),
+            ("# rank\nn 0\ntriangles 1\nedge d T0.0\nedge p T0.1\nedge q T0.2\n", ":2: rank n must be at least 2"),
         ]:
             with pytest.raises(ParseError) as err:
                 parse_surface_file("s.surface", text)
@@ -270,6 +278,15 @@ class TestTraceCommand:
         assert main(["trace", str(surface), str(link)]) == 2
         assert "bad.surface:3" in capsys.readouterr().err
 
+    def test_rank_comes_only_from_the_surface_file(self, torus_files, capsys):
+        tmp_path, surface = torus_files
+        link = tmp_path / "a.link"
+        link.write_text(CURVE_A)
+        with pytest.raises(SystemExit) as err:
+            main(["trace", str(surface), str(link), "--n", "4"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --n 4" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "no.surface"), str(tmp_path / "no.link")]) == 2
         assert "cannot read file" in capsys.readouterr().err
@@ -370,3 +387,13 @@ class TestParserFuzz:
     @fuzz
     def test_link_soup_on_one_triangle(self, tmp_path, text):
         assert self.run(tmp_path, "trace", {"s.surface": ONE_TRIANGLE, "l.link": text}) in (0, 1, 2)
+
+
+def test_verification_script_runs_from_a_checkout(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(script), str(tmp_path)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert "all checks passed" in done.stdout

@@ -36,7 +36,8 @@ def name_index(tri):
 def unnormalized_left(tri):
     """The left matrix without its normalizing prefactors: the negative control."""
     return quantum_turn_matrix(
-        "left", tri, inward_sequence(tri, 0), inward_sequence(tri, 1)[::-1], normalized=False
+        "left", tri, inward_sequence(tri, 0), inward_sequence(tri, 1)[::-1],
+        lambda a, b, c: tri.index[(a, b, c)], normalized=False,
     )
 
 

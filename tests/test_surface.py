@@ -22,7 +22,6 @@ from qtrace.surface import (
     Edge,
     GoodPositionLink,
     IdealTriangulation,
-    TracePolynomial,
     TriangleArc,
     arc_quantum_matrix,
     build_surface,
@@ -51,7 +50,7 @@ SQUARE_ARCS = (TriangleArc(0, 2, "left", 1), TriangleArc(1, 2, "right", 1))
 def unsplit_trace(link, surface):
     """The quantum trace of a link, projected to the glued torus, from
     one state sum over the whole link (no height layers)."""
-    return project_to_glued(quantum_trace(link, surface), surface)
+    return project_to_glued(quantum_trace(link, surface).tensor, surface)
 
 
 def link_a():
@@ -495,7 +494,7 @@ class TestProjection:
     def test_unpaired_edge_exponents_rejected(self, torus):
         lone = lone_edge_dot(torus)
         with pytest.raises(ValueError, match=NO_GLUE):
-            project_to_glued(TracePolynomial(tensor=lone, surface=torus), torus)
+            project_to_glued(lone, torus)
 
     def test_layered_trace_keeps_the_diagnostic(self, torus, monkeypatch):
         # the lower layer of two stacked copies of curve a traces to a
