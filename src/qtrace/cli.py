@@ -233,6 +233,8 @@ def parse_polynomial_file(path, text):
                 evec = tuple(int(x) for x in exps)
                 coeff = {}
                 for i in range(0, len(pairs), 2):
+                    if int(pairs[i]) in coeff:
+                        raise ParseError(path, line_no, f"repeated h-exponent {int(pairs[i])}")
                     coeff[int(pairs[i])] = int(pairs[i + 1])
             except ValueError:
                 raise ParseError(path, line_no, "exponents and coefficients must be integers")

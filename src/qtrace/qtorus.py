@@ -334,25 +334,29 @@ def torus_sum(spec: QuantumTorusSpec, elements: Iterable[TorusElement]) -> Torus
 
 
 def normal_product(a: TorusElement, b: TorusElement) -> TorusElement:
-    """Product in the quantum torus, returned in canonical normal order."""
+    """Product in the quantum torus, returned in canonical normal order.
+    Each product exponent sums its coefficient in one plain {h: int} dict."""
     if a.spec != b.spec:
         raise ValueError("torus spec mismatch")
     spec = a.spec
-
-    def products():
-        for e, ce in a._terms.items():
-            # spec.ordering(e, f) == sum(map(mul, u, f)) for every f
-            u = [0] * spec.N
-            for ej, row in zip(e, spec.lower):
-                if ej:
-                    for i, p in row:
-                        u[i] += p * ej
-            for f, cf in b._terms.items():
-                k = 2 * sum(map(mul, u, f))
-                c = ce * cf
-                yield tuple(map(add, e, f)), RootScalar({h + k: v for h, v in c._t.items()}) if k else c
-
-    return TorusElement(spec, products())
+    right = [(f, cf._t.items()) for f, cf in b._terms.items()]
+    sums: dict[tuple, dict[int, int]] = {}
+    for e, ce in a._terms.items():
+        # spec.ordering(e, f) == sum(map(mul, u, f)) for every f
+        u = [0] * spec.N
+        for ej, row in zip(e, spec.lower):
+            if ej:
+                for i, p in row:
+                    u[i] += p * ej
+        left = ce._t.items()
+        for f, cf in right:
+            k = 2 * sum(map(mul, u, f))
+            acc = sums.setdefault(tuple(map(add, e, f)), {})
+            for h1, c1 in left:
+                h1 += k
+                for h2, c2 in cf:
+                    acc[h1 + h2] = acc.get(h1 + h2, 0) + c1 * c2
+    return TorusElement(spec, {e: RootScalar(t) for e, t in sums.items()})
 
 
 def weyl_monomial(spec: QuantumTorusSpec, e: tuple, coeff: RootScalar = ONE) -> TorusElement:

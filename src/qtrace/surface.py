@@ -672,9 +672,20 @@ def glued_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TorusEleme
     The trace is an algebra homomorphism, so a link stacked in height
     layers traces to the lower-first product of the layers' traces; a
     layer's state sum reads only its own strands and its share of the tables.
+    Layers that agree in their arcs up to height, their boundary states
+    and their tables are traced once per call.
     """
     _require_good_position(link, surface)
-    traces = (project_to_glued(_state_sum(layer, surface, tables), surface) for layer, tables in _layers(link, surface))
+    keys, traces = [], []
+    for layer, tables in _layers(link, surface):
+        heights = sorted({arc.height for arc in layer.arcs})
+        arcs = [(bisect_left(heights, a.height), a.triangle, a.entry, a.turn) for a in layer.arcs]
+        key = (arcs, layer.boundary_states, tables)
+        if key in keys:
+            traces.append(traces[keys.index(key)])
+        else:
+            traces.append(project_to_glued(_state_sum(layer, surface, tables), surface))
+        keys.append(key)
     return reduce(normal_product, traces)
 
 

@@ -175,6 +175,8 @@ class TestParsers:
         for text, where in [
             ("polynomial\nn 3\ngenerators a b\nterm 1 2 ; 0 1\ngenerators x\n", ":5: repeated 'generators' directive"),
             ("polynomial\nn 3\ngenerators a\nn 4\nterm 1 ; 0 1\n", ":4: repeated 'n' directive"),
+            # and within one term, the last pair of an h-exponent must not win
+            ("polynomial\nn 3\ngenerators a b\nterm 1 2 ; 0 1 0 5\n", ":4: repeated h-exponent 0"),
         ]:
             with pytest.raises(ParseError) as err:
                 parse_polynomial_file("p.poly", text)

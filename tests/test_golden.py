@@ -6,6 +6,7 @@ Each file in tests/golden was written by ``qtrace trace`` (or
 meant to alter the emitted text.
 """
 
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ def torus_surface(n):
 CURVE_A = "arc T1 0 right 1\narc T0 0 left 1\n"
 CURVE_B = "arc T0 2 left 1\narc T1 2 right 1\n"
 CURVE_A_TWICE = "arc T1 0 right 1\narc T0 0 left 1\narc T1 0 right 2\narc T0 0 left 2\n"
+CURVE_B_TWICE = "arc T0 2 left 1\narc T1 2 right 1\narc T0 2 left 2\narc T1 2 right 2\n"
 CURVE_B_THRICE = (
     "arc T0 2 left 1\narc T1 2 right 1\narc T0 2 left 2\narc T1 2 right 2\narc T0 2 left 3\narc T1 2 right 3\n"
 )
@@ -84,6 +86,7 @@ TRACES = [
     ("bundle-n3-k3-a", torus_surface(3), CURVE_A_THRICE, "bundle-n3-k3-a.poly"),
     ("bundle-n3-k3-b", torus_surface(3), CURVE_B_THRICE, "bundle-n3-k3-b.poly"),
     ("bundle-n4-k2-a", torus_surface(4), CURVE_A_TWICE, "bundle-n4-k2-a.poly"),
+    ("bundle-n4-k2-b", torus_surface(4), CURVE_B_TWICE, "bundle-n4-k2-b.poly"),
     ("bundle-n3-k5-a", torus_surface(3), CURVE_A_FIVE, "bundle-n3-k5-a.poly"),
     ("braided-n3-k2-a", torus_surface(3), CURVE_A_TWICE_BRAIDED, "bundle-n3-k2-a.poly"),
     ("braided-n3-k3-a", torus_surface(3), CURVE_A_THRICE_BRAIDED, "bundle-n3-k3-a.poly"),
@@ -104,6 +107,25 @@ def test_trace_output_is_golden(tmp_path, surface_text, link_text, golden):
     link.write_text(link_text)
     assert main(["trace", str(surface), str(link), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+# The largest bundle outputs (about 100 KB each) are pinned by the sha256
+# of the emitted file instead of a copy.
+DIGESTS = [
+    ("bundle-n5-k2-a", CURVE_A_TWICE, "01b2a71b438df9cbbacc253b9faa6c0db39931abc6f509244553307944814c06"),
+    ("bundle-n5-k2-b", CURVE_B_TWICE, "813ba42515892df1e9e9adadf9375e84fa4324abab6a30e1a6588bc2513c7b5f"),
+]
+
+
+@pytest.mark.parametrize("link_text,digest", [case[1:] for case in DIGESTS], ids=[case[0] for case in DIGESTS])
+def test_trace_output_has_pinned_digest(tmp_path, link_text, digest):
+    surface = tmp_path / "in.surface"
+    link = tmp_path / "in.link"
+    out = tmp_path / "out.poly"
+    surface.write_text(torus_surface(5))
+    link.write_text(link_text)
+    assert main(["trace", str(surface), str(link), "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_verify_report_is_golden(capsys):

@@ -142,13 +142,17 @@ forms = st.one_of(
 )
 
 
+def dense_form(P, x, y):
+    """B(x, y) = sum_{i<j} P[j][i] x_j y_i, computed with a dense loop."""
+    return sum(P[j][i] * x[j] * y[i] for j in range(4) for i in range(j))
+
+
 class TestWeylBasis:
     @given(P=forms, e=exponents, f=exponents)
     @settings(max_examples=80, deadline=None)
     def test_ordering_form_matches_dense_oracle(self, P, e, f):
-        # B(e, f) = sum_{i<j} P[j][i] e_j f_i, computed here with a dense loop
         def B(x, y):
-            return sum(P[j][i] * x[j] * y[i] for j in range(4) for i in range(j))
+            return dense_form(P, x, y)
 
         spec = make_spec(3, P)
 
@@ -207,7 +211,45 @@ class TestWeylBasis:
         assert normal_product(m, weyl_monomial(spec, tuple(-x for x in e))) == 1
 
 
+# up to four (exponent, Laurent coefficient) pairs on a small exponent grid,
+# so that several pairs of a product land on one exponent
+small_exponents = st.tuples(*(st.integers(-1, 1) for _ in range(4)))
+factors = st.one_of(
+    st.lists(st.tuples(small_exponents, laurent), max_size=4),
+    # each pair and its negative: coefficients that cancel to the zero element
+    st.lists(st.tuples(small_exponents, laurent), min_size=1, max_size=2).map(
+        lambda pairs: pairs + [(e, {k: -c for k, c in x.items()}) for e, x in pairs]
+    ),
+)
+
+
 class TestElements:
+    @given(P=forms, data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_normal_product_matches_plain_dict_oracle(self, P, data):
+        if data.draw(st.booleans()):
+            x, y = data.draw(factors), data.draw(factors)
+        else:
+            # (X^e - X^f)(h^k X^e + X^f) with k = 2B(e, f) - 2B(f, e): the
+            # two pairs that land on e + f cancel
+            e, f = data.draw(small_exponents), data.draw(small_exponents)
+            k = 2 * dense_form(P, e, f) - 2 * dense_form(P, f, e)
+            x, y = [(e, {0: 1}), (f, {0: -1})], [(e, {k: 1}), (f, {0: 1})]
+        # X^e X^f = h^(2 B(e, f)) X^(e+f), summed over plain dictionaries
+        expected = {}
+        for e, c in x:
+            for f, d in y:
+                acc = expected.setdefault(tuple(map(add, e, f)), {})
+                for k, v in plain_product(c, d).items():
+                    k += 2 * dense_form(P, e, f)
+                    acc[k] = acc.get(k, 0) + v
+        expected = {e: {k: v for k, v in acc.items() if v} for e, acc in expected.items()}
+        spec = make_spec(3, P)
+        a = TorusElement(spec, [(e, RootScalar(c)) for e, c in x])
+        b = TorusElement(spec, [(f, RootScalar(d)) for f, d in y])
+        product = normal_product(a, b)
+        assert {e: c.terms for e, c in product.terms.items()} == {e: acc for e, acc in expected.items() if acc}
+
     @given(e=exponents, f=exponents, g=exponents)
     @settings(max_examples=30, deadline=None)
     def test_associativity(self, e, f, g):

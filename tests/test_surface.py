@@ -788,6 +788,30 @@ class TestLayeredTrace:
         glued_trace(link, torus)
         assert calls == [link]
 
+    def test_layers_with_equal_arcs_but_different_tables_are_traced_apart(self, torus):
+        # the kink's scalar lands in the upper layer's table of d
+        link = GoodPositionLink(arcs=copies("a", 2).arcs, slices={"d": (Slice("kink_pos", 1),)})
+        (lower, lower_tables), (upper, upper_tables) = surface_module._layers(link, torus)
+        assert [(a.triangle, a.entry, a.turn) for a in lower.arcs] == [(a.triangle, a.entry, a.turn) for a in upper.arcs]
+        assert lower.boundary_states == upper.boundary_states
+        assert lower_tables != upper_tables
+        assert glued_trace(link, torus) == unsplit_trace(link, torus)
+
+    def test_identical_layers_are_traced_once_per_call(self, torus, monkeypatch):
+        calls = []
+        for name in ("_state_sum", "project_to_glued"):
+            def counted(*args, f=getattr(surface_module, name), name=name):
+                calls.append(name)
+                return f(*args)
+
+            monkeypatch.setattr(surface_module, name, counted)
+        link = copies("a", 3)
+        assert len(surface_module._layers(link, torus)) == 3
+        for _ in range(2):
+            calls.clear()
+            glued_trace(link, torus)
+            assert sorted(calls) == ["_state_sum", "project_to_glued"]
+
 
 class TestGluedSquare:
     def test_state_sum_equals_direct_contraction(self):
