@@ -34,12 +34,7 @@ import sys
 from fractions import Fraction
 
 from .qtorus import ONE, TorusElement
-from .fock_goncharov import (
-    quantum_turn_matrix,
-    is_mnq_point,
-    is_slnq_point,
-    triangle_poisson,
-)
+from .fock_goncharov import is_mnq_point, is_slnq_point, triangle_poisson
 from .biangle import (
     SLICE_KINDS,
     Slice,
@@ -58,7 +53,6 @@ from .surface import (
     arc_quantum_matrix,
     build_surface,
     glued_trace,
-    inward_sequence,
     verify_moves,
 )
 
@@ -332,6 +326,8 @@ def _read(path):
             return f.read()
     except OSError as err:
         raise ParseError(path, 0, f"cannot read file: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise ParseError(path, 0, f"cannot read file: {err}")
 
 
 def cmd_trace(args) -> int:
@@ -345,8 +341,12 @@ def cmd_trace(args) -> int:
         terms = polynomial_terms(glued)
     text = emit_polynomial(n, surface.glued_ids, terms)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as err:
+            print(f"{args.out}: cannot write file: {err.strerror}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0
@@ -358,10 +358,7 @@ def _matrix_suite(n: int):
         (f"matrices.{turn}_is_slnq_point n={n}", is_slnq_point(arc_quantum_matrix(tri, 0, turn)))
         for turn in ("left", "right")
     ]
-    raw = quantum_turn_matrix(
-        "left", tri, inward_sequence(tri, 0), inward_sequence(tri, 1)[::-1],
-        lambda a, b, c: tri.index[(a, b, c)], normalized=False,
-    )
+    raw = arc_quantum_matrix(tri, 0, "left", normalized=False)
     checks.append((f"matrices.unnormalized_left_fails n={n}", not is_mnq_point(raw)))
     return checks
 
@@ -393,6 +390,9 @@ def _moves_suite():
 
 def cmd_verify(args) -> int:
     suite = args.suite
+    if suite == "all" and args.n is not None:
+        print("--n selects the rank of one suite; --suite all runs fixed ranks", file=sys.stderr)
+        return 1
     n = args.n if args.n is not None else 3
     checks = []
     if suite in ("matrices", "all"):

@@ -13,16 +13,18 @@ boundary arrows keep weight 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
 from typing import Callable, Mapping, Sequence
 
 from .qtorus import (
     QuantumTorusSpec,
-    RootScalar,
     TorusElement,
     TorusMatrix,
     make_spec,
     mat_mul,
+    normal_product,
+    q_power,
     torus_sum,
     weyl_lift,
 )
@@ -146,13 +148,9 @@ def elementary_matrix(
 
 def edge_matrix(spec: QuantumTorusSpec, zvec: Sequence[int], normalized: bool = True) -> TorusMatrix:
     """Product of elementary edge matrices S_1(Z_1) ... S_{n-1}(Z_{n-1})."""
-    n = spec.n
-    if len(zvec) != n - 1:
+    if len(zvec) != spec.n - 1:
         raise ValueError("edge vector must have n-1 entries")
-    M = TorusMatrix.identity(spec, n)
-    for j, z in enumerate(zvec, start=1):
-        M = mat_mul(M, elementary_matrix(spec, "edge", j, z, normalized))
-    return M
+    return reduce(mat_mul, (elementary_matrix(spec, "edge", j, z, normalized) for j, z in enumerate(zvec, start=1)))
 
 
 def turn_matrix(
@@ -168,16 +166,16 @@ def turn_matrix(
     n = spec.n
     if kind not in ("left", "right"):
         raise ValueError("kind must be left or right")
-    M = TorusMatrix.identity(spec, n)
+    factors = []
     for i in range(n - 1, 0, -1):
-        M = mat_mul(M, elementary_matrix(spec, kind, 1))
+        factors.append(elementary_matrix(spec, kind, 1))
         for j in range(2, i + 1):
             if kind == "left":
                 v = interior(j - 1, n - i, i - j + 1)
             else:
                 v = interior(i - j + 1, n - i, j - 1)
-            M = mat_mul(M, elementary_matrix(spec, kind, j, v, normalized))
-    return M
+            factors.append(elementary_matrix(spec, kind, j, v, normalized))
+    return reduce(mat_mul, factors)
 
 
 def weyl_lift_matrix(M: TorusMatrix, qspec: QuantumTorusSpec) -> TorusMatrix:
@@ -221,23 +219,16 @@ def quantum_determinant(M: TorusMatrix) -> TorusElement:
     (-q)^inv(s) * M[0][s(0)] * ... * M[m-1][s(m-1)]."""
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
-    m = M.rows
-    spec = M.spec
-    n = spec.n
+    n = M.spec.n
 
     def terms():
-        for perm in permutations(range(m)):
-            inv = _inversions(perm)
-            term = TorusElement.scalar(spec, RootScalar({2 * n * n * inv: (-1) ** inv}))
-            for i in range(m):
-                e = M.entries[i][perm[i]]
-                if e.is_zero():
-                    break
-                term = term * e
-            else:
-                yield term
+        for perm in permutations(range(M.rows)):
+            entries = [row[j] for row, j in zip(M.entries, perm)]
+            if not any(e.is_zero() for e in entries):
+                inv = _inversions(perm)
+                yield reduce(normal_product, entries) * q_power(n, inv, coeff=(-1) ** inv)
 
-    return torus_sum(spec, terms())
+    return torus_sum(M.spec, terms())
 
 
 def is_mnq_point(M: TorusMatrix) -> bool:
@@ -247,8 +238,8 @@ def is_mnq_point(M: TorusMatrix) -> bool:
     lies in many submatrices, so its relation is checked once."""
     E = M.entries
     n = M.spec.n
-    q = RootScalar({2 * n * n: 1})
-    qinv = RootScalar({-2 * n * n: 1})
+    q = q_power(n, 1)
+    qinv = q_power(n, -1)
     pairs = lambda size: combinations(range(size), 2)
 
     def q_commute(a, b):

@@ -379,12 +379,13 @@ def _require_good_position(link: GoodPositionLink, surface: SurfaceTorusSpec):
 _ARC_CACHE = {}
 
 
-def arc_quantum_matrix(tri: TriangleCoordinates, entry: int, turn: str) -> TorusMatrix:
+def arc_quantum_matrix(tri: TriangleCoordinates, entry: int, turn: str, normalized: bool = True) -> TorusMatrix:
     """Quantum turn matrix of a flat arc entering through a given side,
     in the triangle's own torus; an exiting arc reads its exit side's
     inward sequence reversed.  The trace and both verify suites read
-    turn matrices only from here."""
-    key = (tri.n, entry, turn)
+    turn matrices only from here; normalized=False gives the matrix
+    without its normalizing prefactors, the negative control."""
+    key = (tri.n, entry, turn, normalized)
     if key in _ARC_CACHE:
         return _ARC_CACHE[key]
     exit_vec = inward_sequence(tri, turn_exit_side(entry, turn))[::-1]
@@ -392,7 +393,7 @@ def arc_quantum_matrix(tri: TriangleCoordinates, entry: int, turn: str) -> Torus
     def interior(a, b, c):
         return tri.index[rotate_vertex((a, b, c), entry)]
 
-    M = quantum_turn_matrix(turn, tri, inward_sequence(tri, entry), exit_vec, interior)
+    M = quantum_turn_matrix(turn, tri, inward_sequence(tri, entry), exit_vec, interior, normalized)
     _ARC_CACHE[key] = M
     return M
 
@@ -744,14 +745,8 @@ def verify_moves(n: int = 3) -> dict:
 
     zero = TorusElement.zero(spec)
 
-    def sc(value):
-        return TorusElement.scalar(spec, value)
-
     def mono(coeff_num, *factors):
-        out = sc(_q3(coeff_num))
-        for x in factors:
-            out = normal_product(out, x)
-        return out
+        return reduce(normal_product, factors) * _q3(coeff_num)
 
     def matrix(rows):
         return TorusMatrix(spec, rows)
@@ -854,7 +849,6 @@ def verify_moves(n: int = 3) -> dict:
     T3 = kron(L1.transpose(), L1.transpose())
     pm = normal_product
 
-    one = sc(ONE)
     qq = _q3(3)
     qi = _q3(-3)
     d_ = qq - qi  # q - q^-1
@@ -863,7 +857,7 @@ def verify_moves(n: int = 3) -> dict:
     w_ = RootScalar({0: 2}) - _q3(6) - _q3(-6)  # -q^2 + 2 - q^-2
 
     def lc(*pairs):
-        return torus_sum(spec, (sc(coeff) * pm(x, y) for coeff, x, y in pairs))
+        return torus_sum(spec, (pm(x, y) * coeff for coeff, x, y in pairs))
 
     display_iii = matrix([
         [pm(a1, a1), zero, zero, zero, zero, zero, zero, zero, zero],
@@ -968,9 +962,7 @@ def verify_moves(n: int = 3) -> dict:
             lc((qi, G2, i3)), lc((qi, H2, i3)), lc((qi, I2, i3)),
         ],
     ]
-    display_iv = matrix(
-        [[sc(_q3(1)) * x for x in row] for row in display_iv_rows]
-    )
+    display_iv = matrix([[x * _q3(1) for x in row] for row in display_iv_rows])
     report["move_iv"] = T4 == display_iv
 
     # Remaining oriented variants reduce to the moves above together

@@ -290,8 +290,21 @@ class TestTraceCommand:
         assert "unrecognized arguments: --n 4" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
-        assert main(["trace", str(tmp_path / "no.surface"), str(tmp_path / "no.link")]) == 2
-        assert "cannot read file" in capsys.readouterr().err
+        # a missing file, then one that is not UTF-8
+        surface = tmp_path / "no.surface"
+        for content in (None, b"\xff\xfe"):
+            if content is not None:
+                surface.write_bytes(content)
+            assert main(["trace", str(surface), str(tmp_path / "no.link")]) == 2
+            assert f"{surface}:0: cannot read file" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_one(self, torus_files, capsys):
+        tmp_path, surface = torus_files
+        link = tmp_path / "a.link"
+        link.write_text(CURVE_A)
+        out = tmp_path / "no" / "such" / "x.poly"
+        assert main(["trace", str(surface), str(link), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"{out}: cannot write file: ")
 
 
 class TestVerifyCommand:
@@ -312,6 +325,8 @@ class TestVerifyCommand:
     def test_unsupported_rank_rejected(self, capsys):
         assert main(["verify", "--suite", "matrices", "--n", "7"]) == 1
         assert "2..4" in capsys.readouterr().err
+        assert main(["verify", "--suite", "all", "--n", "7"]) == 1
+        assert "--n" in capsys.readouterr().err
 
 
 class TestExplainCommand:

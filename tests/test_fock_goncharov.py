@@ -179,6 +179,16 @@ class TestQuantumMatrixTheorem:
         assert not m2q_by_submatrix(M)
         assert not is_mnq_point(M)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unnormalized_arc_matrix_is_the_hand_wired_one(self, n):
+        # the negative control reads arc_quantum_matrix, cached per
+        # (n, entry, turn, normalized)
+        tri = triangle_poisson(n)
+        raw = arc_quantum_matrix(tri, 0, "left", normalized=False)
+        assert raw == unnormalized_left(tri)
+        assert raw != arc_quantum_matrix(tri, 0, "left")
+        assert arc_quantum_matrix(tri, 0, "left", normalized=False) is raw
+
     def test_unnormalized_left_fails_negative_control(self):
         tri = triangle_poisson(3)
         raw = unnormalized_left(tri)
@@ -188,6 +198,16 @@ class TestQuantumMatrixTheorem:
         tri = triangle_poisson(3)
         raw = unnormalized_left(tri)
         assert quantum_determinant(raw) != TorusElement.one(tri.spec)
+
+    def test_determinant_signs_and_q_powers_follow_inversions(self):
+        # the turn matrices are triangular, so every permutation but the
+        # identity meets a zero entry there; these matrices reach others
+        spec = triangle_poisson(3).spec
+        a, b, c, d = (TorusElement.generator(spec, i) for i in range(4))
+        q = q_power(3, 1)
+        assert quantum_determinant(TorusMatrix(spec, [[a, b], [c, d]])) == normal_product(a, d) - normal_product(b, c) * q
+        antidiagonal = TorusMatrix(spec, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+        assert quantum_determinant(antidiagonal) == -q_power(3, 3)
 
     def test_five_tuple_matrices_are_arc_matrices(self):
         # The move identities' L(W, Z, W', Z', X) and R(W, Z, W', Z', X)
