@@ -6,6 +6,8 @@ checks the outputs byte for byte.  It imports qtrace from the
 checkout's src/, so it runs without an install.
 
 Usage: python3 scripts/run_verification.py [scratch_dir]
+
+scratch_dir is created, with its parents, when it does not exist.
 """
 
 import filecmp
@@ -74,6 +76,11 @@ def run(workdir: Path) -> int:
 
 if __name__ == "__main__":
     if len(sys.argv) > 1:
-        sys.exit(run(Path(sys.argv[1])))
+        workdir = Path(sys.argv[1])
+        try:
+            workdir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            sys.exit(f"cannot create {workdir}: {err.strerror}")
+        sys.exit(run(workdir))
     with tempfile.TemporaryDirectory() as tmp:
         sys.exit(run(Path(tmp)))

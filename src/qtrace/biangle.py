@@ -39,12 +39,12 @@ def coribbon(n: int) -> RootScalar:
 
     Equals (-1)^(n-1) q^((1-n^2)/n), an integer power of h.
     """
-    return RootScalar({2 * n * (1 - n * n): (-1) ** (n - 1)})
+    return q_power(n, 1 - n * n, n, (-1) ** (n - 1))
 
 
 def quantum_integer(n: int) -> RootScalar:
     """[n]_q = (q^n - q^-n)/(q - q^-1) = sum_{k=1..n} q^(2k-n-1)."""
-    return RootScalar({2 * n * n * (2 * k - n - 1): 1 for k in range(1, n + 1)})
+    return sum((q_power(n, 2 * k - n - 1) for k in range(1, n + 1)), ZERO)
 
 
 def unknot_value(n: int) -> RootScalar:
@@ -54,12 +54,7 @@ def unknot_value(n: int) -> RootScalar:
 
 def duality_parameter(n: int, sign: int = 1) -> RootScalar:
     """The duality scale q^((1-n)/2n) = sqrt-coribbon * q^((n-1)/2)."""
-    return RootScalar({n * (1 - n): sign})
-
-
-def _neg_q_pow(n: int, k: int) -> RootScalar:
-    """(-q)^k as an exact scalar."""
-    return RootScalar({2 * n * n * k: (-1) ** (k % 2)})
+    return q_power(n, 1 - n, 2 * n, sign)
 
 
 def uturn_core(n: int, lam: RootScalar | None = None) -> TorusMatrix:
@@ -75,7 +70,7 @@ def uturn_core(n: int, lam: RootScalar | None = None) -> TorusMatrix:
         lam = duality_parameter(n)
     rows = [[ZERO] * n for _ in range(n)]
     for i in range(1, n + 1):
-        rows[i - 1][n - i] = lam * _neg_q_pow(n, i - n)
+        rows[i - 1][n - i] = lam * q_power(n, i - n, coeff=(-1) ** ((i - n) % 2))
     return TorusMatrix(None, rows)
 
 
@@ -107,84 +102,20 @@ def _flat(n: int, i: int, j: int) -> int:
     return (i - 1) * n + (j - 1)
 
 
-def _braiding_std(n: int, pair: str) -> TorusMatrix:
-    """Standard-basis matrix (rows = output, cols = input) of the inverse
-    braiding on the four two-factor spaces.
-
-    pair is one of "vv", "dd", "dv", "vd" where "v" is the defining
-    n-dimensional space and "d" its dual.
-    """
-    size = n * n
-    M = [[ZERO] * size for _ in range(size)]
-    qp = lambda num, den=1: q_power(n, num, den)
-
-    def add(out_i, out_j, in_i, in_j, value):
-        M[_flat(n, out_i, out_j)][_flat(n, in_i, in_j)] += value
-
-    if pair == "vv":
-        # q^(1/n) { q^-1 (i,i) ; (q^-1 - q)(i,j) + (j,i) for i<j ; (j,i) for i>j }
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    add(i, i, i, i, qp(1, n) * qp(-1))
-                elif i < j:
-                    add(i, j, i, j, qp(1, n) * (qp(-1) - qp(1)))
-                    add(j, i, i, j, qp(1, n))
-                else:
-                    add(j, i, i, j, qp(1, n))
-    elif pair == "dd":
-        # Same with the i<j and i>j cases swapped.
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    add(i, i, i, i, qp(1, n) * qp(-1))
-                elif i > j:
-                    add(i, j, i, j, qp(1, n) * (qp(-1) - qp(1)))
-                    add(j, i, i, j, qp(1, n))
-                else:
-                    add(j, i, i, j, qp(1, n))
-    elif pair == "dv":
-        # dual (x) defining -> defining (x) dual
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    add(i, i, i, i, qp(-1, n) * qp(1))
-                    for k in range(1, i):
-                        add(k, k, i, i, qp(-1, n) * (qp(1) - qp(-1)))
-                else:
-                    add(j, i, i, j, qp(-1, n))
-    elif pair == "vd":
-        # defining (x) dual -> dual (x) defining
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    add(i, i, i, i, qp(-1, n) * qp(1))
-                    for k in range(i + 1, n + 1):
-                        add(k, k, i, i, qp(-1, n) * (qp(1) - qp(-1)) * qp(2 * (k - i)))
-                else:
-                    add(j, i, i, j, qp(-1, n))
-    else:
-        raise ValueError("unknown factor pair: %r" % (pair,))
-    return TorusMatrix(None, M)
-
-
-def _dual_basis_matrix(n: int) -> TorusMatrix:
-    """Change of basis on the dual factor.
-
-    The preferred dual basis vector with label i is (-q)^(n-i) times the
-    standard dual vector with label n-i+1; columns hold the standard
-    coordinates of the preferred vectors.
-    """
-    M = [[ZERO] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        M[n - i][i - 1] = _neg_q_pow(n, n - i)
-    return TorusMatrix(None, M)
-
-
-def _dual_basis_inverse(n: int) -> TorusMatrix:
-    M = [[ZERO] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        M[i - 1][n - i] = _neg_q_pow(n, i - n)
+def _braiding(n: int) -> TorusMatrix:
+    """C_same, the inverse braiding on two defining factors, rows =
+    incoming pair: q^(1/n) times q^-1 on (i,i) -> (i,i); for i < j,
+    (q^-1 - q) on (i,j) -> (i,j) and 1 on (i,j) -> (j,i); for i > j, 1 on
+    (i,j) -> (j,i).  The matrix is symmetric."""
+    M = [[ZERO] * (n * n) for _ in range(n * n)]
+    scale = q_power(n, 1, n)
+    for i, j in product(range(1, n + 1), repeat=2):
+        if i == j:
+            M[_flat(n, i, i)][_flat(n, i, i)] = scale * q_power(n, -1)
+            continue
+        M[_flat(n, i, j)][_flat(n, j, i)] = scale
+        if i < j:
+            M[_flat(n, i, j)][_flat(n, i, j)] = scale * (q_power(n, -1) - q_power(n, 1))
     return TorusMatrix(None, M)
 
 
@@ -199,45 +130,49 @@ def _closed_form_inverse(n: int, M: TorusMatrix) -> TorusMatrix:
     return TorusMatrix(None, [[bar(M[r, c]) for c in swap] for r in swap])
 
 
+def _rotated(n: int, C: TorusMatrix) -> TorusMatrix:
+    """The opposite-direction crossing that is the same-direction
+    crossing C turned through a cup and a cap: on strands oriented
+    ("r", "l") the lone slice equals dec_cw 1, C at 2, dec_ccw 3, so
+
+        C_opp[(a,b),(c,d)] = U_dec_cw[x-1,c-1] C[(x,a),(d,z)] U_dec_ccw[b-1,z-1].
+
+    Both U-turns are antidiagonal, so x = n+1-c and z = n+1-b: a
+    reindexing with no sum."""
+    cup, cap = uturn_matrix("dec_cw", n), uturn_matrix("dec_ccw", n)
+    rows = [[ZERO] * (n * n) for _ in range(n * n)]
+    for a, b, c, d in product(range(1, n + 1), repeat=4):
+        x, z = n + 1 - c, n + 1 - b
+        turned = C[_flat(n, x, a), _flat(n, d, z)]
+        rows[_flat(n, a, b)][_flat(n, c, d)] = cup[x - 1, c - 1] * turned * cap[b - 1, z - 1]
+    return TorusMatrix(None, rows)
+
+
 @lru_cache(maxsize=None)
 def _crossing_core(n: int):
-    """Build (C_same, C_same^-1, C_opp, C_opp^-1) in the preferred bases,
+    """(C_same, C_same^-1, C_pos_opp, C_neg_opp) in the preferred bases,
     rows = incoming pair.
 
-    C_same is computed from both the vv and dd braidings and C_opp from
-    both the dv and vd braidings; the two computations must agree.  The
-    inverses come from R^-1(q) = R_21(q^-1), see crossing_matrix.
+    C_same is the one braiding formula, C_same^-1 its closed-form
+    inverse, and each opposite-direction matrix is a same-direction one
+    rotated through the U-turns (_rotated).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    B = _dual_basis_matrix(n)
-    Binv = _dual_basis_inverse(n)
-    I = TorusMatrix.identity(None, n)
-
-    def in_basis(std, out_change_inv, in_change):
-        return mat_mul(mat_mul(out_change_inv, std), in_change)
-
-    same_vv = _braiding_std(n, "vv")
-    same_dd = in_basis(_braiding_std(n, "dd"), kron(Binv, Binv), kron(B, B))
-    if same_vv != same_dd:
-        raise AssertionError("crossing matrices from vv and dd disagree")
-    opp_dv = in_basis(_braiding_std(n, "dv"), kron(I, Binv), kron(B, I))
-    opp_vd = in_basis(_braiding_std(n, "vd"), kron(Binv, I), kron(I, B))
-    if opp_dv != opp_vd:
-        raise AssertionError("crossing matrices from dv and vd disagree")
-    # Rows should index the incoming pair; the matrices are built with
-    # rows = output, so transpose.  (Both happen to be symmetric.)
-    same, opp = same_vv.transpose(), opp_dv.transpose()
-    return same, _closed_form_inverse(n, same), opp, _closed_form_inverse(n, opp)
+    same = _braiding(n)
+    same_inv = _closed_form_inverse(n, same)
+    return same, same_inv, _rotated(n, same), _rotated(n, same_inv)
 
 
 def crossing_matrix(kind: str, n: int) -> TorusMatrix:
     """The n^2 x n^2 matrix of one of the eight oriented crossings.
 
-    Positive same-direction crossings get C_same and negative ones its
-    inverse; negative opposite-direction crossings get C_opp and
-    positive ones its inverse.  The over-strand direction does not
-    change the matrix, only which picture the kind names.
+    Positive same-direction crossings get C_same, the one braiding
+    formula, and negative ones its inverse.  An opposite-direction
+    crossing is the same-direction crossing of its sign turned through
+    a cup and a cap, an isotopy of the thickened biangle, so its matrix
+    is that rotation of C_same or C_same^-1.  The over-strand direction
+    does not change the matrix, only which picture the kind names.
 
     Inverses use the closed form R^-1(q) = R_21(q^-1) of the standard
     R-matrix (Le-Yu): C^-1 is C with h -> h^-1 in every entry and the
@@ -248,11 +183,11 @@ def crossing_matrix(kind: str, n: int) -> TorusMatrix:
     """
     if kind not in CROSSING_KINDS:
         raise ValueError("unknown crossing kind: %r" % (kind,))
-    same, same_inv, opp, opp_inv = _crossing_core(n)
+    same, same_inv, pos_opp, neg_opp = _crossing_core(n)
     sign, direction, _ = kind.split("_", 2)
     if direction == "same":
         return same if sign == "pos" else same_inv
-    return opp if sign == "neg" else opp_inv
+    return pos_opp if sign == "pos" else neg_opp
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +207,25 @@ def duality_map_matrix(n: int, which: str, lam: RootScalar) -> TorusMatrix:
     M = [[ZERO] * n for _ in range(n)]
     lam_inv = lam.inverse()
     qp = lambda num, coeff=1: q_power(n, num, 1, coeff)
+    neg_qp = lambda k: qp(k, (-1) ** (k % 2))  # (-q)^k
     sign = (-1) ** (n - 1)
     for k in range(1, n + 1):
         if which == "b":
             # lam * sum_k e^k (x) dual_k ; dual_k = (-q)^(1-k) f_{n-k+1}
-            M[k - 1][n - k] = lam * _neg_q_pow(n, 1 - k)
+            M[k - 1][n - k] = lam * neg_qp(1 - k)
         elif which == "bp":
             # (-1)^(n-1) lam * sum_k q^(2k-n-1) dual_k (x) e^k
-            M[n - k][k - 1] = lam * _neg_q_pow(n, 1 - k) * qp(2 * k - n - 1, sign)
+            M[n - k][k - 1] = lam * neg_qp(1 - k) * qp(2 * k - n - 1, sign)
         elif which == "d":
             # value on f_i (x) e^j: (-q)^(n-i) lam^-1 delta_{n-i+1,j}
             i = n - k + 1
-            M[i - 1][k - 1] = lam_inv * _neg_q_pow(n, n - i)
+            M[i - 1][k - 1] = lam_inv * neg_qp(n - i)
         elif which == "dp":
             # value on e^i (x) f_j: (-q)^(n-j) (-1)^(n-1) lam^-1 q^(n-2i+1)
             # at i = n-j+1
             i = k
             j = n - i + 1
-            M[i - 1][j - 1] = lam_inv * _neg_q_pow(n, n - j) * qp(n - 2 * i + 1, sign)
+            M[i - 1][j - 1] = lam_inv * neg_qp(n - j) * qp(n - 2 * i + 1, sign)
         else:
             raise ValueError("unknown duality map: %r" % (which,))
     return TorusMatrix(None, M)

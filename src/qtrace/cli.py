@@ -250,26 +250,26 @@ def parse_polynomial_file(path, text):
 # pretty printing
 
 
+def _render_power(base: str, exp: Fraction) -> str:
+    """base, base^k or base^(p/q)."""
+    if exp == 1:
+        return base
+    if exp.denominator == 1:
+        return f"{base}^{exp.numerator}"
+    return f"{base}^({exp.numerator}/{exp.denominator})"
+
+
 def render_h_power(n: int, k: int, coeff: int) -> str:
     """One coefficient monomial, grouped as powers of q, q^(1/n), or
     the n-th root of q squared where the h-exponent divides evenly."""
     if k == 0:
         return str(coeff)
     if k % (2 * n) == 0:
-        base = "q"
-        exp = Fraction(k, 2 * n * n)
+        power = _render_power("q", Fraction(k, 2 * n * n))
     elif k % 2 == 0:
-        base = "w"
-        exp = Fraction(k, 2)
+        power = _render_power("w", Fraction(k, 2))
     else:
-        base = "h"
-        exp = Fraction(k)
-    if exp == 1:
-        power = base
-    elif exp.denominator == 1:
-        power = f"{base}^{exp.numerator}"
-    else:
-        power = f"{base}^({exp.numerator}/{exp.denominator})"
+        power = _render_power("h", Fraction(k))
     if coeff == 1:
         return power
     if coeff == -1:
@@ -288,18 +288,7 @@ def render_coefficient(n: int, coeff: dict) -> str:
 
 
 def render_monomial(n: int, generator_ids, evec) -> str:
-    factors = []
-    for gid, e in zip(generator_ids, evec):
-        if e == 0:
-            continue
-        exp = Fraction(e, n)
-        if exp == 1:
-            factors.append(gid)
-        elif exp.denominator == 1:
-            factors.append(f"{gid}^{exp.numerator}")
-        else:
-            factors.append(f"{gid}^({exp.numerator}/{exp.denominator})")
-    return " ".join(factors)
+    return " ".join(_render_power(gid, Fraction(e, n)) for gid, e in zip(generator_ids, evec) if e)
 
 
 def explain_polynomial(n, generator_ids, terms) -> str:
@@ -395,18 +384,13 @@ def cmd_verify(args) -> int:
         return 1
     n = args.n if args.n is not None else 3
     checks = []
-    if suite in ("matrices", "all"):
-        for m in (2, 3, 4) if suite == "all" else (n,):
-            if m not in (2, 3, 4):
-                print(f"matrices suite supports n in 2..4, got {m}", file=sys.stderr)
-                return 1
-            checks.extend(_matrix_suite(m))
-    if suite in ("skein", "all"):
-        for m in (2, 3, 4) if suite == "all" else (n,):
-            if m not in (2, 3, 4):
-                print(f"skein suite supports n in 2..4, got {m}", file=sys.stderr)
-                return 1
-            checks.extend(_skein_suite(m))
+    for name, ranked_suite in (("matrices", _matrix_suite), ("skein", _skein_suite)):
+        if suite in (name, "all"):
+            for m in (2, 3, 4) if suite == "all" else (n,):
+                if m not in (2, 3, 4):
+                    print(f"{name} suite supports n in 2..4, got {m}", file=sys.stderr)
+                    return 1
+                checks.extend(ranked_suite(m))
     if suite in ("duality", "all"):
         checks.extend(_duality_suite(3 if suite == "all" else n))
     if suite in ("moves", "all"):

@@ -10,17 +10,32 @@ word of generators with its own dense loop over P, independently of the
 spec's ordering form.  ``enumerated_trace`` is the state sum taken term
 by term in the tensor torus, with one biangle sweep per state; it finds
 each arc end's edge and strand position by its own scans, so it shares
-no wiring with ``quantum_trace``.
+no wiring with ``quantum_trace``.  ``oracle_crossing_matrix`` builds
+the biangle crossings from the four standard-basis braidings and a
+change to the preferred dual basis, independently of the library's
+single braiding and its rotation through the U-turns.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from qtrace.biangle import BiangleDiagram, BiangleState, biangle_trace
 from qtrace.fock_goncharov import commutative_spec, edge_matrix, turn_matrix
-from qtrace.qtorus import ONE, RootScalar, TorusElement, TorusMatrix, mat_mul, normal_product, torus_sum
+from qtrace.qtorus import (
+    ONE,
+    ZERO,
+    RootScalar,
+    TorusElement,
+    TorusMatrix,
+    kron,
+    mat_mul,
+    normal_product,
+    q_power,
+    torus_sum,
+)
 from qtrace.surface import arc_quantum_matrix, inward_sequence, rotate_vertex, turn_exit_side
 
 
@@ -356,3 +371,107 @@ def enumerated_trace(link, surface):
             yield term
 
     return torus_sum(tensor_spec, terms())
+
+
+# ---------------------------------------------------------------------------
+# biangle crossings from the four standard-basis braidings
+
+
+def braiding_std(n, pair):
+    """Standard-basis matrix (rows = output, cols = input) of the inverse
+    braiding on one of the four two-factor spaces.
+
+    pair is one of "vv", "dd", "dv", "vd" where "v" is the defining
+    n-dimensional space and "d" its dual.
+    """
+    size = n * n
+    M = [[ZERO] * size for _ in range(size)]
+    qp = lambda num, den=1: q_power(n, num, den)
+
+    def add(out_i, out_j, in_i, in_j, value):
+        M[(out_i - 1) * n + out_j - 1][(in_i - 1) * n + in_j - 1] += value
+
+    states = range(1, n + 1)
+    for i, j in product(states, repeat=2):
+        if pair in ("vv", "dd"):
+            # q^(1/n) { q^-1 (i,i) ; (q^-1 - q)(i,j) + (j,i) for i<j ; (j,i) for i>j },
+            # with the i<j and i>j cases swapped on the dual spaces
+            if i == j:
+                add(i, i, i, i, qp(1, n) * qp(-1))
+            elif (i < j) == (pair == "vv"):
+                add(i, j, i, j, qp(1, n) * (qp(-1) - qp(1)))
+                add(j, i, i, j, qp(1, n))
+            else:
+                add(j, i, i, j, qp(1, n))
+        elif pair in ("dv", "vd"):
+            # dual (x) defining -> defining (x) dual, or back
+            if i != j:
+                add(j, i, i, j, qp(-1, n))
+                continue
+            add(i, i, i, i, qp(-1, n) * qp(1))
+            for k in range(1, i) if pair == "dv" else range(i + 1, n + 1):
+                weight = ONE if pair == "dv" else qp(2 * (k - i))
+                add(k, k, i, i, qp(-1, n) * (qp(1) - qp(-1)) * weight)
+        else:
+            raise ValueError(f"unknown factor pair: {pair!r}")
+    return TorusMatrix(None, M)
+
+
+def neg_q_power(n, k):
+    """(-q)^k as an exact scalar."""
+    return q_power(n, k, coeff=(-1) ** (k % 2))
+
+
+def dual_basis_matrix(n):
+    """Change of basis on the dual factor: the preferred dual basis
+    vector with label i is (-q)^(n-i) times the standard dual vector with
+    label n-i+1; columns hold the standard coordinates of the preferred
+    vectors."""
+    M = [[ZERO] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        M[n - i][i - 1] = neg_q_power(n, n - i)
+    return TorusMatrix(None, M)
+
+
+def dual_basis_inverse(n):
+    M = [[ZERO] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        M[i - 1][n - i] = neg_q_power(n, i - n)
+    return TorusMatrix(None, M)
+
+
+@lru_cache(maxsize=None)
+def crossing_constructions(n):
+    """{pair: crossing matrix} in the preferred bases with rows = incoming
+    pair: the same-direction crossing from the "vv" and "dd" braidings,
+    the opposite-direction one (the negative crossing) from "dv" and
+    "vd"."""
+    B, Binv, I = dual_basis_matrix(n), dual_basis_inverse(n), TorusMatrix.identity(None, n)
+    change = {
+        "vv": (TorusMatrix.identity(None, n * n), TorusMatrix.identity(None, n * n)),
+        "dd": (kron(Binv, Binv), kron(B, B)),
+        "dv": (kron(I, Binv), kron(B, I)),
+        "vd": (kron(Binv, I), kron(I, B)),
+    }
+    return {
+        pair: mat_mul(mat_mul(out_inv, braiding_std(n, pair)), in_change).transpose()
+        for pair, (out_inv, in_change) in change.items()
+    }
+
+
+def bar_swap(n, M):
+    """M with h -> h^-1 in every entry and the two strands of every pair
+    index swapped: the closed form R^-1(q) = R_21(q^-1)."""
+    swap = [(j - 1) * n + i - 1 for i in range(1, n + 1) for j in range(1, n + 1)]
+    bar = lambda x: RootScalar({-k: c for k, c in x.terms.items()})
+    return TorusMatrix(None, [[bar(M[r, c]) for c in swap] for r in swap])
+
+
+def oracle_crossing_matrix(kind, n):
+    """The matrix of one of the eight oriented crossings: positive
+    same-direction and negative opposite-direction crossings get the
+    braidings themselves, the other four their closed-form inverses."""
+    built = crossing_constructions(n)
+    sign, direction, _ = kind.split("_", 2)
+    base, direct = (built["vv"], "pos") if direction == "same" else (built["dv"], "neg")
+    return base if sign == direct else bar_swap(n, base)

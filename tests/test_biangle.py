@@ -18,6 +18,7 @@ from qtrace.biangle import (
     BiangleDiagram,
     BiangleState,
     Slice,
+    biangle_amplitudes,
     biangle_trace,
     coribbon,
     crossing_matrix,
@@ -30,6 +31,7 @@ from qtrace.biangle import (
     uturn_matrix,
     yang_baxter_holds,
 )
+from oracles import crossing_constructions, oracle_crossing_matrix
 
 
 def q3(num, coeff=1):
@@ -170,6 +172,38 @@ class TestCrossingMatrices:
         opp = crossing_matrix("pos_opp_to_lower", n)
         flat = lambda M: [[x.at_one() for x in row] for row in M.entries]
         assert flat(same) == flat(opp)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_crossings_equal_the_standard_basis_oracle(self, n):
+        for kind in CROSSING_KINDS:
+            assert crossing_matrix(kind, n) == oracle_crossing_matrix(kind, n), kind
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_oracle_constructions_agree(self, n):
+        # the same-direction crossing from the defining and the dual
+        # braidings, the opposite-direction one from both mixed orders
+        built = crossing_constructions(n)
+        assert built["vv"] == built["dd"]
+        assert built["dv"] == built["vd"]
+        I = TorusMatrix.identity(None, n * n)
+        for a, b in (("pos_same_to_lower", "neg_same_to_lower"), ("neg_opp_to_lower", "pos_opp_to_lower")):
+            assert mat_mul(oracle_crossing_matrix(a, n), oracle_crossing_matrix(b, n)) == I
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_opposite_crossing_is_the_same_crossing_rotated(self, n):
+        # turning the same-direction crossing through a cup and a cap is an
+        # isotopy; the ("l", "r") side uses the inc_* U-turns, which the
+        # construction of the opposite-direction matrices does not
+        for kind in CROSSING_KINDS:
+            if "_opp_" not in kind:
+                continue
+            same = kind.replace("_opp_", "_same_")
+            for left, cup, cap in ((("r", "l"), "dec_cw", "dec_ccw"), (("l", "r"), "inc_ccw", "inc_cw")):
+                lone = BiangleDiagram(n, left, (Slice(kind, 1),))
+                turned = BiangleDiagram(n, left, (Slice(cup, 1), Slice(same, 2), Slice(cap, 3)))
+                assert turned.right == lone.right
+                for states in itertools.product(range(1, n + 1), repeat=2):
+                    assert biangle_amplitudes(turned, states) == biangle_amplitudes(lone, states), (kind, left, states)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_yang_baxter(self, n):

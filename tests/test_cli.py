@@ -409,8 +409,16 @@ class TestParserFuzz:
 def test_verification_script_runs_from_a_checkout(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run(
-        [sys.executable, str(script), str(tmp_path)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    assert "all checks passed" in done.stdout
+    # an existing scratch directory, and a nested one the script creates
+    for workdir in (tmp_path, tmp_path / "new" / "nested"):
+        done = subprocess.run(
+            [sys.executable, str(script), str(workdir)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "all checks passed" in done.stdout
+        assert (workdir / "torus.surface").is_file()
