@@ -373,8 +373,8 @@ def _duality_suite(n: int):
     return checks
 
 
-def _moves_suite():
-    return [(f"moves.{name} n=3", ok) for name, ok in verify_moves(3).items()]
+def _moves_suite(n: int):
+    return [(f"moves.{name} n={n}", ok) for name, ok in verify_moves(n).items()]
 
 
 def cmd_verify(args) -> int:
@@ -394,10 +394,7 @@ def cmd_verify(args) -> int:
     if suite in ("duality", "all"):
         checks.extend(_duality_suite(3 if suite == "all" else n))
     if suite in ("moves", "all"):
-        if suite == "moves" and n != 3:
-            print("moves suite is pinned at n=3", file=sys.stderr)
-            return 1
-        checks.extend(_moves_suite())
+        checks.extend(_moves_suite(n))
     failures = 0
     for name, ok in checks:
         print(("PASS " if ok else "FAIL ") + name)

@@ -264,12 +264,6 @@ class TorusElement:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, RootScalar)):
             return TorusElement(self.spec, {e: c * other for e, c in self._terms.items()})
@@ -285,8 +279,6 @@ class TorusElement:
             if other.spec is not self.spec and other.spec != self.spec:
                 raise ValueError("torus spec mismatch")
             return other
-        if isinstance(other, (int, RootScalar)):
-            return TorusElement.scalar(self.spec, _as_scalar(other))
         return NotImplemented
 
     def __eq__(self, other):

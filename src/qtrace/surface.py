@@ -38,7 +38,6 @@ from typing import Callable, NamedTuple
 
 from .qtorus import (
     ONE,
-    ZERO,
     RootScalar,
     QuantumTorusSpec,
     TorusElement,
@@ -60,6 +59,7 @@ from .biangle import (
     BiangleDiagram,
     BiangleState,
     Slice,
+    amplitude_table,
     biangle_amplitudes,
     biangle_trace,
     crossing_matrix,
@@ -966,32 +966,29 @@ def verify_moves(n: int = 3) -> dict:
     report["move_iv"] = T4 == display_iv
 
     # Remaining oriented variants reduce to the moves above together
-    # with crossing cancellation and U-turn wave identities.
-    I9 = TorusMatrix.identity(None, 9)
-    C_opp = crossing_matrix("neg_opp_to_lower", 3)
-    C_opp_inv = crossing_matrix("pos_opp_to_lower", 3)
-    crossings_cancel = (
-        mat_mul(C_same, C_same_inv) == I9
-        and mat_mul(C_same_inv, C_same) == I9
-        and mat_mul(C_opp, C_opp_inv) == I9
-        and mat_mul(C_opp_inv, C_opp) == I9
+    # with crossing cancellation and U-turn wave identities, each checked
+    # as the equality of two amplitude tables.
+    def isotopic(left, word, other=()):
+        table = lambda w: amplitude_table(BiangleDiagram(3, left, tuple(Slice(*s) for s in w)))
+        return table(word) == table(other)
+
+    crossings_cancel = all(
+        isotopic(left, ((a, 1), (b, 1))) and isotopic(left, ((b, 1), (a, 1)))
+        for left, a, b in (
+            (("r", "r"), "pos_same_to_lower", "neg_same_to_lower"),
+            (("r", "l"), "neg_opp_to_lower", "pos_opp_to_lower"),
+        )
     )
     report["move_iii_b"] = report["move_iii"] and crossings_cancel
     report["move_iii_c"] = report["move_iii"] and crossings_cancel
     report["move_iii_d"] = report["move_iii"] and crossings_cancel
 
     # Auxiliary move (I'): a U-turn slides across the split edge, which
-    # at the matrix level is the cancellation of a cup-cap wave.
-    wave_a = BiangleDiagram(3, ("l",), (Slice("dec_cw", 1), Slice("dec_ccw", 2)))
-    wave_b = BiangleDiagram(3, ("r",), (Slice("inc_ccw", 1), Slice("inc_cw", 2)))
-    waves_cancel = True
-    for s1 in range(1, 4):
-        for s2 in range(1, 4):
-            expect = ONE if s1 == s2 else ZERO
-            if biangle_trace(wave_a, BiangleState((s1,), (s2,))) != expect:
-                waves_cancel = False
-            if biangle_trace(wave_b, BiangleState((s1,), (s2,))) != expect:
-                waves_cancel = False
+    # is the cancellation of a cup-cap wave.
+    waves_cancel = all(
+        isotopic(left, ((cup, 1), (cap, 2)))
+        for left, cup, cap in ((("l",), "dec_cw", "dec_ccw"), (("r",), "inc_ccw", "inc_cw"))
+    )
     report["move_i_prime"] = waves_cancel and report["move_i"] and report["move_ii"]
 
     report["move_iv_b"] = report["move_iv"] and crossings_cancel and report["move_i_prime"]
@@ -999,24 +996,10 @@ def verify_moves(n: int = 3) -> dict:
     report["move_iv_d"] = report["move_iv"] and crossings_cancel and report["move_i_prime"]
 
     # Move (V): a kink at the triangle corner equals the framing factor.
-    curl_pos = BiangleDiagram(
-        3, ("r",),
-        (Slice("inc_ccw", 2), Slice("pos_same_to_lower", 1), Slice("dec_ccw", 2)),
+    curls = all(
+        isotopic(("r",), (("inc_ccw", 2), (crossing, 1), ("dec_ccw", 2)), ((kink, 1),))
+        for crossing, kink in (("pos_same_to_lower", "kink_pos"), ("neg_same_to_lower", "kink_neg"))
     )
-    curl_neg = BiangleDiagram(
-        3, ("r",),
-        (Slice("inc_ccw", 2), Slice("neg_same_to_lower", 1), Slice("dec_ccw", 2)),
-    )
-    move_v = True
-    for s1 in range(1, 4):
-        for s2 in range(1, 4):
-            state = BiangleState((s1,), (s2,))
-            pos_expect = kink_scalar(3, 1) if s1 == s2 else ZERO
-            neg_expect = kink_scalar(3, -1) if s1 == s2 else ZERO
-            if biangle_trace(curl_pos, state) != pos_expect:
-                move_v = False
-            if biangle_trace(curl_neg, state) != neg_expect:
-                move_v = False
-    report["move_v"] = move_v and kink_scalar(3, 1) * kink_scalar(3, -1) == ONE
+    report["move_v"] = curls and kink_scalar(3, 1) * kink_scalar(3, -1) == ONE
 
     return report

@@ -14,6 +14,8 @@ no wiring with ``quantum_trace``.  ``oracle_crossing_matrix`` builds
 the biangle crossings from the four standard-basis braidings and a
 change to the preferred dual basis, independently of the library's
 single braiding and its rotation through the U-turns.
+``dense_word_matrix`` multiplies a braid word out as dense Kronecker
+products, independently of the slice tables and the biangle sweep.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from qtrace.biangle import BiangleDiagram, BiangleState, biangle_trace
+from qtrace.biangle import BiangleDiagram, BiangleState, biangle_trace, crossing_matrix
 from qtrace.fock_goncharov import commutative_spec, edge_matrix, turn_matrix
 from qtrace.qtorus import (
     ONE,
@@ -475,3 +477,16 @@ def oracle_crossing_matrix(kind, n):
     sign, direction, _ = kind.split("_", 2)
     base, direct = (built["vv"], "pos") if direction == "same" else (built["dv"], "neg")
     return base if sign == direct else bar_swap(n, base)
+
+
+def dense_word_matrix(n, word):
+    """The n^3 x n^3 matrix, rows = incoming states, of a word of
+    (kind, pos) same-direction crossings on three "r" strands: the
+    product in word order of the factors kron(I, C, I), with C acting on
+    strands pos and pos + 1 and the top strand's state fastest."""
+    identity = lambda strands: TorusMatrix.identity(None, n**strands)
+    out = identity(3)
+    for kind, pos in word:
+        factor = kron(kron(identity(pos - 1), crossing_matrix(kind, n)), identity(2 - pos))
+        out = mat_mul(out, factor)
+    return out

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtrace.qtorus import (
     ONE,
@@ -18,6 +19,7 @@ from qtrace.biangle import (
     BiangleDiagram,
     BiangleState,
     Slice,
+    amplitude_table,
     biangle_amplitudes,
     biangle_trace,
     coribbon,
@@ -31,11 +33,18 @@ from qtrace.biangle import (
     uturn_matrix,
     yang_baxter_holds,
 )
-from oracles import crossing_constructions, oracle_crossing_matrix
+from oracles import crossing_constructions, dense_word_matrix, oracle_crossing_matrix
 
 
 def q3(num, coeff=1):
     return q_power(3, num, 3, coeff)
+
+
+# words of up to six same-direction crossings on three strands
+braid_words = st.lists(
+    st.tuples(st.sampled_from([k for k in CROSSING_KINDS if "_same_" in k]), st.integers(1, 2)),
+    max_size=6,
+)
 
 
 class TestRibbonScalars:
@@ -71,6 +80,10 @@ class TestUturnMatrices:
             assert uturn_matrix("inc_ccw", n) == U.transpose()
             assert uturn_matrix("dec_ccw", n) == scale(U)
             assert uturn_matrix("inc_cw", n) == scale(U.transpose())
+
+    def test_rank_below_two_rejected(self):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            uturn_matrix("dec_cw", 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_single_turn_traces_its_matrix_entry(self, n):
@@ -208,6 +221,23 @@ class TestCrossingMatrices:
     @pytest.mark.parametrize("n", [2, 3])
     def test_yang_baxter(self, n):
         assert yang_baxter_holds(n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dense_yang_baxter(self, n):
+        braid = lambda *positions: dense_word_matrix(n, [("pos_same_to_lower", p) for p in positions])
+        assert braid(1, 2, 1) == braid(2, 1, 2)
+
+    @given(n=st.sampled_from([2, 3]), word=braid_words)
+    @settings(max_examples=40, deadline=None)
+    def test_braid_word_table_equals_the_dense_product(self, n, word):
+        # the sweep over slice tables against kron(I, C, I) products
+        table = amplitude_table(BiangleDiagram(n, ("r",) * 3, tuple(Slice(*s) for s in word)))
+        dense = dense_word_matrix(n, word)
+        triples = list(itertools.product(range(1, n + 1), repeat=3))
+        assert list(table) == triples
+        for i, left in enumerate(triples):
+            for j, right in enumerate(triples):
+                assert table[left].get(right, ZERO) == dense[i, j], (word, left, right)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_single_crossing_traces_its_matrix_entry(self, n):

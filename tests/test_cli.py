@@ -327,6 +327,8 @@ class TestVerifyCommand:
         assert "2..4" in capsys.readouterr().err
         assert main(["verify", "--suite", "all", "--n", "7"]) == 1
         assert "--n" in capsys.readouterr().err
+        assert main(["verify", "--suite", "moves", "--n", "4"]) == 1
+        assert "pinned at n = 3" in capsys.readouterr().err
 
 
 class TestExplainCommand:
