@@ -383,6 +383,9 @@ def cmd_verify(args) -> int:
         print("--n selects the rank of one suite; --suite all runs fixed ranks", file=sys.stderr)
         return 1
     n = args.n if args.n is not None else 3
+    if suite == "duality" and n < 2:
+        print(f"duality suite supports n >= 2, got {n}", file=sys.stderr)
+        return 1
     checks = []
     for name, ranked_suite in (("matrices", _matrix_suite), ("skein", _skein_suite)):
         if suite in (name, "all"):

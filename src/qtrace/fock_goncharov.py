@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
+from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .qtorus import (
@@ -22,7 +23,6 @@ from .qtorus import (
     TorusElement,
     TorusMatrix,
     make_spec,
-    mat_mul,
     normal_product,
     q_power,
     torus_sum,
@@ -96,96 +96,6 @@ def triangle_poisson(n: int) -> TriangleCoordinates:
     return TriangleCoordinates(n=n, spec=spec, index=idx)
 
 
-def commutative_spec(spec: QuantumTorusSpec) -> QuantumTorusSpec:
-    """Same generators, trivial commutation: the h = 1 polynomial algebra."""
-    zero = tuple(tuple(0 for _ in range(spec.N)) for _ in range(spec.N))
-    return QuantumTorusSpec(n=spec.n, N=spec.N, P=zero, names=spec.names)
-
-
-def _gen(spec, i, num):
-    return TorusElement.generator(spec, i, num)
-
-
-def elementary_matrix(
-    spec: QuantumTorusSpec, kind: str, j: int, var: int | None = None, normalized: bool = True
-) -> TorusMatrix:
-    """The j-th elementary edge/left/right matrix, with its normalizing prefactor.
-
-    var is the generator index of the variable; the left and right matrices
-    with j = 1 take no variable.  normalized=False drops the fractional
-    prefactor (useful only as a negative control; the resulting matrices are
-    not quantum group points).
-    """
-    n = spec.n
-    if not 1 <= j <= n - 1:
-        raise ValueError("j out of range")
-    one = TorusElement.one(spec)
-    zero = TorusElement.zero(spec)
-    M = [[zero for _ in range(n)] for _ in range(n)]
-    if kind == "edge":
-        # Z^(-j/n) * diag(Z ... Z, 1 ... 1), Z appearing j times
-        p = -j if normalized else 0
-        for k in range(n):
-            M[k][k] = _gen(spec, var, n + p) if k < j else _gen(spec, var, p)
-        return TorusMatrix(spec, M)
-    if kind == "left":
-        # X^(-(j-1)/n) * (diag(X ... X, 1 ... 1) + E_{j,j+1}), X appearing j-1 times
-        pre = _gen(spec, var, -(j - 1)) if normalized and j > 1 else one
-        for k in range(n):
-            M[k][k] = pre * _gen(spec, var, n) if k < j - 1 else pre
-        M[j - 1][j] = pre
-        return TorusMatrix(spec, M)
-    if kind == "right":
-        # X^((j-1)/n) * (diag(1 ... 1, X^-1 ... X^-1) + E_{n-j+1,n-j}),
-        # X^-1 appearing j-1 times in the last rows
-        pre = _gen(spec, var, j - 1) if normalized and j > 1 else one
-        for k in range(n):
-            M[k][k] = pre * _gen(spec, var, -n) if k > n - j else pre
-        M[n - j][n - j - 1] = pre
-        return TorusMatrix(spec, M)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def edge_matrix(spec: QuantumTorusSpec, zvec: Sequence[int], normalized: bool = True) -> TorusMatrix:
-    """Product of elementary edge matrices S_1(Z_1) ... S_{n-1}(Z_{n-1})."""
-    if len(zvec) != spec.n - 1:
-        raise ValueError("edge vector must have n-1 entries")
-    return reduce(mat_mul, (elementary_matrix(spec, "edge", j, z, normalized) for j, z in enumerate(zvec, start=1)))
-
-
-def turn_matrix(
-    spec: QuantumTorusSpec, kind: str, interior: Callable[[int, int, int], int], normalized: bool = True
-) -> TorusMatrix:
-    """Left or right monodromy matrix in interior variables only.
-
-    The product runs over i = n-1 down to 1; within each block the
-    elementary matrices are multiplied with ascending j, the j-th factor
-    taking the interior variable at (j-1, n-i, i-j+1) for a left turn and
-    at (i-j+1, n-i, j-1) for a right turn.
-    """
-    n = spec.n
-    if kind not in ("left", "right"):
-        raise ValueError("kind must be left or right")
-    factors = []
-    for i in range(n - 1, 0, -1):
-        factors.append(elementary_matrix(spec, kind, 1))
-        for j in range(2, i + 1):
-            if kind == "left":
-                v = interior(j - 1, n - i, i - j + 1)
-            else:
-                v = interior(i - j + 1, n - i, j - 1)
-            factors.append(elementary_matrix(spec, kind, j, v, normalized))
-    return reduce(mat_mul, factors)
-
-
-def weyl_lift_matrix(M: TorusMatrix, qspec: QuantumTorusSpec) -> TorusMatrix:
-    """Weyl-lift each entry of a commutative matrix term by term."""
-    out = []
-    for row in M.entries:
-        out.append([weyl_lift(x.at_one(), qspec) for x in row])
-    return TorusMatrix(qspec, out)
-
-
 def quantum_turn_matrix(
     kind: str,
     tri: TriangleCoordinates,
@@ -198,16 +108,64 @@ def quantum_turn_matrix(
 
     Edge vectors list generator indices for dot positions j = 1 .. n-1 on
     the entry and exit edges; interior(a, b, c) gives the generator index
-    of an interior vertex.  The classical product is computed in the
-    commutative twin algebra and each entry lifted term by term.
+    of an interior vertex.  The classical product is built at h = 1,
+    where the generators commute, as column operations on one running
+    matrix of {exponent: coefficient} entries:
+
+    - the entry edge S_1(Z_1) ... S_{n-1}(Z_{n-1}) is the diagonal whose
+      k-th entry carries Z_j for every j > k;
+    - the turn runs i = n-1 down to 1 and, within each run, j = 1 .. i.
+      Step j scales j-1 columns by X (left: the first ones) or X^-1
+      (right: the last ones), X the interior variable at
+      (j-1, n-i, i-j+1) for a left turn and at (i-j+1, n-i, j-1) for a
+      right turn, then adds column j into column j+1 (left) or column
+      n-j+1 into column n-j (right); step j = 1 has no variable;
+    - the exit edge scales the columns by its diagonal.
+
+    The normalizing prefactors Z_j^(-j/n) and X^(-+(j-1)/n) are central
+    at h = 1, so they collect into one monomial; normalized=False drops
+    it (a negative control: the result is not a quantum group point).
+    Each entry is then Weyl-lifted term by term.
     """
     qspec = tri.spec
-    cspec = commutative_spec(qspec)
-    prod = mat_mul(
-        mat_mul(edge_matrix(cspec, entry_edge, normalized), turn_matrix(cspec, kind, interior, normalized)),
-        edge_matrix(cspec, exit_edge, normalized),
-    )
-    return weyl_lift_matrix(prod, qspec)
+    n, N = qspec.n, qspec.N
+    if len(entry_edge) != n - 1 or len(exit_edge) != n - 1:
+        raise ValueError("edge vector must have n-1 entries")
+    if kind not in ("left", "right"):
+        raise ValueError("kind must be left or right")
+    sign = 1 if kind == "left" else -1
+    pre = [0] * N  # the collected prefactor, exponents in 1/n units
+
+    def edge_diagonal(zvec):
+        diag = [[0] * N for _ in range(n)]
+        for j, z in enumerate(zvec, start=1):
+            for k in range(j):
+                diag[k][z] += n
+            pre[z] -= j
+        return diag
+
+    M = [[{tuple(d): 1} if k == r else {} for k in range(n)] for r, d in enumerate(edge_diagonal(entry_edge))]
+    for i in range(n - 1, 0, -1):
+        for j in range(1, i + 1):
+            if kind == "left":
+                scaled, src, dst, vertex = range(j - 1), j - 1, j, (j - 1, n - i, i - j + 1)
+            else:
+                scaled, src, dst, vertex = range(n - j + 1, n), n - j, n - j - 1, (i - j + 1, n - i, j - 1)
+            if j > 1:
+                x = interior(*vertex)
+                for row in M:
+                    for k in scaled:
+                        row[k] = {e[:x] + (e[x] + sign * n,) + e[x + 1 :]: c for e, c in row[k].items()}
+                pre[x] -= sign * (j - 1)
+            for row in M:
+                for e, c in row[src].items():
+                    row[dst][e] = row[dst].get(e, 0) + c
+    exit_diag = edge_diagonal(exit_edge)
+    if not normalized:
+        pre = [0] * N
+    shifts = [list(map(add, d, pre)) for d in exit_diag]
+    rows = [[{tuple(map(add, e, s)): c for e, c in entry.items()} for entry, s in zip(row, shifts)] for row in M]
+    return TorusMatrix(qspec, [[weyl_lift(entry, qspec) for entry in row] for row in rows])
 
 
 def _inversions(perm: Sequence[int]) -> int:

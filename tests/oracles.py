@@ -3,9 +3,12 @@
 The numeric oracles re-derive the classical local monodromy matrices
 directly from the elementary snake-matrix factorization with plain
 floating point arithmetic, so they share no code with the symbolic
-implementation.  The exact oracle ``classical_trace_polynomial``
-multiplies the library's commutative edge and turn matrices along a
-closed curve, independently of the state sum.  ``weyl_order`` orders a
+implementation.  ``edge_matrix`` and ``turn_matrix`` multiply the
+elementary snake matrices out in the commutative algebra, independently
+of the library's column operations; ``elementary_turn_matrix`` lifts
+their product edge * turn * edge to the quantum torus.  The exact oracle
+``classical_trace_polynomial`` multiplies those edge and turn matrices
+along a closed curve, independently of the state sum.  ``weyl_order`` orders a
 word of generators with its own dense loop over P, independently of the
 spec's ordering form.  ``enumerated_trace`` is the state sum taken term
 by term in the tensor torus, with one biangle sweep per state; it finds
@@ -19,16 +22,17 @@ products, independently of the slice tables and the biangle sweep.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from typing import Callable, Sequence
 
 import numpy as np
 
 from qtrace.biangle import BiangleDiagram, BiangleState, biangle_trace, crossing_matrix
-from qtrace.fock_goncharov import commutative_spec, edge_matrix, turn_matrix
 from qtrace.qtorus import (
     ONE,
     ZERO,
+    QuantumTorusSpec,
     RootScalar,
     TorusElement,
     TorusMatrix,
@@ -37,6 +41,7 @@ from qtrace.qtorus import (
     normal_product,
     q_power,
     torus_sum,
+    weyl_lift,
 )
 from qtrace.surface import arc_quantum_matrix, inward_sequence, rotate_vertex, turn_exit_side
 
@@ -101,6 +106,111 @@ def edge_at(triangulation, triangle, side):
     """The edge glued to one side of a triangle, by a scan over edges."""
     (edge,) = [e for e in triangulation.edges if (triangle, side) in e.incidences]
     return edge
+
+
+# ---------------------------------------------------------------------------
+# snake matrices as products of elementary matrices
+
+
+def commutative_spec(spec: QuantumTorusSpec) -> QuantumTorusSpec:
+    """Same generators, trivial commutation: the h = 1 polynomial algebra."""
+    zero = tuple(tuple(0 for _ in range(spec.N)) for _ in range(spec.N))
+    return QuantumTorusSpec(n=spec.n, N=spec.N, P=zero, names=spec.names)
+
+
+def _gen(spec, i, num):
+    return TorusElement.generator(spec, i, num)
+
+
+def elementary_matrix(
+    spec: QuantumTorusSpec, kind: str, j: int, var: int | None = None, normalized: bool = True
+) -> TorusMatrix:
+    """The j-th elementary edge/left/right matrix, with its normalizing prefactor.
+
+    var is the generator index of the variable; the left and right matrices
+    with j = 1 take no variable.  normalized=False drops the fractional
+    prefactor (useful only as a negative control; the resulting matrices are
+    not quantum group points).
+    """
+    n = spec.n
+    if not 1 <= j <= n - 1:
+        raise ValueError("j out of range")
+    one = TorusElement.one(spec)
+    zero = TorusElement.zero(spec)
+    M = [[zero for _ in range(n)] for _ in range(n)]
+    if kind == "edge":
+        # Z^(-j/n) * diag(Z ... Z, 1 ... 1), Z appearing j times
+        p = -j if normalized else 0
+        for k in range(n):
+            M[k][k] = _gen(spec, var, n + p) if k < j else _gen(spec, var, p)
+        return TorusMatrix(spec, M)
+    if kind == "left":
+        # X^(-(j-1)/n) * (diag(X ... X, 1 ... 1) + E_{j,j+1}), X appearing j-1 times
+        pre = _gen(spec, var, -(j - 1)) if normalized and j > 1 else one
+        for k in range(n):
+            M[k][k] = pre * _gen(spec, var, n) if k < j - 1 else pre
+        M[j - 1][j] = pre
+        return TorusMatrix(spec, M)
+    if kind == "right":
+        # X^((j-1)/n) * (diag(1 ... 1, X^-1 ... X^-1) + E_{n-j+1,n-j}),
+        # X^-1 appearing j-1 times in the last rows
+        pre = _gen(spec, var, j - 1) if normalized and j > 1 else one
+        for k in range(n):
+            M[k][k] = pre * _gen(spec, var, -n) if k > n - j else pre
+        M[n - j][n - j - 1] = pre
+        return TorusMatrix(spec, M)
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def edge_matrix(spec: QuantumTorusSpec, zvec: Sequence[int], normalized: bool = True) -> TorusMatrix:
+    """Product of elementary edge matrices S_1(Z_1) ... S_{n-1}(Z_{n-1})."""
+    if len(zvec) != spec.n - 1:
+        raise ValueError("edge vector must have n-1 entries")
+    return reduce(mat_mul, (elementary_matrix(spec, "edge", j, z, normalized) for j, z in enumerate(zvec, start=1)))
+
+
+def turn_matrix(
+    spec: QuantumTorusSpec, kind: str, interior: Callable[[int, int, int], int], normalized: bool = True
+) -> TorusMatrix:
+    """Left or right monodromy matrix in interior variables only.
+
+    The product runs over i = n-1 down to 1; within each block the
+    elementary matrices are multiplied with ascending j, the j-th factor
+    taking the interior variable at (j-1, n-i, i-j+1) for a left turn and
+    at (i-j+1, n-i, j-1) for a right turn.
+    """
+    n = spec.n
+    if kind not in ("left", "right"):
+        raise ValueError("kind must be left or right")
+    factors = []
+    for i in range(n - 1, 0, -1):
+        factors.append(elementary_matrix(spec, kind, 1))
+        for j in range(2, i + 1):
+            if kind == "left":
+                v = interior(j - 1, n - i, i - j + 1)
+            else:
+                v = interior(i - j + 1, n - i, j - 1)
+            factors.append(elementary_matrix(spec, kind, j, v, normalized))
+    return reduce(mat_mul, factors)
+
+
+def weyl_lift_matrix(M: TorusMatrix, qspec: QuantumTorusSpec) -> TorusMatrix:
+    """Weyl-lift each entry of a commutative matrix term by term."""
+    out = []
+    for row in M.entries:
+        out.append([weyl_lift(x.at_one(), qspec) for x in row])
+    return TorusMatrix(qspec, out)
+
+
+def elementary_turn_matrix(kind, tri, entry_edge, exit_edge, interior, normalized=True):
+    """Weyl lift of the commutative product edge * (left|right) * edge,
+    each factor multiplied out from its elementary matrices."""
+    cspec = commutative_spec(tri.spec)
+    prod = mat_mul(
+        mat_mul(edge_matrix(cspec, entry_edge, normalized), turn_matrix(cspec, kind, interior, normalized)),
+        edge_matrix(cspec, exit_edge, normalized),
+    )
+    return weyl_lift_matrix(prod, tri.spec)
 
 
 # ---------------------------------------------------------------------------

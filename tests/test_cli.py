@@ -329,6 +329,23 @@ class TestVerifyCommand:
         assert "--n" in capsys.readouterr().err
         assert main(["verify", "--suite", "moves", "--n", "4"]) == 1
         assert "pinned at n = 3" in capsys.readouterr().err
+        for n in ("0", "1", "-3"):
+            assert main(["verify", "--suite", "duality", "--n", n]) == 1
+            assert f"duality suite supports n >= 2, got {n}" in capsys.readouterr().err
+
+    def test_rank_zero_duality_exits_without_traceback(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "qtrace.cli", "verify", "--suite", "duality", "--n", "0"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "duality suite" in done.stderr
 
 
 class TestExplainCommand:

@@ -15,7 +15,6 @@ from qtrace.qtorus import (
     weyl_monomial,
 )
 from qtrace.fock_goncharov import (
-    commutative_spec,
     is_mnq_point,
     is_slnq_point,
     quantum_determinant,
@@ -23,9 +22,15 @@ from qtrace.fock_goncharov import (
     triangle_poisson,
     triangle_vertices,
 )
-from qtrace.surface import arc_quantum_matrix, build_surface, inward_sequence, rotate_vertex
+from qtrace.surface import arc_quantum_matrix, build_surface, inward_sequence, rotate_vertex, turn_exit_side
 
-from oracles import CurveStep, classical_trace_polynomial, classical_uturn
+from oracles import (
+    CurveStep,
+    classical_trace_polynomial,
+    classical_uturn,
+    commutative_spec,
+    elementary_turn_matrix,
+)
 from triangulations import once_punctured_torus
 
 
@@ -231,6 +236,36 @@ class TestQuantumMatrixTheorem:
         assert R(W3, Z3, W1, Z1) == arc_quantum_matrix(tri, 2, "right")
         assert L(W1, Z1, W2, Z2) == arc_quantum_matrix(tri, 2, "left")
         assert R(W1, Z1, W2, Z2) == arc_quantum_matrix(tri, 0, "right")
+
+
+class TestTurnMatrixConstruction:
+    """quantum_turn_matrix applies the elementary factors as column
+    operations; the oracle multiplies the elementary matrices out."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_arc_matrices_equal_the_elementary_product(self, n):
+        tri = triangle_poisson(n)
+        for entry in (0, 1, 2):
+
+            def interior(a, b, c):
+                return tri.index[rotate_vertex((a, b, c), entry)]
+
+            for turn in ("left", "right"):
+                edges = inward_sequence(tri, entry), inward_sequence(tri, turn_exit_side(entry, turn))[::-1]
+                for normalized in (True, False):
+                    expected = elementary_turn_matrix(turn, tri, *edges, interior, normalized)
+                    assert arc_quantum_matrix(tri, entry, turn, normalized) == expected, (entry, turn, normalized)
+
+    def test_input_checks(self):
+        tri = triangle_poisson(3)
+        edge = inward_sequence(tri, 0)
+        interior = lambda a, b, c: tri.index[(a, b, c)]
+        for entry_edge, exit_edge in ((edge[:1], edge), (edge, edge + edge[:1]), ((), ())):
+            with pytest.raises(ValueError, match="n-1 entries"):
+                quantum_turn_matrix("left", tri, entry_edge, exit_edge, interior)
+        for kind in ("up", "uturn_cw", "Left"):
+            with pytest.raises(ValueError, match="left or right"):
+                quantum_turn_matrix(kind, tri, edge, edge, interior)
 
 
 class TestRank3RegressionPins:
