@@ -287,7 +287,7 @@ class BiangleDiagram:
     left: tuple
     slices: tuple
     right: tuple = field(init=False, compare=False)
-    # biangle_amplitudes' sweeps: left states -> {right states: nonzero amplitude}
+    # amplitude_table's sweep: left states -> {right states: nonzero amplitude}
     _amplitudes: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -310,101 +310,83 @@ class BiangleDiagram:
         object.__setattr__(self, "right", current)
 
 
-@dataclass(frozen=True)
-class BiangleState:
-    """States in 1..n on the left and right boundary strands, bottom
-    to top."""
-
-    left: tuple
-    right: tuple
-
-
 def kink_scalar(n: int, sign: int) -> RootScalar:
     """Framing factor of one kink: coribbon^sign."""
     return coribbon(n) if sign > 0 else coribbon(n).inverse()
 
 
-def _slice_table(kind: str, n: int) -> dict:
-    """{states in the window before the slice: [(states after,
-    amplitude), ...]} over the nonzero entries of the slice's matrix, so
-    the state sum uses the matrices that the move and duality checks
-    verify.  Each amplitude is given as its (h exponent, coefficient)
-    pairs."""
-    table = {}
-    states = range(1, n + 1)
-    if kind in CROSSING_KINDS:
-        C = crossing_matrix(kind, n)
-        for a, b, c, d in product(states, repeat=4):
-            amp = C[_flat(n, a, b), _flat(n, c, d)]
-            if not amp.is_zero():
-                table.setdefault((a, b), []).append(((c, d), tuple(amp.terms.items())))
-    elif kind in ("kink_pos", "kink_neg"):
-        amp = kink_scalar(n, 1 if kind == "kink_pos" else -1)
-        table = {(s,): [((s,), tuple(amp.terms.items()))] for s in states}
-    else:
-        U = uturn_matrix(kind, n)
-        for bottom, top in product(states, repeat=2):
-            # a dec_* matrix is indexed (top, bottom), an inc_* one (bottom, top)
-            amp = U[top - 1, bottom - 1] if kind.startswith("dec") else U[bottom - 1, top - 1]
-            if not amp.is_zero():
-                before, after = ((), (bottom, top)) if _WIDTH[kind] == 0 else ((bottom, top), ())
-                table.setdefault(before, []).append((after, tuple(amp.terms.items())))
-    return table
-
-
 @lru_cache(maxsize=None)
 def _slice_tables(n: int) -> dict:
-    """The tables of every slice kind at rank n, built together: the
-    first state sum with a slice at a rank builds them all, and no later
-    one builds any."""
-    return {kind: _slice_table(kind, n) for kind in SLICE_KINDS}
-
-
-def biangle_amplitudes(diagram: BiangleDiagram, left: tuple) -> dict:
-    """{right states: nonzero amplitude} for one tuple of left states.
-
-    One sweep through the slices gives every right state at once; the
-    first call for a left state makes that sweep and keeps its result on
-    the diagram, and later calls look it up.
-    """
-    amplitudes = diagram._amplitudes.get(left)
-    if amplitudes is None:
-        # amplitudes as {h exponent: coefficient} while sweeping
-        sweep = {left: {0: 1}}
-        for s in diagram.slices:
-            p, w, table = s.pos - 1, _WIDTH[s.kind], _slice_tables(diagram.n)[s.kind]
-            updated = {}
-            for states, amp in sweep.items():
-                for after, extra in table.get(states[p : p + w], ()):
-                    acc = updated.setdefault(states[:p] + after + states[p + w :], {})
-                    for k1, c1 in amp.items():
-                        for k2, c2 in extra:
-                            acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
-            sweep = {key: terms for key, acc in updated.items() if (terms := {k: c for k, c in acc.items() if c})}
-        amplitudes = diagram._amplitudes[left] = {key: RootScalar(terms) for key, terms in sweep.items()}
-    return amplitudes
+    """{slice kind: {states in the window before the slice: [(states
+    after, amplitude), ...]}} at rank n, over the nonzero entries of each
+    slice's matrix, so the state sum uses the matrices that the move and
+    duality checks verify.  Each amplitude is given as its (h exponent,
+    coefficient) pairs.  The first state sum with a slice at a rank
+    builds every kind's table, and no later one builds any."""
+    states = range(1, n + 1)
+    tables = {}
+    for kind in SLICE_KINDS:
+        if kind in CROSSING_KINDS:
+            C = crossing_matrix(kind, n)
+            entries = [((a, b), (c, d), C[_flat(n, a, b), _flat(n, c, d)]) for a, b, c, d in product(states, repeat=4)]
+        elif kind in ("kink_pos", "kink_neg"):
+            amp = kink_scalar(n, 1 if kind == "kink_pos" else -1)
+            entries = [((s,), (s,), amp) for s in states]
+        else:
+            # a dec_* matrix is indexed (top, bottom), an inc_* one (bottom, top)
+            U = uturn_matrix(kind, n)
+            U = U.transpose() if kind.startswith("dec") else U
+            pairs = [((b, t), U[b - 1, t - 1]) for b, t in product(states, repeat=2)]
+            entries = [((), pair, amp) if _WIDTH[kind] == 0 else (pair, (), amp) for pair, amp in pairs]
+        table = tables[kind] = {}
+        for before, after, amp in entries:
+            if not amp.is_zero():
+                table.setdefault(before, []).append((after, tuple(amp.terms.items())))
+    return tables
 
 
 def amplitude_table(diagram: BiangleDiagram) -> dict:
     """{left states: {right states: nonzero amplitude}} over every tuple
     of left states: the whole state sum of the diagram, so two tangles
-    have equal state sums exactly when their tables are equal."""
-    states = product(range(1, diagram.n + 1), repeat=len(diagram.left))
-    return {left: biangle_amplitudes(diagram, left) for left in states}
+    have equal state sums exactly when their tables are equal.
+
+    One sweep through the slices carries every left tuple at once, keyed
+    by the left states followed by the current ones.  The diagram keeps
+    the table, so later calls are lookups.
+    """
+    table = diagram._amplitudes
+    if not table:
+        n, width = diagram.n, len(diagram.left)
+        lefts = list(product(range(1, n + 1), repeat=width))
+        # amplitudes as {h exponent: coefficient} while sweeping
+        sweep = {left + left: {0: 1} for left in lefts}
+        for s in diagram.slices:
+            p, w, slice_table = width + s.pos - 1, _WIDTH[s.kind], _slice_tables(n)[s.kind]
+            updated = {}
+            for states, amp in sweep.items():
+                for after, extra in slice_table.get(states[p : p + w], ()):
+                    acc = updated.setdefault(states[:p] + after + states[p + w :], {})
+                    for k1, c1 in amp.items():
+                        for k2, c2 in extra:
+                            acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+            sweep = {key: terms for key, acc in updated.items() if (terms := {k: c for k, c in acc.items() if c})}
+        table.update((left, {}) for left in lefts)
+        for key, terms in sweep.items():
+            table[key[:width]][key[width:]] = RootScalar(terms)
+    return table
 
 
-def biangle_trace(diagram: BiangleDiagram, state: BiangleState) -> RootScalar:
+def biangle_trace(diagram: BiangleDiagram, left: tuple, right: tuple) -> RootScalar:
     """State sum over compatible internal states of the products of
-    slice matrix entries: a lookup into biangle_amplitudes."""
-    n = diagram.n
-    left = tuple(state.left)
-    right = tuple(state.right)
+    slice matrix entries, for states in 1..n on the left and right
+    boundary strands, bottom to top: a lookup into amplitude_table."""
+    left, right = tuple(left), tuple(right)
     if len(left) != len(diagram.left) or len(right) != len(diagram.right):
         raise ValueError("state arity does not match the diagram boundary")
     for value in left + right:
-        if not 1 <= value <= n:
-            raise ValueError("states must lie in 1..%d" % n)
-    return biangle_amplitudes(diagram, left).get(right, ZERO)
+        if not 1 <= value <= diagram.n:
+            raise ValueError("states must lie in 1..%d" % diagram.n)
+    return amplitude_table(diagram)[left].get(right, ZERO)
 
 
 def skein_checks(n: int) -> dict:

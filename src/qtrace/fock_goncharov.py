@@ -13,7 +13,7 @@ boundary arrows keep weight 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from operator import add
 from typing import Callable, Mapping, Sequence
@@ -55,17 +55,20 @@ def _vertex_name(n: int, v: tuple[int, int, int]) -> str:
     return f"X{a}{b}{c}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangleCoordinates:
-    """Generator indexing for one triangle: spec plus (a,b,c) lookup."""
+    """Generator indexing for one triangle: spec plus (a,b,c) lookup.
+    It compares by identity, so it can key a cache."""
 
     n: int
     spec: QuantumTorusSpec
     index: Mapping[tuple[int, int, int], int]
 
 
+@lru_cache(maxsize=None)
 def triangle_poisson(n: int) -> TriangleCoordinates:
-    """Quiver-derived antisymmetric matrix for one triangle."""
+    """Quiver-derived antisymmetric matrix for one triangle, built once
+    per rank, so every triangle of that rank shares one torus."""
     verts = triangle_vertices(n)
     idx = {v: i for i, v in enumerate(verts)}
     N = len(verts)

@@ -328,7 +328,7 @@ def torus_sum(spec: QuantumTorusSpec, elements: Iterable[TorusElement]) -> Torus
 def normal_product(a: TorusElement, b: TorusElement) -> TorusElement:
     """Product in the quantum torus, returned in canonical normal order.
     Each product exponent sums its coefficient in one plain {h: int} dict."""
-    if a.spec != b.spec:
+    if a.spec is not b.spec and a.spec != b.spec:
         raise ValueError("torus spec mismatch")
     spec = a.spec
     right = [(f, cf._t.items()) for f, cf in b._terms.items()]

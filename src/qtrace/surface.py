@@ -30,7 +30,7 @@ Conventions used throughout:
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product as iter_product
 from math import prod
 from operator import add
@@ -57,10 +57,8 @@ from .fock_goncharov import (
 )
 from .biangle import (
     BiangleDiagram,
-    BiangleState,
     Slice,
     amplitude_table,
-    biangle_amplitudes,
     biangle_trace,
     crossing_matrix,
     kink_scalar,
@@ -376,26 +374,21 @@ def _require_good_position(link: GoodPositionLink, surface: SurfaceTorusSpec):
 # ---------------------------------------------------------------------------
 # per-triangle arc matrices
 
-_ARC_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def arc_quantum_matrix(tri: TriangleCoordinates, entry: int, turn: str, normalized: bool = True) -> TorusMatrix:
     """Quantum turn matrix of a flat arc entering through a given side,
     in the triangle's own torus; an exiting arc reads its exit side's
     inward sequence reversed.  The trace and both verify suites read
     turn matrices only from here; normalized=False gives the matrix
-    without its normalizing prefactors, the negative control."""
-    key = (tri.n, entry, turn, normalized)
-    if key in _ARC_CACHE:
-        return _ARC_CACHE[key]
+    without its normalizing prefactors, the negative control.  Each
+    matrix is built once per triangle torus, and triangle_poisson gives
+    one torus per rank."""
     exit_vec = inward_sequence(tri, turn_exit_side(entry, turn))[::-1]
 
     def interior(a, b, c):
         return tri.index[rotate_vertex((a, b, c), entry)]
 
-    M = quantum_turn_matrix(turn, tri, inward_sequence(tri, entry), exit_vec, interior, normalized)
-    _ARC_CACHE[key] = M
-    return M
+    return quantum_turn_matrix(turn, tri, inward_sequence(tri, entry), exit_vec, interior, normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +412,15 @@ class TracePolynomial:
 
 def _edge_tables(link: GoodPositionLink, surface: SurfaceTorusSpec) -> list:
     """Per internal edge, the biangle amplitudes keyed by the edge's left
-    states then its right states, bottom to top.  One sweep per left
-    state names the right states with a nonzero amplitude; only those are
-    read, each through biangle_trace, the one reader of an amplitude."""
-    n = surface.n
+    states then its right states, bottom to top: the diagram's
+    amplitude_table flattened.  Each nonzero entry is read through
+    biangle_trace, the one reader of an amplitude."""
     sides = _sides(link)
     tables = []
     for edge in surface.triangulation.internal_edges:
-        diagram = BiangleDiagram(n, _profiles(sides, edge)[0], link.slices.get(edge.id, ()))
-        lefts = iter_product(range(1, n + 1), repeat=len(diagram.left))
-        pairs = [(ls, rs) for ls in lefts for rs in biangle_amplitudes(diagram, ls)]
-        tables.append({ls + rs: biangle_trace(diagram, BiangleState(ls, rs)) for ls, rs in pairs})
+        diagram = BiangleDiagram(surface.n, _profiles(sides, edge)[0], link.slices.get(edge.id, ()))
+        table = amplitude_table(diagram)
+        tables.append({ls + rs: biangle_trace(diagram, ls, rs) for ls, row in table.items() for rs in row})
     return tables
 
 

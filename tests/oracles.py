@@ -11,14 +11,15 @@ their product edge * turn * edge to the quantum torus.  The exact oracle
 along a closed curve, independently of the state sum.  ``weyl_order`` orders a
 word of generators with its own dense loop over P, independently of the
 spec's ordering form.  ``enumerated_trace`` is the state sum taken term
-by term in the tensor torus, with one biangle sweep per state; it finds
-each arc end's edge and strand position by its own scans, so it shares
-no wiring with ``quantum_trace``.  ``oracle_crossing_matrix`` builds
+by term in the tensor torus, reading every pair of edge states through
+``biangle_trace``; it finds each arc end's edge and strand position by
+its own scans, so it shares no wiring with ``quantum_trace``.  ``oracle_crossing_matrix`` builds
 the biangle crossings from the four standard-basis braidings and a
 change to the preferred dual basis, independently of the library's
 single braiding and its rotation through the U-turns.
-``dense_word_matrix`` multiplies a braid word out as dense Kronecker
-products, independently of the slice tables and the biangle sweep.
+``dense_word_matrix`` multiplies a word of slices out as dense Kronecker
+products of the public slice matrices, independently of the slice tables
+and the biangle sweep.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from qtrace.biangle import BiangleDiagram, BiangleState, biangle_trace, crossing_matrix
+from qtrace.biangle import CROSSING_KINDS, BiangleDiagram, biangle_trace, crossing_matrix, kink_scalar, uturn_matrix
 from qtrace.qtorus import (
     ONE,
     ZERO,
@@ -435,8 +436,10 @@ def enumerated_trace(link, surface):
     state by state: for every choice of internal boundary states, the
     product of the biangle amplitudes times the normal_product, in
     triangle order, of each triangle's height-ordered arc factor
-    embedded in the tensor torus.  Every amplitude is swept on a freshly
-    built diagram, so no state reuses another state's sweep."""
+    embedded in the tensor torus.  Every pair of left and right states
+    of an edge, zero or not, is read through biangle_trace from the
+    edge's one diagram, so the oracle does not rely on which entries the
+    diagram's amplitude table lists."""
     n = surface.n
     tensor_spec, tri_spec = surface.tensor_spec, surface.tri.spec
     edge_tables = []
@@ -444,11 +447,11 @@ def enumerated_trace(link, surface):
         (t0, s0), (t1, s1) = edge.incidences
         left = tuple("r" if role == "exit" else "l" for _, role in side_arcs(link, t0, s0))
         right = tuple("r" if role == "entry" else "l" for _, role in side_arcs(link, t1, s1))
+        diagram = BiangleDiagram(n, left, link.slices.get(edge.id, ()))
         table = {}
         for ls in product(range(1, n + 1), repeat=len(left)):
             for rs in product(range(1, n + 1), repeat=len(right)):
-                diagram = BiangleDiagram(n, left, link.slices.get(edge.id, ()))
-                value = biangle_trace(diagram, BiangleState(ls, rs))
+                value = biangle_trace(diagram, ls, rs)
                 if not value.is_zero():
                     table[(ls, rs)] = value
         edge_tables.append((edge.id, table))
@@ -589,14 +592,31 @@ def oracle_crossing_matrix(kind, n):
     return base if sign == direct else bar_swap(n, base)
 
 
-def dense_word_matrix(n, word):
-    """The n^3 x n^3 matrix, rows = incoming states, of a word of
-    (kind, pos) same-direction crossings on three "r" strands: the
-    product in word order of the factors kron(I, C, I), with C acting on
-    strands pos and pos + 1 and the top strand's state fastest."""
-    identity = lambda strands: TorusMatrix.identity(None, n**strands)
-    out = identity(3)
+def dense_word_matrix(n, strands, word):
+    """The matrix, rows = incoming states and columns = outgoing ones, of
+    a word of (kind, pos) slices that starts on the given number of
+    strands: the product in word order of the factors kron(I, S, I), with
+    S acting from strand pos on and the top strand's state fastest.
+
+    S is crossing_matrix for a crossing and kink_scalar times the
+    identity for a kink.  A cup is the row, and a cap the column, of the
+    n^2 entries of uturn_matrix, indexed (bottom, top) for inc_* and
+    (top, bottom) for dec_*, so a cup adds two strands and a cap removes
+    two."""
+    identity = lambda k: TorusMatrix.identity(None, n**k)
+    out = identity(strands)
     for kind, pos in word:
-        factor = kron(kron(identity(pos - 1), crossing_matrix(kind, n)), identity(2 - pos))
-        out = mat_mul(out, factor)
+        if kind in CROSSING_KINDS:
+            local, before, after = crossing_matrix(kind, n), 2, 2
+        elif kind in ("kink_pos", "kink_neg"):
+            local, before, after = identity(1) * kink_scalar(n, 1 if kind == "kink_pos" else -1), 1, 1
+        else:
+            U = uturn_matrix(kind, n)
+            pair = [U[t, b] if kind.startswith("dec") else U[b, t] for b in range(n) for t in range(n)]
+            if kind in ("dec_cw", "inc_ccw"):
+                local, before, after = TorusMatrix(None, [pair]), 0, 2
+            else:
+                local, before, after = TorusMatrix(None, [[x] for x in pair]), 2, 0
+        out = mat_mul(out, kron(kron(identity(pos - 1), local), identity(strands - pos + 1 - before)))
+        strands += after - before
     return out

@@ -17,10 +17,9 @@ from qtrace.qtorus import (
 from qtrace.biangle import (
     CROSSING_KINDS,
     BiangleDiagram,
-    BiangleState,
+    SLICE_KINDS,
     Slice,
     amplitude_table,
-    biangle_amplitudes,
     biangle_trace,
     coribbon,
     crossing_matrix,
@@ -45,6 +44,25 @@ braid_words = st.lists(
     st.tuples(st.sampled_from([k for k in CROSSING_KINDS if "_same_" in k]), st.integers(1, 2)),
     max_size=6,
 )
+
+
+@st.composite
+def diagrams(draw):
+    """A random well-formed diagram at n = 2 on up to four strands or at
+    n = 3 on up to three: of a list of random slices, each one is kept
+    when BiangleDiagram accepts it after the slices kept before it and
+    the strand count stays in bounds."""
+    n, most = draw(st.sampled_from([(2, 4), (3, 3)]))
+    left = tuple(draw(st.lists(st.sampled_from("rl"), max_size=most)))
+    slices = ()
+    for kind, pos in draw(st.lists(st.tuples(st.sampled_from(SLICE_KINDS), st.integers(1, most)), min_size=8, max_size=24)):
+        try:
+            diagram = BiangleDiagram(n, left, slices + (Slice(kind, pos),))
+        except ValueError:
+            continue
+        if len(diagram.right) <= most:
+            slices = diagram.slices
+    return BiangleDiagram(n, left, slices)
 
 
 class TestRibbonScalars:
@@ -99,9 +117,9 @@ class TestUturnMatrices:
             for bottom in range(1, n + 1):
                 for top in range(1, n + 1):
                     pair = (bottom, top)
-                    state = BiangleState((), pair) if kind in cups else BiangleState(pair, ())
+                    state = ((), pair) if kind in cups else (pair, ())
                     expected = U[top - 1, bottom - 1] if kind.startswith("dec") else U[bottom - 1, top - 1]
-                    assert biangle_trace(diagram, state) == expected
+                    assert biangle_trace(diagram, *state) == expected
 
     def test_zigzag_waves_are_identity(self):
         for n in (2, 3):
@@ -111,7 +129,7 @@ class TestUturnMatrices:
                 for s1 in range(1, n + 1):
                     for s2 in range(1, n + 1):
                         expected = ONE if s1 == s2 else ZERO
-                        assert biangle_trace(diagram, BiangleState((s1,), (s2,))) == expected
+                        assert biangle_trace(diagram, (s1,), (s2,)) == expected
 
 
 class TestCrossingMatrices:
@@ -216,7 +234,7 @@ class TestCrossingMatrices:
                 turned = BiangleDiagram(n, left, (Slice(cup, 1), Slice(same, 2), Slice(cap, 3)))
                 assert turned.right == lone.right
                 for states in itertools.product(range(1, n + 1), repeat=2):
-                    assert biangle_amplitudes(turned, states) == biangle_amplitudes(lone, states), (kind, left, states)
+                    assert amplitude_table(turned)[states] == amplitude_table(lone)[states], (kind, left, states)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_yang_baxter(self, n):
@@ -224,7 +242,7 @@ class TestCrossingMatrices:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_dense_yang_baxter(self, n):
-        braid = lambda *positions: dense_word_matrix(n, [("pos_same_to_lower", p) for p in positions])
+        braid = lambda *positions: dense_word_matrix(n, 3, [("pos_same_to_lower", p) for p in positions])
         assert braid(1, 2, 1) == braid(2, 1, 2)
 
     @given(n=st.sampled_from([2, 3]), word=braid_words)
@@ -232,7 +250,7 @@ class TestCrossingMatrices:
     def test_braid_word_table_equals_the_dense_product(self, n, word):
         # the sweep over slice tables against kron(I, C, I) products
         table = amplitude_table(BiangleDiagram(n, ("r",) * 3, tuple(Slice(*s) for s in word)))
-        dense = dense_word_matrix(n, word)
+        dense = dense_word_matrix(n, 3, word)
         triples = list(itertools.product(range(1, n + 1), repeat=3))
         assert list(table) == triples
         for i, left in enumerate(triples):
@@ -254,7 +272,7 @@ class TestCrossingMatrices:
                     diagram = BiangleDiagram(n, (oa, ob), (Slice(kind, 1),))
                     assert diagram.right == (ob, oa)
                     for a, b, c, d in itertools.product(states, repeat=4):
-                        value = biangle_trace(diagram, BiangleState((a, b), (c, d)))
+                        value = biangle_trace(diagram, (a, b), (c, d))
                         assert value == C[flat(a, b), flat(c, d)]
         for kind, sign in (("kink_pos", 1), ("kink_neg", -1)):
             for o in "rl":
@@ -262,7 +280,7 @@ class TestCrossingMatrices:
                 for s1 in states:
                     for s2 in states:
                         expected = kink_scalar(n, sign) if s1 == s2 else ZERO
-                        assert biangle_trace(diagram, BiangleState((s1,), (s2,))) == expected
+                        assert biangle_trace(diagram, (s1,), (s2,)) == expected
 
 
 class TestSkein:
@@ -285,10 +303,25 @@ class TestSkein:
             for s1 in range(1, 4):
                 for s2 in range(1, 4):
                     expected = kink_scalar(3, sign) if s1 == s2 else ZERO
-                    assert biangle_trace(curl, BiangleState((s1,), (s2,))) == expected
+                    assert biangle_trace(curl, (s1,), (s2,)) == expected
 
 
 class TestBiangleEngine:
+    @given(diagram=diagrams())
+    @settings(max_examples=100, deadline=None)
+    def test_random_diagram_table_equals_the_dense_product(self, diagram):
+        # cups, caps, kinks and all eight crossings, against the product of
+        # their public matrices as kron(I, S, I) factors
+        n = diagram.n
+        table = amplitude_table(diagram)
+        dense = dense_word_matrix(n, len(diagram.left), [(s.kind, s.pos) for s in diagram.slices])
+        lefts = list(itertools.product(range(1, n + 1), repeat=len(diagram.left)))
+        rights = list(itertools.product(range(1, n + 1), repeat=len(diagram.right)))
+        assert list(table) == lefts
+        for i, left in enumerate(lefts):
+            for j, right in enumerate(rights):
+                assert table[left].get(right, ZERO) == dense[i, j], (diagram, left, right)
+
     def test_trivial_diagram_is_identity(self):
         diagram = BiangleDiagram(3, ("r", "l"), ())
         for s1 in range(1, 4):
@@ -296,7 +329,7 @@ class TestBiangleEngine:
                 for t1 in range(1, 4):
                     for t2 in range(1, 4):
                         value = biangle_trace(
-                            diagram, BiangleState((s1, s2), (t1, t2))
+                            diagram, (s1, s2), (t1, t2)
                         )
                         expected = ONE if (s1, s2) == (t1, t2) else ZERO
                         assert value == expected
@@ -309,8 +342,8 @@ class TestBiangleEngine:
         d2 = BiangleDiagram(
             3, base, (Slice("pos_same_to_lower", 3), Slice("pos_same_to_lower", 1))
         )
-        state = BiangleState((1, 2, 2, 3), (2, 1, 3, 2))
-        assert biangle_trace(d1, state) == biangle_trace(d2, state)
+        state = ((1, 2, 2, 3), (2, 1, 3, 2))
+        assert biangle_trace(d1, *state) == biangle_trace(d2, *state)
 
     # Two strands with a crossing word, a kink and a zig-zag.
     BRAIDED = (
@@ -330,23 +363,23 @@ class TestBiangleEngine:
         nonzero = 0
         for ls, rs in pairs:
             fresh = BiangleDiagram(3, ("l", "l"), self.BRAIDED)
-            value = biangle_trace(diagram, BiangleState(ls, rs))
-            assert value == biangle_trace(fresh, BiangleState(ls, rs))
+            value = biangle_trace(diagram, ls, rs)
+            assert value == biangle_trace(fresh, ls, rs)
             nonzero += not value.is_zero()
         # more than the 9 entries of the identity: the word mixes states
         assert nonzero > 9
 
     def test_swept_diagram_still_checks_states(self):
         diagram = BiangleDiagram(3, ("l", "l"), self.BRAIDED)
-        biangle_trace(diagram, BiangleState((1, 2), (2, 1)))
+        biangle_trace(diagram, (1, 2), (2, 1))
         for ls, rs in [((1,), (2, 1)), ((1, 2, 3), (2, 1)), ((1, 2), (2,)), ((1, 2), (2, 4)), ((1, 2), (0, 1))]:
             with pytest.raises(ValueError):
-                biangle_trace(diagram, BiangleState(ls, rs))
+                biangle_trace(diagram, ls, rs)
 
     def test_swept_diagram_equals_a_fresh_one(self):
         swept = BiangleDiagram(3, ("l", "l"), self.BRAIDED)
         for ls in itertools.product(range(1, 4), repeat=2):
-            biangle_trace(swept, BiangleState(ls, (1, 1)))
+            biangle_trace(swept, ls, (1, 1))
         fresh = BiangleDiagram(3, ("l", "l"), self.BRAIDED)
         assert swept == fresh and hash(swept) == hash(fresh) and repr(swept) == repr(fresh)
         assert swept != BiangleDiagram(3, ("l", "l"), self.BRAIDED[:-1])

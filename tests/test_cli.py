@@ -1,6 +1,7 @@
 """Command line interface: file parsing, exit codes, byte-deterministic
 output, and the pretty printer."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -441,3 +442,25 @@ def test_verification_script_runs_from_a_checkout(tmp_path):
         assert done.returncode == 0, done.stderr
         assert "all checks passed" in done.stdout
         assert (workdir / "torus.surface").is_file()
+
+
+def test_verification_script_fails_cleanly_when_no_trace_is_written(tmp_path, monkeypatch, capsys):
+    # every trace of the one-position unknot fails, so there is no output
+    # of that fixture to explain: the script reports it and returns 1
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec = importlib.util.spec_from_file_location("run_verification", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def cli(argv):
+        if argv[0] == "trace" and Path(argv[2]).name.startswith("unknot"):
+            return 1
+        return main(argv)
+
+    monkeypatch.setattr(module, "cli", cli)
+    assert module.run(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "FAIL trace unknot position 0 (exit 1)" in out
+    assert "-- knot_b --" in out and "-- unknot --" not in out
+    assert out.rstrip().endswith("1 failures")

@@ -184,10 +184,22 @@ class TestQuantumMatrixTheorem:
         assert not m2q_by_submatrix(M)
         assert not is_mnq_point(M)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_triangle_torus_per_rank(self, n):
+        # two surfaces of one rank share their triangle torus, so every
+        # arc matrix entry carries the caller's spec object itself
+        assert triangle_poisson(n) is triangle_poisson(n)
+        for surface in (build_surface(once_punctured_torus(), n), build_surface(once_punctured_torus(), n)):
+            for entry in (0, 1, 2):
+                for turn in ("left", "right"):
+                    M = arc_quantum_matrix(surface.tri, entry, turn)
+                    assert M.spec is surface.tri.spec, (entry, turn)
+                    assert all(x.spec is surface.tri.spec for row in M.entries for x in row), (entry, turn)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_unnormalized_arc_matrix_is_the_hand_wired_one(self, n):
         # the negative control reads arc_quantum_matrix, cached per
-        # (n, entry, turn, normalized)
+        # (triangle torus, entry, turn, normalized)
         tri = triangle_poisson(n)
         raw = arc_quantum_matrix(tri, 0, "left", normalized=False)
         assert raw == unnormalized_left(tri)

@@ -469,8 +469,8 @@ class TestStateSumEngine:
     def test_empty_edge_table_gives_zero(self, monkeypatch):
         amplitude = surface_module.biangle_trace
 
-        def trace(diagram, state):
-            return ZERO if diagram.slices == ZERO_MARK else amplitude(diagram, state)
+        def trace(diagram, left, right):
+            return ZERO if diagram.slices == ZERO_MARK else amplitude(diagram, left, right)
 
         monkeypatch.setattr(surface_module, "biangle_trace", trace)
         monkeypatch.setattr(oracles, "biangle_trace", trace)
