@@ -69,7 +69,10 @@ def run(workdir: Path) -> int:
             failures += 0 if same else 1
         if outputs:
             print(f"-- {name} --")
-            cli(["explain", str(outputs[0])])
+            code = cli(["explain", str(outputs[0])])
+            if code != 0:
+                print(f"FAIL explain {name} (exit {code})")
+                failures += 1
 
     print(f"\n{'all checks passed' if failures == 0 else f'{failures} failures'}")
     return 0 if failures == 0 else 1

@@ -18,8 +18,10 @@ equality a dictionary comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
-from operator import add, mul
+from operator import mul
+from struct import Struct
 from typing import Iterable, Mapping
 
 
@@ -202,9 +204,13 @@ class TorusElement:
     pairs.  The constructor is the one place that canonicalises: it adds
     up the coefficients of a repeated exponent, checks the length of each
     distinct exponent once and drops the zero sums.  It converts nothing.
+
+    Elements are immutable, so the packed forms that ``normal_product``
+    reads (``_left_form``, ``_right_form`` and ``_column_form``) are built
+    on first use and kept.
     """
 
-    __slots__ = ("spec", "_terms")
+    __slots__ = ("spec", "_terms", "_left", "_right", "_columns")
 
     def __init__(self, spec: QuantumTorusSpec, terms: Mapping[tuple, RootScalar] | Iterable[tuple] = ()):
         self.spec = spec
@@ -214,6 +220,7 @@ class TorusElement:
         if any(len(e) != spec.N for e in sums):
             raise ValueError("monomial length mismatch")
         self._terms = {e: c for e, c in sums.items() if c._t}
+        self._left = self._right = self._columns = None
 
     @property
     def terms(self) -> dict[tuple, RootScalar]:
@@ -246,6 +253,48 @@ class TorusElement:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def _left_form(self):
+        """(rows, largest ||u||_1) with one row (packed e, u, coefficient
+        pairs) per term, where u_i = sum over j > i of P[j][i] e_j, so
+        that spec.ordering(e, f) = u.f."""
+        if self._left is None:
+            N, lower = self.spec.N, self.spec.lower
+            _largest_entry(self._terms)
+            fields, bias = _packer(N)
+            rows, norm = [], 0
+            for e, c in self._terms.items():
+                u = [0] * N
+                for ej, row in zip(e, lower):
+                    if ej:
+                        for i, p in row:
+                            u[i] += p * ej
+                norm = max(norm, sum(map(abs, u)))
+                rows.append((_pack(fields.pack(*e), bias), tuple(u), tuple(c._t.items())))
+            self._left = (tuple(rows), norm)
+        return self._left
+
+    def _right_form(self):
+        """(packed exponents, coefficient pairs, largest |f_i|), term by
+        term."""
+        if self._right is None:
+            fs = tuple(self._terms)
+            fmax = _largest_entry(fs)
+            fields, bias = _packer(self.spec.N)
+            packed = tuple(_pack(fields.pack(*f), bias) for f in fs)
+            self._right = (packed, tuple(tuple(c._t.items()) for c in self._terms.values()), fmax)
+        return self._right
+
+    def _column_form(self):
+        """One packed column per generator: column i holds every term's
+        f_i, one field per term, in the order of ``_right_form``."""
+        if self._columns is None:
+            fs = tuple(self._terms)
+            width, bias = 8 * len(fs), _packer(len(fs))[1]
+            # the entries generator by generator, each over every term
+            flat = Struct(f"<{len(fs) * self.spec.N}q").pack(*chain.from_iterable(zip(*fs)))
+            self._columns = tuple([_pack(flat[k : k + width], bias) for k in range(0, len(flat), width)])
+        return self._columns
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -325,30 +374,71 @@ def torus_sum(spec: QuantumTorusSpec, elements: Iterable[TorusElement]) -> Torus
     return TorusElement(spec, items())
 
 
+@lru_cache(maxsize=256)
+def _packer(count):
+    """The struct of count signed little-endian 64-bit fields, and the
+    bias with 2^63 in every field.
+
+    A packed vector is the one integer sum of v_i 2^(64 i), so packed
+    vectors add fieldwise while every field stays inside its 64 bits."""
+    return Struct(f"<{count}q"), int.from_bytes((b"\0" * 7 + b"\x80") * count, "little")
+
+
+def _pack(data: bytes, bias: int) -> int:
+    """The packed vector of the signed fields in data."""
+    return (int.from_bytes(data, "little") ^ bias) - bias
+
+
+def _unpack(biased: int, fields: Struct, bias: int) -> tuple:
+    """The fields of a packed vector given plus the bias, under which
+    every field is nonnegative and so borrows nothing from the next."""
+    return fields.unpack((biased ^ bias).to_bytes(fields.size, "little"))
+
+
+def _largest_entry(vectors) -> int:
+    """The largest |v_i| over the vectors.  An exponent entry must stay
+    below 2^62, so that the sum of two exponents fits its field."""
+    m = max(map(abs, chain.from_iterable(vectors)), default=0)
+    if m >= 1 << 62:
+        raise ValueError(f"exponent entry {m} reaches 2^62")
+    return m
+
+
 def normal_product(a: TorusElement, b: TorusElement) -> TorusElement:
     """Product in the quantum torus, returned in canonical normal order.
-    Each product exponent sums its coefficient in one plain {h: int} dict."""
+
+    X^e X^f = h^(2 u.f) X^(e+f) with u the ordering row of e.  One
+    big-integer pass K = sum_i u_i column_i over b's packed columns gives
+    a left term's orderings against every right term at once; a product
+    exponent is the sum of two packed exponents, and each one sums its
+    coefficient in one plain {h: int} dict and is unpacked once.  An
+    ordering that might not fit in 63 bits raises ValueError."""
     if a.spec is not b.spec and a.spec != b.spec:
         raise ValueError("torus spec mismatch")
     spec = a.spec
-    right = [(f, cf._t.items()) for f, cf in b._terms.items()]
-    sums: dict[tuple, dict[int, int]] = {}
-    for e, ce in a._terms.items():
-        # spec.ordering(e, f) == sum(map(mul, u, f)) for every f
-        u = [0] * spec.N
-        for ej, row in zip(e, spec.lower):
-            if ej:
-                for i, p in row:
-                    u[i] += p * ej
-        left = ce._t.items()
-        for f, cf in right:
-            k = 2 * sum(map(mul, u, f))
-            acc = sums.setdefault(tuple(map(add, e, f)), {})
-            for h1, c1 in left:
+    if not a._terms or not b._terms:
+        return TorusElement(spec)
+    rows, norm = a._left_form()
+    fs, cfs, fmax = b._right_form()
+    if norm * fmax >= 1 << 63:
+        raise ValueError(f"ordering bound {norm} * {fmax} does not fit in 63 bits")
+    # all orderings are 0 when every left row u is, as for the unit
+    columns = b._column_form() if norm else ()
+    fields, bias = _packer(len(fs))
+    sums: dict[int, dict[int, int]] = {}
+    for pe, u, ce in rows:
+        for pf, cf, k in zip(fs, cfs, _unpack(sum(map(mul, u, columns), bias), fields, bias)):
+            key = pe + pf
+            acc = sums.get(key)
+            if acc is None:
+                acc = sums[key] = {}
+            k *= 2
+            for h1, c1 in ce:
                 h1 += k
                 for h2, c2 in cf:
                     acc[h1 + h2] = acc.get(h1 + h2, 0) + c1 * c2
-    return TorusElement(spec, {e: RootScalar(t) for e, t in sums.items()})
+    fields, bias = _packer(spec.N)
+    return TorusElement(spec, {_unpack(key + bias, fields, bias): RootScalar(t) for key, t in sums.items()})
 
 
 def weyl_monomial(spec: QuantumTorusSpec, e: tuple, coeff: RootScalar = ONE) -> TorusElement:

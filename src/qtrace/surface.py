@@ -476,6 +476,8 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
 
     tri_spec = surface.tri.spec
     NT = surface.tensor_spec.N
+    # one unit for every triangle, so that it packs its left form once
+    one = TorusElement.one(tri_spec)
 
     # A factor reads the states of some internal edges from the flat
     # state list and gives (exponent, coefficient) pairs with whole
@@ -496,7 +498,7 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
             (entry, exit) state pairs and padded to the tensor torus."""
             pairs = tuple((states[i], states[j]) for i, j in arc_ends)
             if pairs not in cache:
-                elem = TorusElement.one(tri_spec)
+                elem = one
                 for arc, (s_in, s_out) in zip(arcs, pairs):
                     entry = arc_quantum_matrix(surface.tri, arc.entry, arc.turn)[s_in - 1, s_out - 1]
                     if entry.is_zero():

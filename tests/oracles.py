@@ -8,9 +8,13 @@ elementary snake matrices out in the commutative algebra, independently
 of the library's column operations; ``elementary_turn_matrix`` lifts
 their product edge * turn * edge to the quantum torus.  The exact oracle
 ``classical_trace_polynomial`` multiplies those edge and turn matrices
-along a closed curve, independently of the state sum.  ``weyl_order`` orders a
-word of generators with its own dense loop over P, independently of the
-spec's ordering form.  ``enumerated_trace`` is the state sum taken term
+along a closed curve, independently of the state sum.
+``plain_normal_product`` multiplies two torus elements by the
+commutation rule read from P with its own loops and plain dicts,
+independently of the library's packed ``normal_product``;
+``weyl_order`` and ``enumerated_trace`` multiply with it.
+``weyl_order`` orders a word of generators with its own dense loop over
+P, independently of the spec's ordering form.  ``enumerated_trace`` is the state sum taken term
 by term in the tensor torus, reading every pair of edge states through
 ``biangle_trace``; it finds each arc end's edge and strand position by
 its own scans, so it shares no wiring with ``quantum_trace``.  ``oracle_crossing_matrix`` builds
@@ -39,7 +43,6 @@ from qtrace.qtorus import (
     TorusMatrix,
     kron,
     mat_mul,
-    normal_product,
     q_power,
     torus_sum,
     weyl_lift,
@@ -386,6 +389,22 @@ def map_exponents(elem, target_spec, index_map):
 # Weyl ordering of a word
 
 
+def plain_normal_product(a, b):
+    """a * b by the rule X^e X^f = h^(2 sum_{i<j} P[j][i] e_j f_i) X^(e+f),
+    read from spec.P with its own loops and summed in plain dicts."""
+    P, N = a.spec.P, a.spec.N
+    lower = [(j, i, P[j][i]) for j in range(N) for i in range(j) if P[j][i]]
+    sums = {}
+    for e, c in a.terms.items():
+        for f, d in b.terms.items():
+            k = 2 * sum(p * e[j] * f[i] for j, i, p in lower)
+            acc = sums.setdefault(tuple(x + y for x, y in zip(e, f)), {})
+            for h1, c1 in c.terms.items():
+                for h2, c2 in d.terms.items():
+                    acc[k + h1 + h2] = acc.get(k + h1 + h2, 0) + c1 * c2
+    return TorusElement(a.spec, {e: RootScalar(t) for e, t in sums.items()})
+
+
 def weyl_order(word, spec):
     """Weyl quantum ordering of a word [(index, exponent in 1/n units), ...].
 
@@ -398,7 +417,7 @@ def weyl_order(word, spec):
             k -= spec.P[ia][ib] * ma * mb
     out = TorusElement.scalar(spec, RootScalar({k: 1}))
     for i, m in word:
-        out = normal_product(out, TorusElement.generator(spec, i, m))
+        out = plain_normal_product(out, TorusElement.generator(spec, i, m))
     return out
 
 
@@ -434,7 +453,7 @@ def endpoint_key(link, surface, arc, role):
 def enumerated_trace(link, surface):
     """Tensor-torus quantum trace of a link in good position, summed
     state by state: for every choice of internal boundary states, the
-    product of the biangle amplitudes times the normal_product, in
+    product of the biangle amplitudes times the plain_normal_product, in
     triangle order, of each triangle's height-ordered arc factor
     embedded in the tensor torus.  Every pair of left and right states
     of an edge, zero or not, is read through biangle_trace from the
@@ -468,7 +487,7 @@ def enumerated_trace(link, surface):
         elem = TorusElement.one(tri_spec)
         for arc in tri_arcs[t]:
             entry = arc_quantum_matrix(surface.tri, arc.entry, arc.turn)[state(arc, "entry") - 1, state(arc, "exit") - 1]
-            elem = normal_product(elem, entry)
+            elem = plain_normal_product(elem, entry)
         off = surface.tri_offset[t]
         return map_exponents(elem, tensor_spec, {i: off + i for i in range(tri_spec.N)})
 
@@ -482,7 +501,7 @@ def enumerated_trace(link, surface):
                 slot_state.update({(edge_id, 1, pos): v for pos, v in enumerate(rs, start=1)})
             term = TorusElement.scalar(tensor_spec, amp)
             for t in sorted(tri_arcs):
-                term = normal_product(term, factor(t, slot_state))
+                term = plain_normal_product(term, factor(t, slot_state))
             yield term
 
     return torus_sum(tensor_spec, terms())

@@ -444,14 +444,19 @@ def test_verification_script_runs_from_a_checkout(tmp_path):
         assert (workdir / "torus.surface").is_file()
 
 
-def test_verification_script_fails_cleanly_when_no_trace_is_written(tmp_path, monkeypatch, capsys):
-    # every trace of the one-position unknot fails, so there is no output
-    # of that fixture to explain: the script reports it and returns 1
+def load_verification_script(monkeypatch):
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
     spec = importlib.util.spec_from_file_location("run_verification", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_verification_script_fails_cleanly_when_no_trace_is_written(tmp_path, monkeypatch, capsys):
+    # every trace of the one-position unknot fails, so there is no output
+    # of that fixture to explain: the script reports it and returns 1
+    module = load_verification_script(monkeypatch)
 
     def cli(argv):
         if argv[0] == "trace" and Path(argv[2]).name.startswith("unknot"):
@@ -464,3 +469,13 @@ def test_verification_script_fails_cleanly_when_no_trace_is_written(tmp_path, mo
     assert "FAIL trace unknot position 0 (exit 1)" in out
     assert "-- knot_b --" in out and "-- unknot --" not in out
     assert out.rstrip().endswith("1 failures")
+
+
+def test_verification_script_counts_a_failing_explain(tmp_path, monkeypatch, capsys):
+    # every trace succeeds, but explain exits 2 on each fixture's output
+    module = load_verification_script(monkeypatch)
+    monkeypatch.setattr(module, "cli", lambda argv: 2 if argv[0] == "explain" else main(argv))
+    assert module.run(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "FAIL explain knot_a (exit 2)" in out and "all checks passed" not in out
+    assert out.rstrip().endswith("3 failures")

@@ -22,7 +22,7 @@ from qtrace.qtorus import (
     weyl_monomial,
 )
 
-from oracles import evaluate_element, evaluate_scalar, map_exponents, weyl_order
+from oracles import evaluate_element, evaluate_scalar, map_exponents, plain_normal_product, weyl_order
 
 
 def small_antisymmetric(n_gens, rng):
@@ -223,6 +223,27 @@ factors = st.one_of(
 )
 
 
+# exponents base + d for one drawn base vector and offsets d on a small
+# grid, so that the exponents of a product of two such factors collide
+grid = st.tuples(*(st.integers(-2, 2) for _ in range(4)))
+coefficients = st.one_of(
+    st.tuples(st.integers(-6, 6), st.sampled_from([1, -1, 3])).map(lambda kc: {kc[0]: kc[1]}),
+    st.dictionaries(st.integers(-6, 6), st.integers(-3, 3).filter(bool), min_size=2, max_size=4),
+)
+
+
+def big_vectors(bits):
+    return st.tuples(*(st.integers(-(1 << bits), 1 << bits) for _ in range(4)))
+
+
+@st.composite
+def packed_factors(draw, bits, max_terms):
+    base = draw(big_vectors(bits))
+    size = draw(st.integers(1, max_terms))
+    offsets = draw(st.lists(grid, min_size=size, max_size=size, unique=True))
+    return [(tuple(map(add, base, d)), draw(coefficients)) for d in offsets]
+
+
 class TestElements:
     @given(P=forms, data=st.data())
     @settings(max_examples=120, deadline=None)
@@ -249,6 +270,68 @@ class TestElements:
         b = TorusElement(spec, [(f, RootScalar(d)) for f, d in y])
         product = normal_product(a, b)
         assert {e: c.terms for e, c in product.terms.items()} == {e: acc for e, acc in expected.items() if acc}
+
+    @given(P=forms, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_packed_product_at_scale_matches_plain_dict_oracle(self, P, data):
+        # Exponents up to 2^40 against ones up to 2^18, or both up to 2^29:
+        # every ordering stays below 12 * 2^58, inside its 63 bits.  The
+        # right factors span up to 70 fields per packed column.
+        bits_a, bits_b = data.draw(st.sampled_from([(40, 18), (18, 40), (29, 29), (0, 0)]))
+        cancelled = None
+        if data.draw(st.booleans()):
+            x, y = data.draw(packed_factors(bits_a, 6)), data.draw(packed_factors(bits_b, 70))
+        else:
+            # (X^e - X^f)(h^k X^e + X^f) with k = 2B(e, f) - 2B(f, e): the
+            # two pairs that land on e + f cancel
+            bits_a = bits_b = min(bits_a, bits_b)
+            base = data.draw(big_vectors(bits_a))
+            e, f = (tuple(map(add, base, data.draw(grid))) for _ in range(2))
+            k = 2 * dense_form(P, e, f) - 2 * dense_form(P, f, e)
+            x, y = [(e, {0: 1}), (f, {0: -1})], [(e, {k: 1}), (f, {0: 1})]
+            cancelled = tuple(map(add, e, f)) if e != f else None
+        spec = make_spec(3, P)
+        a = TorusElement(spec, [(e, RootScalar(c)) for e, c in x])
+        b = TorusElement(spec, [(f, RootScalar(d)) for f, d in y])
+        expected = plain_normal_product(a, b)
+        assert cancelled not in expected.terms
+        # the second product reads the packed forms the first one kept
+        assert normal_product(a, b) == expected
+        assert normal_product(a, b) == expected
+        assert normal_product(b, a) == plain_normal_product(b, a)
+        if bits_a == bits_b:
+            assert normal_product(a, a) == plain_normal_product(a, a)
+
+    def test_zero_factor_gives_zero(self, spec3):
+        a = TorusElement.monomial(spec3, (1, -2, 0, 3), RootScalar({1: 2}))
+        zero = TorusElement.zero(spec3)
+        for x, y in [(a, zero), (zero, a), (zero, zero)]:
+            product = normal_product(x, y)
+            assert product.is_zero() and product.spec is spec3
+        assert normal_product(a, a - a).is_zero()
+
+    def test_exponent_at_2_62_raises(self, spec3):
+        one = TorusElement.one(spec3)
+        for v in (1 << 62, -(1 << 62)):
+            big = TorusElement.monomial(spec3, (0, v, 0, 0))
+            for x, y in [(big, one), (one, big)]:
+                with pytest.raises(ValueError, match="2\\^62"):
+                    normal_product(x, y)
+        below = TorusElement.monomial(spec3, (0, (1 << 62) - 1, 0, 0))
+        assert normal_product(below, one) == below and normal_product(one, below) == below
+
+    def test_ordering_beyond_63_bits_raises(self):
+        # X_1^(s/3) X_0^(t/3) = h^(-2 s t) X_0^(t/3) X_1^(s/3)
+        spec = make_spec(3, [[0, 1], [-1, 0]])
+
+        def product(s, t):
+            return normal_product(TorusElement.monomial(spec, (0, s)), TorusElement.monomial(spec, (t, 0)))
+
+        assert product(1 << 31, 1 << 31) == TorusElement.monomial(spec, (1 << 31, 1 << 31), RootScalar({-(1 << 63): 1}))
+        # orderings of -2^64, 2^64 and -2^80 would wrap to 0 in a 64-bit field
+        for s, t in [(1 << 33, 1 << 31), (-(1 << 32), 1 << 32), (1 << 40, 1 << 40)]:
+            with pytest.raises(ValueError, match="63 bits"):
+                product(s, t)
 
     @given(e=exponents, f=exponents, g=exponents)
     @settings(max_examples=30, deadline=None)
