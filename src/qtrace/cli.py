@@ -386,13 +386,13 @@ def cmd_verify(args) -> int:
     if suite == "duality" and n < 2:
         print(f"duality suite supports n >= 2, got {n}", file=sys.stderr)
         return 1
+    if suite in ("matrices", "skein", "moves") and n not in (2, 3, 4):
+        print(f"{suite} suite supports n in 2..4, got {n}", file=sys.stderr)
+        return 1
     checks = []
     for name, ranked_suite in (("matrices", _matrix_suite), ("skein", _skein_suite)):
         if suite in (name, "all"):
             for m in (2, 3, 4) if suite == "all" else (n,):
-                if m not in (2, 3, 4):
-                    print(f"{name} suite supports n in 2..4, got {m}", file=sys.stderr)
-                    return 1
                 checks.extend(ranked_suite(m))
     if suite in ("duality", "all"):
         checks.extend(_duality_suite(3 if suite == "all" else n))

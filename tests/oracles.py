@@ -23,7 +23,9 @@ change to the preferred dual basis, independently of the library's
 single braiding and its rotation through the U-turns.
 ``dense_word_matrix`` multiplies a word of slices out as dense Kronecker
 products of the public slice matrices, independently of the slice tables
-and the biangle sweep.
+and the biangle sweep.  ``paper_move_displays`` transcribes the paper's
+n = 3 displayed matrices of the moves I-IV entry by entry, independently
+of the matrix products that the move suite compares.
 """
 
 from dataclasses import dataclass
@@ -639,3 +641,210 @@ def dense_word_matrix(n, strands, word):
         out = mat_mul(out, kron(kron(identity(pos - 1), local), identity(strands - pos + 1 - before)))
         strands += after - before
     return out
+
+
+# ---------------------------------------------------------------------------
+# the paper's n = 3 move displays
+
+
+def paper_move_displays(tri):
+    """The matrices the paper displays for the good position moves at
+    n = 3, transcribed entry by entry over the arc matrices' entries of
+    the triangle torus tri and multiplied with plain_normal_product.
+
+    Keys name the move; each value is the matrix the move's state-sum
+    product must equal: the U-turn products of I and II, the crossed
+    pair kron(L1^T, L1^T) of III and the stacked pair kron(L3, R2) of
+    IV, with IV's factor q^(1/3)."""
+    spec = tri.spec
+    L1 = arc_quantum_matrix(tri, 0, "left")
+    R1 = arc_quantum_matrix(tri, 1, "right")
+    L2 = arc_quantum_matrix(tri, 1, "left")
+    R2 = arc_quantum_matrix(tri, 2, "right")
+    L3 = arc_quantum_matrix(tri, 2, "left")
+    a1, b1, c1 = L1[0, 0], L1[0, 1], L1[0, 2]
+    e1, f1, i1 = L1[1, 1], L1[1, 2], L1[2, 2]
+    A1, D1, E1 = R1[0, 0], R1[1, 0], R1[1, 1]
+    G1, H1, I1 = R1[2, 0], R1[2, 1], R1[2, 2]
+    a2, b2, c2 = L2[0, 0], L2[0, 1], L2[0, 2]
+    e2, f2, i2 = L2[1, 1], L2[1, 2], L2[2, 2]
+    A2, D2, E2 = R2[0, 0], R2[1, 0], R2[1, 1]
+    G2, H2, I2 = R2[2, 0], R2[2, 1], R2[2, 2]
+    a3, b3, c3 = L3[0, 0], L3[0, 1], L3[0, 2]
+    e3, f3, i3 = L3[1, 1], L3[1, 2], L3[2, 2]
+
+    zero = TorusElement.zero(spec)
+    q3 = lambda num: q_power(3, num, 3)  # q^(num/3)
+    pm = plain_normal_product
+
+    def mono(num, *factors):
+        return reduce(pm, factors) * q3(num)
+
+    def lc(*pairs):
+        return torus_sum(spec, (pm(x, y) * coeff for coeff, x, y in pairs))
+
+    matrix = lambda rows: TorusMatrix(spec, rows)
+    displays = {}
+
+    displays["move_i"] = matrix([
+        [
+            mono(-1, A1, c1) - mono(-4, D1, b1) + mono(-7, G1, a1),
+            -mono(-4, E1, b1) + mono(-7, H1, a1),
+            mono(-7, I1, a1),
+        ],
+        [mono(-1, A1, f1) - mono(-4, D1, e1), -mono(-4, E1, e1), zero],
+        [mono(-1, A1, i1), zero, zero],
+    ])
+    displays["move_i_b"] = matrix([
+        [
+            mono(-7, c1, A1) - mono(-4, b1, D1) + mono(-1, a1, G1),
+            -mono(-4, b1, E1) + mono(-1, a1, H1),
+            mono(-1, a1, I1),
+        ],
+        [mono(-7, f1, A1) - mono(-4, e1, D1), -mono(-4, e1, E1), zero],
+        [mono(-7, i1, A1), zero, zero],
+    ])
+    displays["move_i_c"] = matrix([
+        [zero, zero, mono(1, i1, A1)],
+        [zero, -mono(4, e1, E1), -mono(4, f1, E1) + mono(1, i1, D1)],
+        [
+            mono(7, a1, I1),
+            mono(7, b1, I1) - mono(4, e1, H1),
+            mono(7, c1, I1) - mono(4, f1, H1) + mono(1, i1, G1),
+        ],
+    ])
+    displays["move_i_d"] = matrix([
+        [zero, zero, mono(7, A1, i1)],
+        [zero, -mono(4, E1, e1), -mono(4, E1, f1) + mono(7, D1, i1)],
+        [
+            mono(1, I1, a1),
+            mono(1, I1, b1) - mono(4, H1, e1),
+            mono(1, I1, c1) - mono(4, H1, f1) + mono(7, G1, i1),
+        ],
+    ])
+    displays["move_ii"] = matrix([
+        [mono(-1, A2, G1), mono(-1, A2, H1), mono(-1, A2, I1)],
+        [
+            -mono(-4, E2, D1) + mono(-1, D2, G1),
+            -mono(-4, E2, E1) + mono(-1, D2, H1),
+            mono(-1, D2, I1),
+        ],
+        [
+            mono(-7, I2, A1) - mono(-4, H2, D1) + mono(-1, G2, G1),
+            -mono(-4, H2, E1) + mono(-1, G2, H1),
+            mono(-1, G2, I1),
+        ],
+    ])
+    displays["move_ii_b"] = matrix([
+        [
+            mono(-1, a2, c1),
+            mono(-1, b2, c1) - mono(-4, e2, b1),
+            mono(-1, c2, c1) - mono(-4, f2, b1) + mono(-7, i2, a1),
+        ],
+        [
+            mono(-1, a2, f1),
+            mono(-1, b2, f1) - mono(-4, e2, e1),
+            mono(-1, c2, f1) - mono(-4, f2, e1),
+        ],
+        [mono(-1, a2, i1), mono(-1, b2, i1), mono(-1, c2, i1)],
+    ])
+
+    qq, qi = q3(3), q3(-3)
+    d_ = qq - qi  # q - q^-1
+    u_ = ONE - q3(6)  # 1 - q^2
+    v_ = ONE - q3(-6)  # 1 - q^-2
+    w_ = RootScalar({0: 2}) - q3(6) - q3(-6)  # -q^2 + 2 - q^-2
+    displays["move_iii"] = matrix([
+        [pm(a1, a1), zero, zero, zero, zero, zero, zero, zero, zero],
+        [
+            lc((qq, b1, a1), (u_, a1, b1)), pm(e1, a1), zero,
+            lc((d_, e1, a1), (-d_, a1, e1)), zero, zero,
+            zero, zero, zero,
+        ],
+        [
+            lc((qq, c1, a1), (u_, a1, c1)), pm(f1, a1), pm(i1, a1),
+            lc((d_, f1, a1), (-d_, a1, f1)), zero, zero,
+            lc((d_, i1, a1), (-d_, a1, i1)), zero, zero,
+        ],
+        [
+            lc((qq, a1, b1)), zero, zero,
+            pm(a1, e1), zero, zero,
+            zero, zero, zero,
+        ],
+        [
+            pm(b1, b1), lc((qi, e1, b1)), zero,
+            lc((qi, b1, e1), (v_, e1, b1)), pm(e1, e1), zero,
+            zero, zero, zero,
+        ],
+        [
+            lc((qq, c1, b1), (u_, b1, c1)),
+            lc((ONE, f1, b1), (qi - qq, e1, c1)),
+            pm(i1, b1),
+            lc((w_, e1, c1), (ONE, c1, e1), (d_, f1, b1), (-d_, b1, f1)),
+            lc((qq, f1, e1), (u_, e1, f1)),
+            pm(i1, e1),
+            lc((d_, i1, b1), (-d_, b1, i1)),
+            lc((d_, i1, e1), (-d_, e1, i1)),
+            zero,
+        ],
+        [
+            lc((qq, a1, c1)), zero, zero,
+            pm(a1, f1), zero, zero,
+            pm(a1, i1), zero, zero,
+        ],
+        [
+            lc((qq, b1, c1)), pm(e1, c1), zero,
+            lc((ONE, b1, f1), (d_, e1, c1)), lc((qq, e1, f1)), zero,
+            pm(b1, i1), pm(e1, i1), zero,
+        ],
+        [
+            pm(c1, c1), lc((qi, f1, c1)), lc((qi, i1, c1)),
+            lc((qi, c1, f1), (v_, f1, c1)), pm(f1, f1), lc((qi, i1, f1)),
+            lc((qi, c1, i1), (v_, i1, c1)), lc((qi, f1, i1), (v_, i1, f1)),
+            pm(i1, i1),
+        ],
+    ])
+
+    di = qi - qq  # q^-1 - q
+    iv_rows = [
+        [
+            lc((qi, A2, a3)), zero, zero,
+            lc((qi, A2, b3)), zero, zero,
+            lc((qi, A2, c3)), zero, zero,
+        ],
+        [
+            pm(D2, a3), pm(E2, a3), zero,
+            lc((ONE, D2, b3), (di, A2, e3)), pm(E2, b3), zero,
+            lc((ONE, D2, c3), (di, A2, f3)), pm(E2, c3), zero,
+        ],
+        [
+            pm(G2, a3), pm(H2, a3), pm(I2, a3),
+            pm(G2, b3), pm(H2, b3), pm(I2, b3),
+            lc((ONE, G2, c3), (di, A2, i3)), pm(H2, c3), pm(I2, c3),
+        ],
+        [
+            zero, zero, zero,
+            pm(A2, e3), zero, zero,
+            pm(A2, f3), zero, zero,
+        ],
+        [
+            zero, zero, zero,
+            lc((qi, D2, e3)), lc((qi, E2, e3)), zero,
+            lc((qi, D2, f3)), lc((qi, E2, f3)), zero,
+        ],
+        [
+            zero, zero, zero,
+            pm(G2, e3), pm(H2, e3), pm(I2, e3),
+            lc((ONE, G2, f3), (di, D2, i3)),
+            lc((ONE, H2, f3), (di, E2, i3)),
+            pm(I2, f3),
+        ],
+        [zero, zero, zero, zero, zero, zero, pm(A2, i3), zero, zero],
+        [zero, zero, zero, zero, zero, zero, pm(D2, i3), pm(E2, i3), zero],
+        [
+            zero, zero, zero, zero, zero, zero,
+            lc((qi, G2, i3)), lc((qi, H2, i3)), lc((qi, I2, i3)),
+        ],
+    ]
+    displays["move_iv"] = matrix([[x * q3(1) for x in row] for row in iv_rows])
+    return displays

@@ -328,8 +328,10 @@ class TestVerifyCommand:
         assert "2..4" in capsys.readouterr().err
         assert main(["verify", "--suite", "all", "--n", "7"]) == 1
         assert "--n" in capsys.readouterr().err
-        assert main(["verify", "--suite", "moves", "--n", "4"]) == 1
-        assert "pinned at n = 3" in capsys.readouterr().err
+        assert main(["verify", "--suite", "moves", "--n", "7"]) == 1
+        assert "moves suite supports n in 2..4, got 7" in capsys.readouterr().err
+        assert main(["verify", "--suite", "moves", "--n", "4"]) == 0
+        assert "16/16 checks passed" in capsys.readouterr().out
         for n in ("0", "1", "-3"):
             assert main(["verify", "--suite", "duality", "--n", n]) == 1
             assert f"duality suite supports n >= 2, got {n}" in capsys.readouterr().err

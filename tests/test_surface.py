@@ -14,10 +14,12 @@ from qtrace.qtorus import (
     RootScalar,
     TorusElement,
     TorusMatrix,
+    kron,
     mat_mul,
     normal_product,
 )
-from qtrace.biangle import CROSSING_KINDS, Slice, kink_scalar, unknot_value
+from qtrace.biangle import CROSSING_KINDS, Slice, crossing_matrix, kink_scalar, unknot_value, uturn_matrix
+from qtrace.fock_goncharov import triangle_poisson
 from qtrace.surface import (
     Edge,
     GoodPositionLink,
@@ -26,6 +28,7 @@ from qtrace.surface import (
     arc_quantum_matrix,
     build_surface,
     glued_trace,
+    opposite_product,
     project_to_glued,
     quantum_trace,
     validate_good_position,
@@ -178,11 +181,55 @@ class TestGoodPositionValidation:
 
 
 class TestMoveSuite:
-    def test_all_moves_hold(self):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_all_moves_hold(self, n):
         start = time.time()
-        report = verify_moves(3)
+        report = verify_moves(n)
         assert report == {key: True for key in report}
         assert time.time() - start < 60
+
+    def test_products_equal_the_paper_displays_at_n3(self):
+        tri = triangle_poisson(3)
+        arc = lambda entry, turn: arc_quantum_matrix(tri, entry, turn)
+        L1, R1, L2, R2, L3 = arc(0, "left"), arc(1, "right"), arc(1, "left"), arc(2, "right"), arc(2, "left")
+        U = lambda kind: uturn_matrix(kind, 3)
+        C, C_inv = crossing_matrix("pos_same_to_lower", 3), crossing_matrix("neg_same_to_lower", 3)
+        T3 = kron(L1.transpose(), L1.transpose())
+        products = {
+            "move_i": [opposite_product(L1, U("dec_cw"), R1)],
+            "move_i_b": [mat_mul(mat_mul(L1, U("inc_ccw")), R1)],
+            "move_i_c": [opposite_product(R1, U("dec_ccw"), L1)],
+            "move_i_d": [mat_mul(mat_mul(R1, U("inc_cw")), L1)],
+            "move_ii": [mat_mul(mat_mul(R2, U("inc_ccw")), R1)],
+            "move_ii_b": [opposite_product(L1, U("dec_cw"), L2)],
+            "move_iii": [T3, mat_mul(mat_mul(C, T3), C_inv), mat_mul(mat_mul(C_inv, T3), C)],
+            "move_iv": [kron(L3, R2)],
+        }
+        displays = oracles.paper_move_displays(tri)
+        assert list(displays) == list(products)
+        assert [key for key in displays if any(p != displays[key] for p in products[key])] == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "name, broken, failing",
+        [
+            (
+                "arc_quantum_matrix",
+                lambda tri, entry, turn: arc_quantum_matrix(tri, entry, turn, normalized=False),
+                ["move_i", "move_iii"],
+            ),
+            (
+                "crossing_matrix",
+                lambda kind, n: crossing_matrix("neg_same_to_lower" if kind == "pos_same_to_lower" else kind, n),
+                ["move_iv"],
+            ),
+        ],
+        ids=["unnormalized_arcs", "inverse_crossing"],
+    )
+    def test_a_broken_piece_fails_its_moves(self, n, name, broken, failing, monkeypatch):
+        monkeypatch.setattr(surface_module, name, broken)
+        report = verify_moves(n)
+        assert [key for key in failing if report[key]] == []
 
 
 class TestQuantumTrace:
