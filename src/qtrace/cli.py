@@ -178,10 +178,10 @@ def emit_polynomial(n, generator_ids, terms) -> str:
     lines = ["polynomial", f"n {n}", "generators " + " ".join(generator_ids)]
     for evec in sorted(terms):
         coeff = terms[evec]
-        pairs = " ".join(f"{k} {coeff[k]}" for k in sorted(coeff) if coeff[k])
+        pairs = " ".join([f"{k} {coeff[k]}" for k in sorted(coeff) if coeff[k]])
         if not pairs:
             continue
-        lines.append("term " + " ".join(str(e) for e in evec) + " ; " + pairs)
+        lines.append("term " + " ".join([str(e) for e in evec]) + " ; " + pairs)
     return "\n".join(lines) + "\n"
 
 

@@ -417,7 +417,7 @@ def normal_product(a: TorusElement, b: TorusElement) -> TorusElement:
         raise ValueError("torus spec mismatch")
     spec = a.spec
     if not a._terms or not b._terms:
-        return TorusElement(spec)
+        return b if a._terms else a
     rows, norm = a._left_form()
     fs, cfs, fmax = b._right_form()
     if norm * fmax >= 1 << 63:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product as iter_product
 from math import prod
-from operator import add
+from operator import add, mul
 from typing import Callable, NamedTuple
 
 from .qtorus import (
@@ -438,10 +438,10 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
     in _edge_tables), in the tensor torus.
 
     The sum is a tensor network whose indices are the internal edges'
-    states.  Its edges are summed out one at a time, always the edge
-    whose bucket (the factors that read it, and the edges those read) has
-    the fewest state combinations; the last bucket, once it spans every
-    edge left, is streamed into the result instead of being tabulated.
+    states, contracted in one loop.  Each step sums out the edge whose
+    bucket (the factors that read it, and the edges those read) has the
+    fewest state combinations; once the bucket spans every edge left, the
+    step sums out all of them, and the one table left is the trace.
     """
     tr = surface.triangulation
     sides = _sides(link)
@@ -485,6 +485,7 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
     def triangle_factor(t):
         arcs = tri_arcs[t]
         arc_ends = [(ends[(arc, "entry")], ends[(arc, "exit")]) for arc in arcs]
+        matrices = [arc_quantum_matrix(surface.tri, arc.entry, arc.turn) for arc in arcs]
         edges = tuple(sorted({owner[i] for end in arc_ends for i in end if i in owner}))
         off = surface.tri_offset[t]
         head, tail = (0,) * off, (0,) * (NT - off - tri_spec.N)
@@ -496,13 +497,7 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
             (entry, exit) state pairs and padded to the tensor torus."""
             pairs = tuple((states[i], states[j]) for i, j in arc_ends)
             if pairs not in cache:
-                elem = one
-                for arc, (s_in, s_out) in zip(arcs, pairs):
-                    entry = arc_quantum_matrix(surface.tri, arc.entry, arc.turn)[s_in - 1, s_out - 1]
-                    if entry.is_zero():
-                        elem = TorusElement.zero(tri_spec)
-                        break
-                    elem = normal_product(elem, entry)
+                elem = reduce(normal_product, (m[i - 1, j - 1] for m, (i, j) in zip(matrices, pairs)), one)
                 cache[pairs] = [(head + e + tail, c) for e, c in elem.terms.items()]
             return cache[pairs]
 
@@ -512,56 +507,49 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
         places = [i for k in edges for i in index[slots[k]]]
         return _Factor(tuple(edges), lambda states: table.get(tuple(states[i] for i in places), ()))
 
-    def times(terms, factors):
-        for factor in factors:
-            terms = [(tuple(map(add, e, f)), c * d) for e, c in terms for f, d in factor.read(states)]
+    def times(factors, amp=None):
+        """The factors' product at the current states, times amp."""
+        if not factors:
+            return [((0,) * NT, ONE if amp is None else amp)]
+        terms = factors[0].read(states)
+        if amp is not None:
+            terms = [(e, c * amp) for e, c in terms]
+        for factor in factors[1:]:
             if not terms:
                 break
+            terms = [(tuple(map(add, e, f)), c * d) for e, c in terms for f, d in factor.read(states)]
         return terms
 
-    unit = (0,) * NT
     factors = [triangle_factor(t) for t in sorted(tri_arcs)]
     alive = set(range(len(edge_tables)))
     while alive:
         buckets = {v: sorted({v}.union(*(f.edges for f in factors if v in f.edges))) for v in alive}
         v = min(alive, key=lambda u: (prod(len(edge_tables[k]) for k in buckets[u]), u))
-        if len(buckets[v]) == len(alive):
-            break
         # Sum out v: for each state of the bucket's other edges, the
-        # product of the factors that read v, summed over v's states.
-        rest = [k for k in buckets[v] if k != v]
-        inside = [f for f in factors if v in f.edges]
+        # product of the factors that read v, summed over v's states.  The
+        # last step sums out every edge left over every factor left; the
+        # factors that read no edge go first, while the terms are few.
+        last = len(buckets[v]) == len(alive)
+        summed = buckets[v] if last else [v]
+        rest = [k for k in buckets[v] if k not in summed]
+        inside = sorted(factors, key=lambda f: bool(f.edges)) if last else [f for f in factors if v in f.edges]
         table = {}
         for combo in iter_product(*(edge_tables[k] for k in rest)):
             for k, key in zip(rest, combo):
                 states[slots[k]] = key
             sums = {}
-            for key, amp in edge_tables[v].items():
-                states[slots[v]] = key
-                for e, c in times([(unit, amp)], inside):
+            for cut in iter_product(*(edge_tables[k].items() for k in summed)):
+                for k, (key, _) in zip(summed, cut):
+                    states[slots[k]] = key
+                for e, c in times(inside, reduce(mul, (amp for _, amp in cut))):
                     sums[e] = sums[e] + c if e in sums else c
             terms = [(e, c) for e, c in sums.items() if not c.is_zero()]
             if terms:
                 table[sum(combo, ())] = terms
-        factors = [f for f in factors if v not in f.edges]
-        factors.append(table_factor(rest, table))
-        alive.remove(v)
+        factors = [f for f in factors if f not in inside] + [table_factor(rest, table)]
+        alive.difference_update(summed)
 
-    # The last bucket spans every edge left: stream it.  The factors that
-    # read no edge are multiplied together once, first.
-    edges = sorted(alive)
-    start = times([(unit, ONE)], [f for f in factors if not f.edges])
-    factors = [f for f in factors if f.edges]
-
-    def state_terms():
-        for combo in iter_product(*(edge_tables[k].items() for k in edges)):
-            amp = ONE
-            for k, (key, value) in zip(edges, combo):
-                states[slots[k]] = key
-                amp = amp * value
-            yield from times([(e, c * amp) for e, c in start], factors)
-
-    return TorusElement(surface.tensor_spec, state_terms())
+    return TorusElement(surface.tensor_spec, times(factors))
 
 
 def project_to_glued(elem: TorusElement, surface: SurfaceTorusSpec) -> TorusElement:

@@ -17,6 +17,7 @@ from qtrace.qtorus import (
     kron,
     mat_mul,
     normal_product,
+    q_power,
 )
 from qtrace.biangle import CROSSING_KINDS, Slice, crossing_matrix, kink_scalar, unknot_value, uturn_matrix
 from qtrace.fock_goncharov import triangle_poisson
@@ -883,3 +884,58 @@ class TestGluedSquare:
                 )
                 g = quantum_trace(link, surf)
                 assert g.tensor == prod[s1 - 1, s2 - 1]
+
+
+# curve c resolves the one crossing of a stacked on b (Le-Yu's L0)
+CURVE_C = (TriangleArc(0, 2, "right", 1), TriangleArc(1, 0, "left", 1))
+
+
+def top_exponents(elem):
+    """The exponents of elem that are componentwise at least every other."""
+    terms = elem.terms
+    return [e for e in terms if all(all(x >= y for x, y in zip(e, f)) for f in terms)]
+
+
+class TestTraceIdentities:
+    """Identities of closed-curve traces on the once-punctured torus:
+    the oriented skein relation and the highest term."""
+
+    @staticmethod
+    def traces(n):
+        return [glued_trace(GoodPositionLink(arcs=arcs), torus_at(n)) for arcs in (CURVES["a"], CURVES["b"], CURVE_C)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_oriented_skein_relation(self, n):
+        # q^(1/n) Tr(a)Tr(b) - q^(-1/n) Tr(b)Tr(a) = (q - q^-1) Tr(c): a and
+        # b cross once, and c is the resolution of that crossing
+        ta, tb, tc = self.traces(n)
+        ab, ba = normal_product(ta, tb), normal_product(tb, ta)
+        rhs = tc * (q_power(n, 1) - q_power(n, -1))
+        assert ab * q_power(n, 1, n) - ba * q_power(n, -1, n) == rhs
+        # negative control: the identity fails with the two powers swapped
+        assert ab * q_power(n, -1, n) - ba * q_power(n, 1, n) != rhs
+
+    @staticmethod
+    def assert_highest_term(elem, n):
+        """elem has one componentwise-largest exponent e, with coefficient
+        the Weyl normalization h^ordering(e, e), and every exponent agrees
+        with e mod n entry by entry; returns e."""
+        tops = top_exponents(elem)
+        assert len(tops) == 1
+        e = tops[0]
+        assert elem.terms[e] == RootScalar({elem.spec.ordering(e, e): 1})
+        assert all((x - y) % n == 0 for f in elem.terms for x, y in zip(f, e))
+        return e
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_closed_curves_have_one_highest_term(self, n):
+        for trace in self.traces(n):
+            self.assert_highest_term(trace, n)
+
+    @pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("curve", ["a", "b"])
+    def test_stacked_copies_multiply_the_highest_term(self, curve, n, k):
+        surface = torus_at(n)
+        e = self.assert_highest_term(glued_trace(copies(curve, 1), surface), n)
+        top = self.assert_highest_term(glued_trace(copies(curve, k), surface), n)
+        assert top == tuple(k * x for x in e)
