@@ -173,15 +173,14 @@ def parse_link_file(path, text):
 
 
 def emit_polynomial(n, generator_ids, terms) -> str:
-    """Canonical text for a polynomial given as {exponent vector:
-    {h-exponent: integer}} with exponents in 1/n units."""
+    """Canonical text for a polynomial given as {exponent tuple:
+    {h-exponent: integer}}, one exponent per generator in 1/n units."""
     lines = ["polynomial", f"n {n}", "generators " + " ".join(generator_ids)]
+    term = "term " + " ".join(["%d"] * len(generator_ids)) + " ; "
     for evec in sorted(terms):
-        coeff = terms[evec]
-        pairs = " ".join([f"{k} {coeff[k]}" for k in sorted(coeff) if coeff[k]])
-        if not pairs:
-            continue
-        lines.append("term " + " ".join([str(e) for e in evec]) + " ; " + pairs)
+        pairs = " ".join(["%d %d" % kc for kc in sorted(terms[evec].items()) if kc[1]])
+        if pairs:
+            lines.append(term % evec + pairs)
     return "\n".join(lines) + "\n"
 
 

@@ -190,7 +190,7 @@ class QuantumTorusSpec:
 
 
 def make_spec(n: int, P: Iterable[Iterable[int]], names: Iterable[str] = ()) -> QuantumTorusSpec:
-    P = tuple(tuple(int(x) for x in row) for row in P)
+    P = tuple(tuple(map(int, row)) for row in P)
     return QuantumTorusSpec(n=n, N=len(P), P=P, names=tuple(names))
 
 

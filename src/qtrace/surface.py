@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product as iter_product
 from math import prod
-from operator import add, mul
+from operator import itemgetter, mul
 from typing import Callable, NamedTuple
 
 from .qtorus import (
@@ -42,6 +42,9 @@ from .qtorus import (
     QuantumTorusSpec,
     TorusElement,
     TorusMatrix,
+    _pack,
+    _packer,
+    _unpack,
     kron,
     make_spec,
     mat_mul,
@@ -185,6 +188,9 @@ class SurfaceTorusSpec:
     tri_offset: tuple  # where each triangle's block starts in a tensor exponent
     tensor_to_glued: tuple  # the glued index of each tensor generator
     glued_ids: tuple  # stable string id per glued generator
+    # the (a, b, c), a <= b, with glued_spec.ordering(g, g) minus tensor_spec.ordering(e, e)
+    # = sum c g_a g_b for the lift e_i = g[tensor_to_glued[i]] of g: the Weyl correction of gluing
+    weyl_correction: tuple
 
 
 def build_surface(triangulation: IdealTriangulation, n: int) -> SurfaceTorusSpec:
@@ -231,6 +237,14 @@ def build_surface(triangulation: IdealTriangulation, n: int) -> SurfaceTorusSpec
             GP[to_glued[i]][to_glued[j]] -= p
     glued_spec = make_spec(n, GP, glued_ids)
 
+    # each form's entry p at (j, i) adds p g_j g_i to its ordering
+    correction = {}
+    for spec, sign, index in ((glued_spec, 1, range(NG)), (tensor_spec, -1, to_glued)):
+        for j, row in enumerate(spec.lower):
+            for i, p in row:
+                key = tuple(sorted((index[i], index[j])))
+                correction[key] = correction.get(key, 0) + sign * p
+
     return SurfaceTorusSpec(
         n=n,
         triangulation=triangulation,
@@ -240,6 +254,7 @@ def build_surface(triangulation: IdealTriangulation, n: int) -> SurfaceTorusSpec
         tri_offset=tuple(t * Nt for t in range(m)),
         tensor_to_glued=tuple(to_glued),
         glued_ids=tuple(glued_ids),
+        weyl_correction=tuple((a, b, c) for (a, b), c in correction.items() if c),
     )
 
 
@@ -435,7 +450,8 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
 
 def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: list) -> TorusElement:
     """The state sum of a valid link over the given edge tables (keyed as
-    in _edge_tables), in the tensor torus.
+    in _edge_tables), in the tensor torus.  Every term carries its tensor
+    exponent packed into one int until the output unpacks it once.
 
     The sum is a tensor network whose indices are the internal edges'
     states, contracted in one loop.  Each step sums out the edge whose
@@ -473,32 +489,37 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
         tri_arcs.setdefault(arc.triangle, []).append(arc)
 
     tri_spec = surface.tri.spec
-    NT = surface.tensor_spec.N
+    tri_fields, tri_bias = _packer(tri_spec.N)
     # one unit for every triangle, so that it packs its left form once
     one = TorusElement.one(tri_spec)
 
     # A factor reads the states of some internal edges from the flat
-    # state list and gives (exponent, coefficient) pairs with whole
-    # tensor exponents.  Factors of different triangles commute in the
-    # block-diagonal tensor torus, so multiplying two terms adds their
-    # exponents.  A triangle without arcs is the unit and has no factor.
+    # state list and gives (exponent, coefficient) pairs, each exponent a
+    # whole tensor exponent packed into one int, a 64-bit field per
+    # generator (qtorus._packer).  Factors of different triangles commute
+    # in the block-diagonal tensor torus, so multiplying two terms adds
+    # their packed exponents.  This is exact: a product takes one triangle
+    # factor per triangle, so each field receives one triangle's entry,
+    # which normal_product has bounded below 2^63 (it checks its inputs
+    # below 2^62), and no field carries into the next.  A triangle
+    # without arcs is the unit and has no factor.
     def triangle_factor(t):
         arcs = tri_arcs[t]
         arc_ends = [(ends[(arc, "entry")], ends[(arc, "exit")]) for arc in arcs]
         matrices = [arc_quantum_matrix(surface.tri, arc.entry, arc.turn) for arc in arcs]
         edges = tuple(sorted({owner[i] for end in arc_ends for i in end if i in owner}))
-        off = surface.tri_offset[t]
-        head, tail = (0,) * off, (0,) * (NT - off - tri_spec.N)
+        shift = 64 * surface.tri_offset[t]
         cache = {}
 
         def read(states):
             """The height-ordered product of the triangle's arc entries,
             computed once in the triangle's own torus for each tuple of
-            (entry, exit) state pairs and padded to the tensor torus."""
+            (entry, exit) state pairs and shifted to its tensor block."""
             pairs = tuple((states[i], states[j]) for i, j in arc_ends)
             if pairs not in cache:
-                elem = reduce(normal_product, (m[i - 1, j - 1] for m, (i, j) in zip(matrices, pairs)), one)
-                cache[pairs] = [(head + e + tail, c) for e, c in elem.terms.items()]
+                entries = [m[i - 1, j - 1] for m, (i, j) in zip(matrices, pairs)]
+                terms = () if any(x.is_zero() for x in entries) else reduce(normal_product, entries, one).terms.items()
+                cache[pairs] = [(_pack(tri_fields.pack(*e), tri_bias) << shift, c) for e, c in terms]
             return cache[pairs]
 
         return _Factor(edges, read)
@@ -510,14 +531,14 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
     def times(factors, amp=None):
         """The factors' product at the current states, times amp."""
         if not factors:
-            return [((0,) * NT, ONE if amp is None else amp)]
+            return [(0, ONE if amp is None else amp)]
         terms = factors[0].read(states)
         if amp is not None:
             terms = [(e, c * amp) for e, c in terms]
         for factor in factors[1:]:
             if not terms:
                 break
-            terms = [(tuple(map(add, e, f)), c * d) for e, c in terms for f, d in factor.read(states)]
+            terms = [(e + f, c * d) for e, c in terms for f, d in factor.read(states)]
         return terms
 
     factors = [triangle_factor(t) for t in sorted(tri_arcs)]
@@ -549,7 +570,14 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
         factors = [f for f in factors if f not in inside] + [table_factor(rest, table)]
         alive.difference_update(summed)
 
-    return TorusElement(surface.tensor_spec, times(factors))
+    # Unpack each output term once, in place: with the last step's sums and inputs
+    # dropped, the list alone holds the packed exponents, each freed as its tuple is made.
+    sums = inside = None
+    terms = times(factors)
+    fields, bias = _packer(surface.tensor_spec.N)
+    for k, (e, c) in enumerate(terms):
+        terms[k] = _unpack(e + bias, fields, bias), c
+    return TorusElement(surface.tensor_spec, terms)
 
 
 def project_to_glued(elem: TorusElement, surface: SurfaceTorusSpec) -> TorusElement:
@@ -559,28 +587,31 @@ def project_to_glued(elem: TorusElement, surface: SurfaceTorusSpec) -> TorusElem
     of every internal edge dot; the common value becomes the exponent
     of the glued generator.  The Weyl-symmetric monomial bases are
     matched, which multiplies each coefficient by the ratio of the two
-    normal-ordering factors.
+    normal-ordering factors, h^(sum c g_a g_b) over the surface's sparse
+    weyl_correction.  A term is checked and read by index lookups: the
+    paired tensor indices, and each glued generator's first tensor index.
     """
     if elem.spec is not surface.tensor_spec and elem.spec != surface.tensor_spec:
         raise ValueError("element does not live in this surface's tensor algebra")
-    tensor, glued = elem.spec, surface.glued_spec
+    first = {target: i for i, target in reversed(tuple(enumerate(surface.tensor_to_glued)))}
+    pairs = [(first[target], i) for i, target in enumerate(surface.tensor_to_glued) if first[target] != i]
+    # index 0 pads both sides, so that each getter returns a tuple
+    below, above = itemgetter(0, *(i for i, _ in pairs)), itemgetter(0, *(j for _, j in pairs))
+    read = itemgetter(*map(first.get, range(surface.glued_spec.N)))
 
     def glued_pairs():
         for e, coeff in elem.terms.items():
-            glued_e = [None] * glued.N
-            for value, target in zip(e, surface.tensor_to_glued):
-                if glued_e[target] is None:
-                    glued_e[target] = value
-                elif glued_e[target] != value:
-                    raise ValueError(
-                        "monomial does not glue: generator "
-                        f"{surface.glued_ids[target]!r} pairs exponents "
-                        f"{glued_e[target]} and {value}"
-                    )
-            glued_e = tuple(glued_e)
-            yield glued_e, coeff * RootScalar({glued.ordering(glued_e, glued_e) - tensor.ordering(e, e): 1})
+            if below(e) != above(e):
+                i, j = next((i, j) for i, j in pairs if e[i] != e[j])
+                raise ValueError(
+                    "monomial does not glue: generator "
+                    f"{surface.glued_ids[surface.tensor_to_glued[j]]!r} pairs exponents {e[i]} and {e[j]}"
+                )
+            g = read(e)
+            k = sum([c * g[a] * g[b] for a, b, c in surface.weyl_correction])
+            yield g, coeff * RootScalar({k: 1}) if k else coeff
 
-    return TorusElement(glued, glued_pairs())
+    return TorusElement(surface.glued_spec, glued_pairs())
 
 
 def _split(table: dict, left: list, right: list, h: int):

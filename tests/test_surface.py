@@ -571,6 +571,85 @@ class TestProjection:
             tuple(2 if i == gidx else 0 for i in range(torus.glued_spec.N))
         }
 
+    @pytest.mark.parametrize(
+        "surface",
+        [torus_at(3), strip_at(3, 5), fan_at(3, (2, 0, 1)), fan_at(2, (1, 0)), build_surface(glued_square(), 4)],
+        ids=["torus", "strip", "fan-201", "fan-10-n2", "square"],
+    )
+    def test_first_unglued_pair_is_named(self, surface):
+        # a lifted monomial broken at two or more pairs (the one pair of the
+        # n = 2 fan): the tensor indices are scanned in order, and the first
+        # whose exponent differs from its glued generator's earlier index is
+        # named with both exponents
+        rng = random.Random(7)
+        to_glued = surface.tensor_to_glued
+        paired = [i for i, target in enumerate(to_glued) if to_glued.index(target) < i]
+        for _ in range(20):
+            g = [rng.randint(-9, 9) for _ in range(surface.glued_spec.N)]
+            e = [g[target] for target in to_glued]
+            for i in rng.sample(paired, rng.randint(min(2, len(paired)), len(paired))):
+                e[rng.choice((i, to_glued.index(to_glued[i])))] += rng.choice((-3, -1, 1, 2))
+            seen = {}
+            i = next(i for i, target in enumerate(to_glued) if seen.setdefault(target, e[i]) != e[i])
+            target = to_glued[i]
+            expected = f"generator {surface.glued_ids[target]!r} pairs exponents {seen[target]} and {e[i]}"
+            with pytest.raises(ValueError) as err:
+                project_to_glued(TorusElement.monomial(surface.tensor_spec, e), surface)
+            assert str(err.value) == "monomial does not glue: " + expected
+
+    @pytest.mark.parametrize("entry", [1 << 62, -(1 << 62), 1 << 64])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_huge_turn_matrix_exponent_raises_value_error(self, torus, monkeypatch, entry, k):
+        # packed state-sum exponents rest on normal_product's entry bound,
+        # so a huge entry must end in its ValueError, not in struct.error
+        real = surface_module.arc_quantum_matrix
+
+        def huge(tri, entry_side, turn, normalized=True):
+            big = (entry,) + (0,) * (tri.spec.N - 1)
+            return real(tri, entry_side, turn, normalized).map(
+                lambda x: x if x.is_zero() else TorusElement.monomial(tri.spec, big)
+            )
+
+        monkeypatch.setattr(surface_module, "arc_quantum_matrix", huge)
+        with pytest.raises(ValueError, match=r"reaches 2\^62"):
+            glued_trace(copies("a", k), torus)
+
+
+def sample_surfaces():
+    """(id, surface maker) pairs: the torus at n = 2..6, strips of 2..12
+    triangles at n = 3, and the other fixture triangulations at n = 2..4."""
+    cases = [(f"torus-n{n}", lambda n=n: torus_at(n)) for n in range(2, 7)]
+    cases += [(f"strip-m{m}", lambda m=m: strip_at(3, m)) for m in range(2, 13)]
+    for name, make in (("square", glued_square), ("triangle", single_triangle)):
+        cases += [(f"{name}-n{n}", lambda make=make, n=n: build_surface(make(), n)) for n in (2, 3, 4)]
+    cases += [(f"fan-201-n{n}", lambda n=n: fan_at(n, (2, 0, 1))) for n in (2, 3, 4)]
+    return cases
+
+
+class TestWeylCorrection:
+    @pytest.mark.parametrize("make", [make for _, make in sample_surfaces()], ids=[name for name, _ in sample_surfaces()])
+    def test_sparse_correction_matches_both_orderings(self, make):
+        # and projecting the lift of g gives g with that correction
+        surface = make()
+        tensor, glued, n = surface.tensor_spec, surface.glued_spec, surface.n
+        assert all(a <= b and c for a, b, c in surface.weyl_correction)
+        rng = random.Random(surface.tensor_spec.N)
+        for _ in range(25):
+            g = tuple(rng.randint(-3 * n, 3 * n) for _ in range(glued.N))
+            e = [g[target] for target in surface.tensor_to_glued]
+            expected = glued.ordering(g, g) - tensor.ordering(e, e)
+            assert sum(c * g[a] * g[b] for a, b, c in surface.weyl_correction) == expected
+            coeff = RootScalar({1: 2, -3: -1})
+            image = project_to_glued(TorusElement.monomial(tensor, e, coeff), surface)
+            assert image == TorusElement.monomial(glued, g, coeff * RootScalar({expected: 1}))
+
+    @pytest.mark.parametrize(
+        "surface,size", [(torus_at(4), 16), (torus_at(10), 58), (strip_at(3, 8), 50)], ids=["torus-n4", "torus-n10", "strip-m8"]
+    )
+    def test_correction_is_sparse(self, surface, size):
+        forms = sum(map(len, surface.glued_spec.lower)) + sum(map(len, surface.tensor_spec.lower))
+        assert len(surface.weyl_correction) == size < forms / 3
+
 
 class TestClassicalProperty:
     @pytest.mark.parametrize(
