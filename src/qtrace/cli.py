@@ -327,7 +327,7 @@ def cmd_trace(args) -> int:
         terms = {e: {0: c} for e, c in glued.at_one().items() if c}
     else:
         terms = polynomial_terms(glued)
-    text = emit_polynomial(n, surface.glued_ids, terms)
+    text = emit_polynomial(n, surface.glued_spec.names, terms)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as f:

@@ -180,15 +180,12 @@ class SurfaceTorusSpec:
     """Per-triangle tensor torus, glued torus, and the index plumbing
     between them, for one triangulated surface."""
 
-    n: int
     triangulation: IdealTriangulation
     tri: TriangleCoordinates
-    tensor_spec: QuantumTorusSpec
-    glued_spec: QuantumTorusSpec
-    tri_offset: tuple  # where each triangle's block starts in a tensor exponent
+    tensor_spec: QuantumTorusSpec  # triangle t's block starts at index t * tri.spec.N
+    glued_spec: QuantumTorusSpec  # its names are the stable string ids of the glued generators
     tensor_to_glued: tuple  # the glued index of each tensor generator
-    glued_ids: tuple  # stable string id per glued generator
-    # the (a, b, c), a <= b, with glued_spec.ordering(g, g) minus tensor_spec.ordering(e, e)
+    # the (a, b, c), a < b, with glued_spec.ordering(g, g) minus tensor_spec.ordering(e, e)
     # = sum c g_a g_b for the lift e_i = g[tensor_to_glued[i]] of g: the Weyl correction of gluing
     weyl_correction: tuple
 
@@ -200,22 +197,14 @@ def build_surface(triangulation: IdealTriangulation, n: int) -> SurfaceTorusSpec
     m = triangulation.n_triangles
 
     # tensor spec: block diagonal over triangle copies
-    tensor_names = []
-    for t in range(m):
-        tensor_names.extend(f"T{t}.{name}" for name in tri.spec.names)
-    NT = m * Nt
-    TP = [[0] * NT for _ in range(NT)]
-    for t in range(m):
-        off = t * Nt
-        for a in range(Nt):
-            for b in range(Nt):
-                TP[off + a][off + b] = tri.spec.P[a][b]
-    tensor_spec = make_spec(n, TP, tensor_names)
+    zeros = [0] * (m * Nt)
+    TP = [zeros[: t * Nt] + list(row) + zeros[(t + 1) * Nt :] for t in range(m) for row in tri.spec.P]
+    tensor_spec = make_spec(n, TP, [f"T{t}.{name}" for t in range(m) for name in tri.spec.names])
 
     # glued generators: edge dots (edges in declaration order), then
     # triangle interior dots (triangles in order, vertices lex)
     glued_ids = []
-    to_glued = [None] * NT
+    to_glued = [None] * (m * Nt)
     for e in triangulation.edges:
         dots = [[t * Nt + i for i in inward_sequence(tri, s)] for t, s in e.incidences]
         # the second incidence sees the edge's dots reversed
@@ -229,31 +218,29 @@ def build_surface(triangulation: IdealTriangulation, n: int) -> SurfaceTorusSpec
             to_glued[t * Nt + tri.index[v]] = len(glued_ids)
             glued_ids.append(f"T{t}.{tri.spec.names[tri.index[v]]}")
 
-    NG = len(glued_ids)
-    GP = [[0] * NG for _ in range(NG)]
-    for j, row in enumerate(tensor_spec.lower):
-        for i, p in row:
-            GP[to_glued[j]][to_glued[i]] += p
-            GP[to_glued[i]][to_glued[j]] -= p
-    glued_spec = make_spec(n, GP, glued_ids)
-
-    # each form's entry p at (j, i) adds p g_j g_i to its ordering
+    # A tensor entry p at (j, i), i < j, adds p g_a g_b to the tensor
+    # ordering of a lift, with a, b = to_glued[j], to_glued[i].  In GP it
+    # adds p g_a g_b to the glued ordering when a > b, and -p g_a g_b when
+    # a < b, so the correction gains -2p at (a, b) exactly when a < b.
+    # Never a = b: two generators of one triangle share no glued image,
+    # since IdealTriangulation rejects a self-folded triangle.
+    GP = [[0] * len(glued_ids) for _ in glued_ids]
     correction = {}
-    for spec, sign, index in ((glued_spec, 1, range(NG)), (tensor_spec, -1, to_glued)):
-        for j, row in enumerate(spec.lower):
-            for i, p in row:
-                key = tuple(sorted((index[i], index[j])))
-                correction[key] = correction.get(key, 0) + sign * p
+    for j, row in enumerate(tensor_spec.lower):
+        a = to_glued[j]
+        for i, p in row:
+            b = to_glued[i]
+            GP[a][b] += p
+            GP[b][a] -= p
+            if a < b:
+                correction[a, b] = correction.get((a, b), 0) - 2 * p
 
     return SurfaceTorusSpec(
-        n=n,
         triangulation=triangulation,
         tri=tri,
         tensor_spec=tensor_spec,
-        glued_spec=glued_spec,
-        tri_offset=tuple(t * Nt for t in range(m)),
+        glued_spec=make_spec(n, GP, glued_ids),
         tensor_to_glued=tuple(to_glued),
-        glued_ids=tuple(glued_ids),
         weyl_correction=tuple((a, b, c) for (a, b), c in correction.items() if c),
     )
 
@@ -353,7 +340,7 @@ def validate_good_position(link: GoodPositionLink, surface: SurfaceTorusSpec):
     for edge in tr.internal_edges:
         left, right = _profiles(sides, edge)
         try:
-            diagram = BiangleDiagram(surface.n, left, link.slices.get(edge.id, ()))
+            diagram = BiangleDiagram(surface.tri.n, left, link.slices.get(edge.id, ()))
         except ValueError as err:
             problems.append(f"biangle {edge.id!r}: {err}")
             continue
@@ -373,7 +360,7 @@ def validate_good_position(link: GoodPositionLink, surface: SurfaceTorusSpec):
             problems.append(f"boundary state given for non-boundary edge {eid!r}")
         elif not 1 <= pos <= strands[eid]:
             problems.append(f"boundary state at edge {eid!r} position {pos} has no strand")
-        elif not 1 <= value <= surface.n:
+        elif not 1 <= value <= surface.tri.n:
             problems.append(f"boundary state at edge {eid!r} position {pos} out of range")
     return problems
 
@@ -431,7 +418,7 @@ def _edge_tables(link: GoodPositionLink, surface: SurfaceTorusSpec) -> list:
     sides = _sides(link)
     tables = []
     for edge in surface.triangulation.internal_edges:
-        diagram = BiangleDiagram(surface.n, _profiles(sides, edge)[0], link.slices.get(edge.id, ()))
+        diagram = BiangleDiagram(surface.tri.n, _profiles(sides, edge)[0], link.slices.get(edge.id, ()))
         table = amplitude_table(diagram)
         tables.append({ls + rs: biangle_trace(diagram, ls, rs) for ls, row in table.items() for rs in row})
     return tables
@@ -508,7 +495,7 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
         arc_ends = [(ends[(arc, "entry")], ends[(arc, "exit")]) for arc in arcs]
         matrices = [arc_quantum_matrix(surface.tri, arc.entry, arc.turn) for arc in arcs]
         edges = tuple(sorted({owner[i] for end in arc_ends for i in end if i in owner}))
-        shift = 64 * surface.tri_offset[t]
+        shift = 64 * t * tri_spec.N
         cache = {}
 
         def read(states):
@@ -605,7 +592,7 @@ def project_to_glued(elem: TorusElement, surface: SurfaceTorusSpec) -> TorusElem
                 i, j = next((i, j) for i, j in pairs if e[i] != e[j])
                 raise ValueError(
                     "monomial does not glue: generator "
-                    f"{surface.glued_ids[surface.tensor_to_glued[j]]!r} pairs exponents {e[i]} and {e[j]}"
+                    f"{surface.glued_spec.names[surface.tensor_to_glued[j]]!r} pairs exponents {e[i]} and {e[j]}"
                 )
             g = read(e)
             k = sum([c * g[a] * g[b] for a, b, c in surface.weyl_correction])

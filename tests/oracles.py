@@ -85,7 +85,7 @@ def edge_dot_indices(surface, edge_id, triangle):
     """Glued generator indices of an edge's dots in the order seen by a
     curve entering the given triangle through that edge."""
     side = side_of(surface.triangulation, edge_id, triangle)
-    m = surface.tensor_to_glued[surface.tri_offset[triangle] :]
+    m = surface.tensor_to_glued[triangle * surface.tri.spec.N :]
     return tuple(m[i] for i in inward_sequence(surface.tri, side))
 
 
@@ -93,7 +93,7 @@ def interior_lookup(surface, triangle, entry_edge):
     """Interior dot lookup in the frame where the entry edge plays side
     0, mapped to glued indices."""
     side = side_of(surface.triangulation, entry_edge, triangle)
-    m = surface.tensor_to_glued[surface.tri_offset[triangle] :]
+    m = surface.tensor_to_glued[triangle * surface.tri.spec.N :]
 
     def lookup(a, b, c):
         return m[surface.tri.index[rotate_vertex((a, b, c), side)]]
@@ -461,7 +461,7 @@ def enumerated_trace(link, surface):
     of an edge, zero or not, is read through biangle_trace from the
     edge's one diagram, so the oracle does not rely on which entries the
     diagram's amplitude table lists."""
-    n = surface.n
+    n = surface.tri.n
     tensor_spec, tri_spec = surface.tensor_spec, surface.tri.spec
     edge_tables = []
     for edge in surface.triangulation.internal_edges:
@@ -490,7 +490,7 @@ def enumerated_trace(link, surface):
         for arc in tri_arcs[t]:
             entry = arc_quantum_matrix(surface.tri, arc.entry, arc.turn)[state(arc, "entry") - 1, state(arc, "exit") - 1]
             elem = plain_normal_product(elem, entry)
-        off = surface.tri_offset[t]
+        off = t * surface.tri.spec.N
         return map_exponents(elem, tensor_spec, {i: off + i for i in range(tri_spec.N)})
 
     def terms():

@@ -5,6 +5,7 @@ multiplicative consistency properties."""
 import random
 import time
 from functools import lru_cache, reduce
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -108,7 +109,7 @@ class TestBuildSurface:
     def test_glued_generator_count(self, torus):
         # 3 internal edges x 2 shared dots + 2 triangle interior dots
         assert torus.glued_spec.N == 8
-        assert torus.glued_ids == (
+        assert torus.glued_spec.names == (
             "d.1", "d.2", "r.1", "r.2", "b.1", "b.2", "T0.X111", "T1.X111",
         )
 
@@ -440,7 +441,7 @@ def fans(draw):
 def stated(arcs, slices, surface):
     """A link of the arcs with every boundary state set to 1 + (position
     mod n), and its surface."""
-    states = {(edge, pos): 1 + pos % surface.n for edge, pos in boundary_slots(arcs, surface)}
+    states = {(edge, pos): 1 + pos % surface.tri.n for edge, pos in boundary_slots(arcs, surface)}
     return GoodPositionLink(arcs=arcs, slices=slices, boundary_states=states), surface
 
 
@@ -566,7 +567,7 @@ class TestProjection:
         e = [0] * torus.tensor_spec.N
         e[idx] = 2
         image = project_to_glued(TorusElement.monomial(torus.tensor_spec, tuple(e)), torus)
-        gidx = torus.glued_ids.index("T0.X111")
+        gidx = torus.glued_spec.names.index("T0.X111")
         assert set(image.terms) == {
             tuple(2 if i == gidx else 0 for i in range(torus.glued_spec.N))
         }
@@ -592,7 +593,7 @@ class TestProjection:
             seen = {}
             i = next(i for i, target in enumerate(to_glued) if seen.setdefault(target, e[i]) != e[i])
             target = to_glued[i]
-            expected = f"generator {surface.glued_ids[target]!r} pairs exponents {seen[target]} and {e[i]}"
+            expected = f"generator {surface.glued_spec.names[target]!r} pairs exponents {seen[target]} and {e[i]}"
             with pytest.raises(ValueError) as err:
                 project_to_glued(TorusElement.monomial(surface.tensor_spec, e), surface)
             assert str(err.value) == "monomial does not glue: " + expected
@@ -615,14 +616,28 @@ class TestProjection:
             glued_trace(copies("a", k), torus)
 
 
+def torus_declared(order, n):
+    """The once-punctured torus with its edges declared in the given
+    order of their ids."""
+    edges = {e.id: e for e in once_punctured_torus().edges}
+    return build_surface(IdealTriangulation(2, tuple(edges[i] for i in order)), n)
+
+
 def sample_surfaces():
     """(id, surface maker) pairs: the torus at n = 2..6, strips of 2..12
-    triangles at n = 3, and the other fixture triangulations at n = 2..4."""
+    triangles at n = 3, the other fixture triangulations at n = 2..4, the
+    torus with its edges declared in each order at n = 2..4, and more fans
+    at n = 2, 3.  Each declaration order and fan inverts other pairs of
+    glued indices against the tensor order."""
     cases = [(f"torus-n{n}", lambda n=n: torus_at(n)) for n in range(2, 7)]
     cases += [(f"strip-m{m}", lambda m=m: strip_at(3, m)) for m in range(2, 13)]
     for name, make in (("square", glued_square), ("triangle", single_triangle)):
         cases += [(f"{name}-n{n}", lambda make=make, n=n: build_surface(make(), n)) for n in (2, 3, 4)]
     cases += [(f"fan-201-n{n}", lambda n=n: fan_at(n, (2, 0, 1))) for n in (2, 3, 4)]
+    for order in permutations("drb"):
+        cases += [(f"torus-{''.join(order)}-n{n}", lambda order=order, n=n: torus_declared(order, n)) for n in (2, 3, 4)]
+    for order in ((3, 1, 0, 2), (1, 3, 2, 0), (4, 0, 3, 1, 2)):
+        cases += [(f"fan-{''.join(map(str, order))}-n{n}", lambda order=order, n=n: fan_at(n, order)) for n in (2, 3)]
     return cases
 
 
@@ -631,8 +646,8 @@ class TestWeylCorrection:
     def test_sparse_correction_matches_both_orderings(self, make):
         # and projecting the lift of g gives g with that correction
         surface = make()
-        tensor, glued, n = surface.tensor_spec, surface.glued_spec, surface.n
-        assert all(a <= b and c for a, b, c in surface.weyl_correction)
+        tensor, glued, n = surface.tensor_spec, surface.glued_spec, surface.tri.n
+        assert all(a < b and c for a, b, c in surface.weyl_correction)
         rng = random.Random(surface.tensor_spec.N)
         for _ in range(25):
             g = tuple(rng.randint(-3 * n, 3 * n) for _ in range(glued.N))
@@ -947,7 +962,7 @@ class TestGluedSquare:
         M1 = arc_quantum_matrix(surf.tri, 2, "right")
 
         def embed(M, t):
-            mapping = {i: surf.tri_offset[t] + i for i in range(surf.tri.spec.N)}
+            mapping = {i: t * surf.tri.spec.N + i for i in range(surf.tri.spec.N)}
             rows = [
                 [oracles.map_exponents(x, surf.tensor_spec, mapping) for x in row]
                 for row in M.entries
@@ -1005,6 +1020,37 @@ class TestTraceIdentities:
         assert elem.terms[e] == RootScalar({elem.spec.ordering(e, e): 1})
         assert all((x - y) % n == 0 for f in elem.terms for x, y in zip(f, e))
         return e
+
+    @staticmethod
+    def crossings(arcs):
+        """How often a curve crosses each torus edge, in the order d, r,
+        b: its arc ends on the edge's first incidence."""
+        ends = [(arc.triangle, side) for arc in arcs for side in (arc.entry, arc.exit)]
+        return tuple(ends.count(edge.incidences[0]) for edge in once_punctured_torus().edges)
+
+    def test_highest_term_reads_the_intersection_numbers(self):
+        # at n = 2 each edge has one dot and a triangle none inside, so the
+        # top exponent is the curve's intersection numbers with d, r and b
+        curves = (CURVES["a"], CURVES["b"], CURVE_C)
+        assert [self.crossings(arcs) for arcs in curves] == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+        assert torus_at(2).glued_spec.names == ("d.1", "r.1", "b.1")
+        for arcs, trace in zip(curves, self.traces(2)):
+            assert self.assert_highest_term(trace, 2) == self.crossings(arcs)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_highest_term_on_the_dots_of_an_edge(self, n):
+        # an edge the curve misses reads 0 on each dot, and an edge it
+        # crosses once reads 1, ..., n - 1 along its dots, either way round
+        names = torus_at(n).glued_spec.names
+        once = (tuple(range(1, n)), tuple(range(n - 1, 0, -1)))
+        for arcs, trace in zip((CURVES["a"], CURVES["b"], CURVE_C), self.traces(n)):
+            top = dict(zip(names, self.assert_highest_term(trace, n)))
+            for edge, count in zip("drb", self.crossings(arcs)):
+                dots = tuple(top[f"{edge}.{k}"] for k in range(1, n))
+                if count == 0:
+                    assert dots == (0,) * (n - 1)
+                else:
+                    assert count == 1 and dots in once
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_closed_curves_have_one_highest_term(self, n):
