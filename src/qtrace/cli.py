@@ -32,6 +32,7 @@ error (with line-positioned diagnostics on stderr).
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .qtorus import ONE, TorusElement
 from .fock_goncharov import is_mnq_point, is_slnq_point, triangle_poisson
@@ -411,7 +412,9 @@ def cmd_explain(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="qtrace",
         description="Exact SL(n) quantum trace polynomials on triangulated surfaces.",

@@ -22,7 +22,6 @@ from .qtorus import (
     QuantumTorusSpec,
     TorusElement,
     TorusMatrix,
-    make_spec,
     normal_product,
     q_power,
     torus_sum,
@@ -67,17 +66,19 @@ class TriangleCoordinates:
 
 @lru_cache(maxsize=None)
 def triangle_poisson(n: int) -> TriangleCoordinates:
-    """Quiver-derived antisymmetric matrix for one triangle, built once
-    per rank, so every triangle of that rank shares one torus."""
+    """Quiver-derived torus of one triangle, built once per rank, so
+    every triangle of that rank shares one torus.  Each arrow u -> v adds
+    1 to P[u][v] and -1 to P[v][u], and is kept as its entry below the
+    diagonal; arrows that cancel leave no entry."""
     verts = triangle_vertices(n)
     idx = {v: i for i, v in enumerate(verts)}
-    N = len(verts)
-    P = [[0] * N for _ in range(N)]
+    rows = [{} for _ in verts]
 
     def arrow(u, v):
         if u in idx and v in idx:
-            P[idx[u]][idx[v]] += 1
-            P[idx[v]][idx[u]] -= 1
+            a, b = idx[u], idx[v]
+            j, i, p = (a, b, 1) if a > b else (b, a, -1)
+            rows[j][i] = rows[j].get(i, 0) + p
 
     def cycle(v0, v1, v2):
         arrow(v0, v1)
@@ -95,7 +96,8 @@ def triangle_poisson(n: int) -> TriangleCoordinates:
             c = n - 2 - a - b
             cycle((a, b + 1, c + 1), (a + 1, b, c + 1), (a + 1, b + 1, c))
 
-    spec = make_spec(n, P, [_vertex_name(n, v) for v in verts])
+    lower = tuple(tuple(sorted((i, p) for i, p in row.items() if p)) for row in rows)
+    spec = QuantumTorusSpec(n, len(verts), lower, tuple(_vertex_name(n, v) for v in verts))
     return TriangleCoordinates(n=n, spec=spec, index=idx)
 
 

@@ -17,7 +17,7 @@ equality a dictionary comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import mul
@@ -145,30 +145,28 @@ def q_power(n: int, num: int, den: int = 1, coeff: int = 1) -> RootScalar:
 
 @dataclass(frozen=True)
 class QuantumTorusSpec:
-    """Root order n, generator count N, antisymmetric N x N matrix P."""
+    """Root order n, generator count N and an antisymmetric N x N matrix
+    P by its lower entries: lower[j] lists the pairs (i, P[j][i]) with
+    P[j][i] != 0 and i < j, i increasing; the rest of P is their mirror."""
 
     n: int
     N: int
-    P: tuple[tuple[int, ...], ...]
+    lower: tuple
     names: tuple[str, ...] = ()
-    # lower[j] lists the pairs (i, P[j][i]) with i < j and P[j][i] != 0
-    lower: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("root order must be >= 2")
-        if len(self.P) != self.N or any(len(row) != self.N for row in self.P):
-            raise ValueError("P must be N x N")
-        for i in range(self.N):
-            if self.P[i][i] != 0:
-                raise ValueError("P must have zero diagonal")
-            for j in range(i):
-                if self.P[i][j] != -self.P[j][i]:
-                    raise ValueError("P must be antisymmetric")
+        if len(self.lower) != self.N:
+            raise ValueError("lower must have N rows")
+        for j, row in enumerate(self.lower):
+            last = -1
+            for i, p in row:
+                if type(i) is not int or not last < i < j or type(p) is not int or not p:
+                    raise ValueError(f"row {j} of lower must hold nonzero ints at increasing indices below {j}")
+                last = i
         if self.names and len(self.names) != self.N:
             raise ValueError("names must match generator count")
-        lower = tuple(tuple((i, p) for i, p in enumerate(row[:j]) if p) for j, row in enumerate(self.P))
-        object.__setattr__(self, "lower", lower)
 
     def name(self, i: int) -> str:
         return self.names[i] if self.names else f"X{i}"
@@ -187,11 +185,6 @@ class QuantumTorusSpec:
                 for i, p in row:
                     k += p * ej * f[i]
         return k
-
-
-def make_spec(n: int, P: Iterable[Iterable[int]], names: Iterable[str] = ()) -> QuantumTorusSpec:
-    P = tuple(tuple(map(int, row)) for row in P)
-    return QuantumTorusSpec(n=n, N=len(P), P=P, names=tuple(names))
 
 
 class TorusElement:

@@ -46,7 +46,6 @@ from .qtorus import (
     _packer,
     _unpack,
     kron,
-    make_spec,
     mat_mul,
     normal_product,
 )
@@ -196,10 +195,9 @@ def build_surface(triangulation: IdealTriangulation, n: int) -> SurfaceTorusSpec
     Nt = tri.spec.N
     m = triangulation.n_triangles
 
-    # tensor spec: block diagonal over triangle copies
-    zeros = [0] * (m * Nt)
-    TP = [zeros[: t * Nt] + list(row) + zeros[(t + 1) * Nt :] for t in range(m) for row in tri.spec.P]
-    tensor_spec = make_spec(n, TP, [f"T{t}.{name}" for t in range(m) for name in tri.spec.names])
+    # tensor spec: block diagonal over triangle copies, block t the triangle's lower rows shifted by t * Nt
+    lower = tuple(tuple((i + t * Nt, p) for i, p in row) for t in range(m) for row in tri.spec.lower)
+    tensor_spec = QuantumTorusSpec(n, m * Nt, lower, tuple(f"T{t}.{name}" for t in range(m) for name in tri.spec.names))
 
     # glued generators: edge dots (edges in declaration order), then
     # triangle interior dots (triangles in order, vertices lex)
@@ -218,28 +216,29 @@ def build_surface(triangulation: IdealTriangulation, n: int) -> SurfaceTorusSpec
             to_glued[t * Nt + tri.index[v]] = len(glued_ids)
             glued_ids.append(f"T{t}.{tri.spec.names[tri.index[v]]}")
 
-    # A tensor entry p at (j, i), i < j, adds p g_a g_b to the tensor
-    # ordering of a lift, with a, b = to_glued[j], to_glued[i].  In GP it
-    # adds p g_a g_b to the glued ordering when a > b, and -p g_a g_b when
-    # a < b, so the correction gains -2p at (a, b) exactly when a < b.
-    # Never a = b: two generators of one triangle share no glued image,
+    # A tensor entry p at (j, i), i < j, with a, b = to_glued[j], to_glued[i], adds p g_a g_b to the
+    # tensor ordering of a lift.  The glued form holds it as p at (a, b) when a > b, adding p g_a g_b to
+    # the glued ordering, and as -p at (b, a) when a < b, adding -p g_a g_b; so the correction gains -2p
+    # at (a, b) exactly when a < b.  Never a = b: two generators of one triangle share no glued image,
     # since IdealTriangulation rejects a self-folded triangle.
-    GP = [[0] * len(glued_ids) for _ in glued_ids]
+    rows = [{} for _ in glued_ids]
     correction = {}
     for j, row in enumerate(tensor_spec.lower):
         a = to_glued[j]
         for i, p in row:
             b = to_glued[i]
-            GP[a][b] += p
-            GP[b][a] -= p
-            if a < b:
+            if a > b:
+                rows[a][b] = rows[a].get(b, 0) + p
+            else:
+                rows[b][a] = rows[b].get(a, 0) - p
                 correction[a, b] = correction.get((a, b), 0) - 2 * p
+    glued_lower = tuple(tuple(sorted((b, p) for b, p in row.items() if p)) for row in rows)
 
     return SurfaceTorusSpec(
         triangulation=triangulation,
         tri=tri,
         tensor_spec=tensor_spec,
-        glued_spec=make_spec(n, GP, glued_ids),
+        glued_spec=QuantumTorusSpec(n, len(glued_ids), glued_lower, tuple(glued_ids)),
         tensor_to_glued=tuple(to_glued),
         weyl_correction=tuple((a, b, c) for (a, b), c in correction.items() if c),
     )

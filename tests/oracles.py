@@ -26,6 +26,12 @@ products of the public slice matrices, independently of the slice tables
 and the biangle sweep.  ``paper_move_displays`` transcribes the paper's
 n = 3 displayed matrices of the moves I-IV entry by entry, independently
 of the matrix products that the move suite compares.
+``make_spec``, ``dense_form``, ``dense_quiver`` and ``dense_surface_forms``
+hold the dense N x N matrices that the library's sparse specs stand for:
+a spec from a checked dense matrix, a spec's matrix filled in from its
+lower entries, the triangle quiver summed arrow by arrow, and a
+surface's block-diagonal tensor matrix and the glued matrix summed from
+it entry by entry.
 """
 
 from dataclasses import dataclass
@@ -49,6 +55,7 @@ from qtrace.qtorus import (
     torus_sum,
     weyl_lift,
 )
+from qtrace.fock_goncharov import triangle_vertices
 from qtrace.surface import arc_quantum_matrix, inward_sequence, rotate_vertex, turn_exit_side
 
 
@@ -120,8 +127,7 @@ def edge_at(triangulation, triangle, side):
 
 def commutative_spec(spec: QuantumTorusSpec) -> QuantumTorusSpec:
     """Same generators, trivial commutation: the h = 1 polynomial algebra."""
-    zero = tuple(tuple(0 for _ in range(spec.N)) for _ in range(spec.N))
-    return QuantumTorusSpec(n=spec.n, N=spec.N, P=zero, names=spec.names)
+    return QuantumTorusSpec(n=spec.n, N=spec.N, lower=((),) * spec.N, names=spec.names)
 
 
 def _gen(spec, i, num):
@@ -388,13 +394,83 @@ def map_exponents(elem, target_spec, index_map):
 
 
 # ---------------------------------------------------------------------------
+# dense forms
+
+
+def make_spec(n, P, names=()) -> QuantumTorusSpec:
+    """The spec of a dense N x N matrix P, which must be square, zero on
+    its diagonal and antisymmetric; its lower entries are read off below
+    the diagonal."""
+    P = [[int(x) for x in row] for row in P]
+    N = len(P)
+    if any(len(row) != N for row in P):
+        raise ValueError("P must be N x N")
+    for i in range(N):
+        if P[i][i] != 0:
+            raise ValueError("P must have zero diagonal")
+        for j in range(i):
+            if P[i][j] != -P[j][i]:
+                raise ValueError("P must be antisymmetric")
+    lower = tuple(tuple((i, p) for i, p in enumerate(row[:j]) if p) for j, row in enumerate(P))
+    return QuantumTorusSpec(n=n, N=N, lower=lower, names=tuple(names))
+
+
+def dense_form(spec: QuantumTorusSpec) -> list:
+    """The N x N matrix P of a spec, filled in from its lower entries."""
+    P = [[0] * spec.N for _ in range(spec.N)]
+    for j, row in enumerate(spec.lower):
+        for i, p in row:
+            P[j][i], P[i][j] = p, -p
+    return P
+
+
+def dense_quiver(n: int) -> list:
+    """The triangle quiver's matrix, rows and columns in the order of
+    triangle_vertices: each small upward subtriangle a counterclockwise
+    cycle, each small downward one a clockwise cycle, each arrow u -> v
+    adding 1 at (u, v) and -1 at (v, u) of one dense matrix."""
+    idx = {v: i for i, v in enumerate(triangle_vertices(n))}
+    P = [[0] * len(idx) for _ in idx]
+
+    def cycle(*vs):
+        for u, v in zip(vs, vs[1:] + vs[:1]):
+            if u in idx and v in idx:
+                P[idx[u]][idx[v]] += 1
+                P[idx[v]][idx[u]] -= 1
+
+    for a in range(n):
+        for b in range(n - a):
+            cycle((a + 1, b, n - 1 - a - b), (a, b, n - a - b), (a, b + 1, n - 1 - a - b))
+    for a in range(n - 1):
+        for b in range(n - 1 - a):
+            cycle((a, b + 1, n - 1 - a - b), (a + 1, b, n - 1 - a - b), (a + 1, b + 1, n - 2 - a - b))
+    return P
+
+
+def dense_surface_forms(surface) -> tuple:
+    """(tensor matrix, glued matrix) of a surface: the block-diagonal
+    matrix of one dense quiver per triangle, and the glued matrix summed
+    from its entries through tensor_to_glued."""
+    tri = dense_quiver(surface.tri.n)
+    Nt, m = len(tri), surface.triangulation.n_triangles
+    zeros = [0] * (m * Nt)
+    TP = [zeros[: t * Nt] + row + zeros[(t + 1) * Nt :] for t in range(m) for row in tri]
+    to_glued = surface.tensor_to_glued
+    GP = [[0] * surface.glued_spec.N for _ in range(surface.glued_spec.N)]
+    for j, row in enumerate(TP):
+        for i, p in enumerate(row):
+            GP[to_glued[j]][to_glued[i]] += p
+    return TP, GP
+
+
+# ---------------------------------------------------------------------------
 # Weyl ordering of a word
 
 
 def plain_normal_product(a, b):
     """a * b by the rule X^e X^f = h^(2 sum_{i<j} P[j][i] e_j f_i) X^(e+f),
-    read from spec.P with its own loops and summed in plain dicts."""
-    P, N = a.spec.P, a.spec.N
+    read from the dense P with its own loops and summed in plain dicts."""
+    P, N = dense_form(a.spec), a.spec.N
     lower = [(j, i, P[j][i]) for j in range(N) for i in range(j) if P[j][i]]
     sums = {}
     for e, c in a.terms.items():
@@ -413,10 +489,11 @@ def weyl_order(word, spec):
     Returns h^(-sum_{a<b} P[i_a][i_b] m_a m_b) times the normal-ordered
     product of the letters; invariant under permutations of the word.
     """
+    P = dense_form(spec)
     k = 0
     for a, (ia, ma) in enumerate(word):
         for ib, mb in word[a + 1 :]:
-            k -= spec.P[ia][ib] * ma * mb
+            k -= P[ia][ib] * ma * mb
     out = TorusElement.scalar(spec, RootScalar({k: 1}))
     for i, m in word:
         out = plain_normal_product(out, TorusElement.generator(spec, i, m))

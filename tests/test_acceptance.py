@@ -138,10 +138,11 @@ def test_criterion_08_state_sum_and_multiplication(torus):
     )
     ok = ok and union == normal_product(ga, gb)
     spec = torus.glued_spec
+    P = oracles.dense_form(spec)
     for e in ga.terms:
         for f in gb.terms:
             pairing = sum(
-                e[i] * spec.P[i][j] * f[j]
+                e[i] * P[i][j] * f[j]
                 for i in range(spec.N)
                 for j in range(spec.N)
             )

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qtrace.cli import (
     ParseError,
+    build_parser,
     emit_polynomial,
     explain_polynomial,
     main,
@@ -349,6 +350,52 @@ class TestVerifyCommand:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert "duality suite" in done.stderr
+
+
+class TestConsecutiveCalls:
+    """The parser is built once per process, so one in-process main call
+    must leave nothing behind for the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_trace_to_a_file_then_to_stdout(self, torus_files, capsys):
+        tmp_path, surface = torus_files
+        link = tmp_path / "a.link"
+        link.write_text(CURVE_A)
+        out = tmp_path / "a.poly"
+        assert main(["trace", str(surface), str(link), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["trace", str(surface), str(link)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.link", "a.poly", "torus.surface"]
+
+    def test_one_suite_then_every_suite(self, capsys):
+        assert main(["verify", "--suite", "moves", "--n", "2"]) == 0
+        assert "16/16 checks passed" in capsys.readouterr().out
+        assert main(["verify", "--suite", "all"]) == 0
+        golden = Path(__file__).resolve().parent / "golden" / "verify-all.txt"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+    def test_bad_argument_then_good_call(self, torus_files, capsys):
+        tmp_path, surface = torus_files
+        link = tmp_path / "a.link"
+        link.write_text(CURVE_A)
+        with pytest.raises(SystemExit) as err:
+            main(["trace", str(surface), str(link), "--classical", "--bogus"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "nope"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert main(["trace", str(surface), str(link)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("polynomial\nn 3\n") and "term " in captured.out
+        # the refused --classical flag did not carry over: the output is the quantum trace
+        assert main(["trace", str(surface), str(link), "--classical"]) == 0
+        assert capsys.readouterr().out != captured.out
 
 
 class TestExplainCommand:

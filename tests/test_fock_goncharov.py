@@ -29,7 +29,10 @@ from oracles import (
     classical_trace_polynomial,
     classical_uturn,
     commutative_spec,
+    dense_form,
+    dense_quiver,
     elementary_turn_matrix,
+    make_spec,
 )
 from triangulations import once_punctured_torus
 
@@ -56,9 +59,14 @@ def wm(tri, **exponents):
 
 
 class TestQuiver:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_sparse_form_is_the_dense_quiver(self, n):
+        spec = triangle_poisson(n).spec
+        assert spec == make_spec(n, dense_quiver(n), spec.names)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_antisymmetric(self, n):
-        P = triangle_poisson(n).spec.P
+        P = dense_form(triangle_poisson(n).spec)
         for i in range(len(P)):
             for j in range(len(P)):
                 assert P[i][j] == -P[j][i]
@@ -66,7 +74,7 @@ class TestQuiver:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_rotation_invariance(self, n):
         tri = triangle_poisson(n)
-        P = tri.spec.P
+        P = dense_form(tri.spec)
         verts = triangle_vertices(n)
         rot = {tri.index[v]: tri.index[rotate_vertex(v, 1)] for v in verts}
         for v in verts:
@@ -75,7 +83,7 @@ class TestQuiver:
                 assert P[i][j] == P[rot[i]][rot[j]]
 
     def test_weight_range(self):
-        P = triangle_poisson(4).spec.P
+        P = dense_form(triangle_poisson(4).spec)
         values = {abs(x) for row in P for x in row}
         assert values <= {0, 1, 2}
 

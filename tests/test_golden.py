@@ -109,20 +109,35 @@ def test_trace_output_is_golden(tmp_path, surface_text, link_text, golden):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
-# The largest bundle outputs (about 100 KB each) are pinned by the sha256
-# of the emitted file instead of a copy.
+# The largest outputs (about 100 KB each for the bundles, 333 KB and 2.6 MB
+# for the long strips) are pinned by the sha256 of the emitted file instead
+# of a copy.  (case id, surface text, link text, digest)
 DIGESTS = [
-    ("bundle-n5-k2-a", CURVE_A_TWICE, "01b2a71b438df9cbbacc253b9faa6c0db39931abc6f509244553307944814c06"),
-    ("bundle-n5-k2-b", CURVE_B_TWICE, "813ba42515892df1e9e9adadf9375e84fa4324abab6a30e1a6588bc2513c7b5f"),
+    (
+        "bundle-n5-k2-a",
+        torus_surface(5),
+        CURVE_A_TWICE,
+        "01b2a71b438df9cbbacc253b9faa6c0db39931abc6f509244553307944814c06",
+    ),
+    (
+        "bundle-n5-k2-b",
+        torus_surface(5),
+        CURVE_B_TWICE,
+        "813ba42515892df1e9e9adadf9375e84fa4324abab6a30e1a6588bc2513c7b5f",
+    ),
+    ("strip-n3-m30", *strip(30), "253a2553a605ecffd5f9204a47ad0fe56652163fbbef56c5693c9e43c5823c96"),
+    ("strip-n3-m60", *strip(60), "4801d7e24e9c8a467362079cdbec23fec9f6e76eba92044fc09ba5971c1fc93d"),
 ]
 
 
-@pytest.mark.parametrize("link_text,digest", [case[1:] for case in DIGESTS], ids=[case[0] for case in DIGESTS])
-def test_trace_output_has_pinned_digest(tmp_path, link_text, digest):
+@pytest.mark.parametrize(
+    "surface_text,link_text,digest", [case[1:] for case in DIGESTS], ids=[case[0] for case in DIGESTS]
+)
+def test_trace_output_has_pinned_digest(tmp_path, surface_text, link_text, digest):
     surface = tmp_path / "in.surface"
     link = tmp_path / "in.link"
     out = tmp_path / "out.poly"
-    surface.write_text(torus_surface(5))
+    surface.write_text(surface_text)
     link.write_text(link_text)
     assert main(["trace", str(surface), str(link), "--out", str(out)]) == 0
     assert sha256(out.read_bytes()).hexdigest() == digest

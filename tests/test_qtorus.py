@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from qtrace.qtorus import (
     ONE,
     ZERO,
+    QuantumTorusSpec,
     RootScalar,
     TorusElement,
     TorusMatrix,
     kron,
-    make_spec,
     mat_mul,
     normal_product,
     q_power,
@@ -22,7 +22,8 @@ from qtrace.qtorus import (
     weyl_monomial,
 )
 
-from oracles import evaluate_element, evaluate_scalar, map_exponents, plain_normal_product, weyl_order
+import oracles
+from oracles import evaluate_element, evaluate_scalar, make_spec, map_exponents, plain_normal_product, weyl_order
 
 
 def small_antisymmetric(n_gens, rng):
@@ -147,6 +148,60 @@ def dense_form(P, x, y):
     return sum(P[j][i] * x[j] * y[i] for j in range(4) for i in range(j))
 
 
+class TestSpec:
+    """A spec is its lower form; the constructor checks each entry once."""
+
+    @pytest.mark.parametrize(
+        "lower,message",
+        [
+            (((), ((1, 2),), ()), "row 1"),  # i = j
+            (((), ((0, 1),), ((3, 1),)), "row 2"),  # i > j
+            (((), (), ((1, 1), (0, 2))), "row 2"),  # i out of order
+            (((), (), ((0, 1), (0, 2))), "row 2"),  # i repeated
+            (((), (), ((-1, 1),)), "row 2"),  # i negative
+            (((), ((0, 0),), ()), "row 1"),  # a zero entry
+            (((), ((0, 1.0),), ()), "row 1"),  # a float entry
+            (((), ((0, "1"),), ()), "row 1"),  # a string entry
+            (((), (), ((0, True),)), "row 2"),  # a bool entry
+            (((), ((0.0, 1),), ()), "row 1"),  # a float index
+            (((), ((0, 1),)), "N rows"),  # a row short
+        ],
+    )
+    def test_malformed_lower_rows_are_rejected(self, lower, message):
+        with pytest.raises(ValueError, match=message):
+            QuantumTorusSpec(n=3, N=3, lower=lower)
+
+    @pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c", "d")])
+    def test_names_of_the_wrong_length_are_rejected(self, names):
+        with pytest.raises(ValueError, match="names"):
+            QuantumTorusSpec(n=3, N=3, lower=((), ((0, 1),), ()), names=names)
+
+    def test_root_order_below_two_is_rejected(self):
+        with pytest.raises(ValueError, match="root order"):
+            QuantumTorusSpec(n=1, N=1, lower=((),))
+
+    @given(P=st.lists(st.integers(-2, 2), min_size=6, max_size=6).map(antisymmetric_from_upper))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_round_trip(self, P):
+        spec = make_spec(3, P, "abcd")
+        assert oracles.dense_form(spec) == P
+        assert spec == QuantumTorusSpec(3, 4, spec.lower, tuple("abcd"))
+        assert all(p for row in spec.lower for _, p in row)
+
+    @pytest.mark.parametrize(
+        "P,message",
+        [
+            ([[0, 1], [-1, 0], [0, 0]], "N x N"),
+            ([[0, 1, 0], [-1, 0]], "N x N"),
+            ([[1, 0], [0, 0]], "zero diagonal"),
+            ([[0, 1], [1, 0]], "antisymmetric"),
+        ],
+    )
+    def test_dense_oracle_checks_its_matrix(self, P, message):
+        with pytest.raises(ValueError, match=message):
+            make_spec(3, P)
+
+
 class TestWeylBasis:
     @given(P=forms, e=exponents, f=exponents)
     @settings(max_examples=80, deadline=None)
@@ -172,8 +227,9 @@ class TestWeylBasis:
         # [e][f] = h^<e, Pf> [e+f]
         rng = random.Random(5)
         spec = make_spec(3, small_antisymmetric(4, rng))
+        P = oracles.dense_form(spec)
         pairing = sum(
-            e[i] * spec.P[i][j] * f[j] for i in range(4) for j in range(4)
+            e[i] * P[i][j] * f[j] for i in range(4) for j in range(4)
         )
         lhs = normal_product(weyl_monomial(spec, e), weyl_monomial(spec, f))
         rhs = TorusElement.scalar(spec, RootScalar({pairing: 1})) * weyl_monomial(
@@ -187,8 +243,9 @@ class TestWeylBasis:
         # X^e X^f = h^(2 <e, Pf>) X^f X^e
         rng = random.Random(6)
         spec = make_spec(3, small_antisymmetric(4, rng))
+        P = oracles.dense_form(spec)
         pairing = sum(
-            e[i] * spec.P[i][j] * f[j] for i in range(4) for j in range(4)
+            e[i] * P[i][j] * f[j] for i in range(4) for j in range(4)
         )
         a = TorusElement.monomial(spec, e)
         b = TorusElement.monomial(spec, f)
@@ -345,7 +402,7 @@ class TestElements:
         assert lhs == normal_product(a, normal_product(b, c))
 
     def test_map_exponents_embedding(self, spec3):
-        big = make_spec(3, [list(row) + [0, 0] for row in spec3.P] + [[0] * 6, [0] * 6])
+        big = make_spec(3, [row + [0, 0] for row in oracles.dense_form(spec3)] + [[0] * 6, [0] * 6])
         a = weyl_monomial(spec3, (1, -2, 0, 3))
         image = map_exponents(a, big, {i: i for i in range(4)})
         assert set(image.terms) == {(1, -2, 0, 3, 0, 0)}

@@ -4,6 +4,7 @@ multiplicative consistency properties."""
 
 import random
 import time
+import tracemalloc
 from functools import lru_cache, reduce
 from itertools import permutations
 
@@ -114,7 +115,7 @@ class TestBuildSurface:
         )
 
     def test_glued_form_antisymmetric(self, torus):
-        P = torus.glued_spec.P
+        P = oracles.dense_form(torus.glued_spec)
         for i in range(torus.glued_spec.N):
             for j in range(torus.glued_spec.N):
                 assert P[i][j] == -P[j][i]
@@ -666,6 +667,41 @@ class TestWeylCorrection:
         assert len(surface.weyl_correction) == size < forms / 3
 
 
+def assert_dense_forms_agree(surface):
+    """Both sparse specs of a surface equal the specs of the oracle's dense
+    tensor and glued matrices, entry for entry and name for name."""
+    n = surface.tri.n
+    TP, GP = oracles.dense_surface_forms(surface)
+    assert surface.tensor_spec == oracles.make_spec(n, TP, surface.tensor_spec.names)
+    assert surface.glued_spec == oracles.make_spec(n, GP, surface.glued_spec.names)
+
+
+class TestSparseForms:
+    @pytest.mark.parametrize("make", [make for _, make in sample_surfaces()], ids=[name for name, _ in sample_surfaces()])
+    def test_forms_match_the_dense_oracle(self, make):
+        assert_dense_forms_agree(make())
+
+    def test_strip_forms_match_the_dense_oracle(self):
+        for m in range(2, 61):
+            assert_dense_forms_agree(build_surface(IdealTriangulation(m, fan_edges(tuple(range(m)))), 3))
+
+    def test_long_strip_builds_in_little_memory(self):
+        # both forms are built from lower entries: 60 triangles at n = 3
+        # give 420 tensor generators, and the dense tensor and glued
+        # matrices of that size would take about 4.5 MB
+        triangulation = IdealTriangulation(60, fan_edges(tuple(range(60))))
+        triangle_poisson(3)  # the cached torus of the rank, outside the measurement
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            surface = build_surface(triangulation, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert surface.tensor_spec.N == 420
+        assert peak < 1 << 20
+
+
 class TestClassicalProperty:
     @pytest.mark.parametrize(
         "make_link,steps",
@@ -715,10 +751,11 @@ class TestMultiplication:
         ga = unsplit_trace(link_a(), torus)
         gb = unsplit_trace(link_b(), torus)
         spec = torus.glued_spec
+        P = oracles.dense_form(spec)
         for e in ga.terms:
             for f in gb.terms:
                 pairing = sum(
-                    e[i] * spec.P[i][j] * f[j]
+                    e[i] * P[i][j] * f[j]
                     for i in range(spec.N)
                     for j in range(spec.N)
                 )
