@@ -14,6 +14,7 @@ boundary of the biangle and index rows; index pairs are ordered
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from math import gcd, prod
 
 from .qtorus import ONE, ZERO, RootScalar, TorusMatrix, q_power
 
@@ -316,15 +317,18 @@ def kink_scalar(n: int, sign: int) -> RootScalar:
 
 
 @lru_cache(maxsize=None)
-def _slice_tables(n: int) -> dict:
-    """{slice kind: {states in the window before the slice: [(states
-    after, amplitude), ...]}} at rank n, over the nonzero entries of each
-    slice's matrix, so the state sum uses the matrices that the move and
-    duality checks verify.  Each amplitude is given as its (h exponent,
-    coefficient) pairs.  The first state sum with a slice at a rank
-    builds every kind's table, and no later one builds any."""
+def _slice_tables(n: int) -> tuple:
+    """(unit, {slice kind: (norm, lowest exponent, {states in the window
+    before the slice: [(states after, amplitude), ...]})}) at rank n, over
+    the nonzero entries of each slice's matrix, so the state sum uses the
+    matrices that the move and duality checks verify.  An amplitude is one
+    int whose field j, 64 bits wide, holds the coefficient of h^(lowest +
+    unit*j), unit being the gcd of every exponent; a kind's norm is its
+    largest column L1 norm, the most by which one such slice multiplies the
+    sum of |coefficient|s reaching a state.  The first state sum with a
+    slice at a rank builds every kind's table, and no later one builds any."""
     states = range(1, n + 1)
-    tables = {}
+    nonzero, unit, tables = {}, 0, {}
     for kind in SLICE_KINDS:
         if kind in CROSSING_KINDS:
             C = crossing_matrix(kind, n)
@@ -338,11 +342,35 @@ def _slice_tables(n: int) -> dict:
             U = U.transpose() if kind.startswith("dec") else U
             pairs = [((b, t), U[b - 1, t - 1]) for b, t in product(states, repeat=2)]
             entries = [((), pair, amp) if _WIDTH[kind] == 0 else (pair, (), amp) for pair, amp in pairs]
-        table = tables[kind] = {}
-        for before, after, amp in entries:
-            if not amp.is_zero():
-                table.setdefault(before, []).append((after, tuple(amp.terms.items())))
-    return tables
+        nonzero[kind] = [(before, after, amp.terms) for before, after, amp in entries if not amp.is_zero()]
+        unit = gcd(unit, *(k for *_, terms in nonzero[kind] for k in terms))
+    for kind, entries in nonzero.items():
+        low, table, into = min(k for *_, terms in entries for k in terms), {}, {}
+        for before, after, terms in entries:
+            table.setdefault(before, []).append((after, sum(c << 64 * ((k - low) // unit) for k, c in terms.items())))
+            into[after] = into.get(after, 0) + sum(map(abs, terms.values()))
+        tables[kind] = max(into.values()), low, table
+    return unit, tables
+
+
+@lru_cache(maxsize=None)
+def _packed_slices(n: int, bits: int) -> dict:
+    """The _slice_tables tables at rank n, with fields bits wide rather than 64."""
+    spread = lambda amp: sum(c << bits * j for j, c in _terms(amp, 64, 0, 1).items())
+    widen = lambda table: {before: [(after, spread(amp)) for after, amp in entries] for before, entries in table.items()}
+    return {kind: (norm, low, widen(table)) for kind, (norm, low, table) in _slice_tables(n)[1].items()}
+
+
+def _terms(amp: int, bits: int, low: int, unit: int) -> dict:
+    """{h exponent: coefficient} of a packed amplitude whose field j, bits wide,
+    holds the coefficient of h^(low + unit*j): its balanced base-2^bits digits."""
+    mask, half, terms = (1 << bits) - 1, 1 << bits - 1, {}
+    while amp:
+        c, amp = amp & mask, amp >> bits
+        if c >= half:
+            c, amp = c - (1 << bits), amp + 1
+        terms[low], low = c, low + unit
+    return terms
 
 
 def amplitude_table(diagram: BiangleDiagram) -> dict:
@@ -351,28 +379,37 @@ def amplitude_table(diagram: BiangleDiagram) -> dict:
     have equal state sums exactly when their tables are equal.
 
     One sweep through the slices carries every left tuple at once, keyed
-    by the left states followed by the current ones.  The diagram keeps
-    the table, so later calls are lookups.
+    by the current states, each holding {left states: amplitude}.  An
+    amplitude is one packed int (_slice_tables) whose fields, in whole
+    64-bit words, hold 2 bits more than the product of the slices' norms,
+    which bounds every coefficient.  The diagram keeps the table, so
+    later calls are lookups.
     """
     table = diagram._amplitudes
     if not table:
-        n, width = diagram.n, len(diagram.left)
-        lefts = list(product(range(1, n + 1), repeat=width))
-        # amplitudes as {h exponent: coefficient} while sweeping
-        sweep = {left + left: {0: 1} for left in lefts}
+        n, lefts = diagram.n, list(product(range(1, diagram.n + 1), repeat=len(diagram.left)))
+        # a diagram without slices builds no slice tables
+        unit, tables = _slice_tables(n) if diagram.slices else (1, {})
+        bits = (prod(tables[s.kind][0] for s in diagram.slices).bit_length() + 65) // 64 * 64
+        tables = _packed_slices(n, bits) if bits > 64 else tables
+        # zero amplitudes stay in the sweep until decoding drops them
+        sweep, low = {left: {left: 1} for left in lefts}, 0
         for s in diagram.slices:
-            p, w, slice_table = width + s.pos - 1, _WIDTH[s.kind], _slice_tables(n)[s.kind]
+            _, shift, slice_table = tables[s.kind]
+            p, w, low = s.pos - 1, _WIDTH[s.kind], low + shift
             updated = {}
-            for states, amp in sweep.items():
+            for states, amps in sweep.items():
                 for after, extra in slice_table.get(states[p : p + w], ()):
                     acc = updated.setdefault(states[:p] + after + states[p + w :], {})
-                    for k1, c1 in amp.items():
-                        for k2, c2 in extra:
-                            acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
-            sweep = {key: terms for key, acc in updated.items() if (terms := {k: c for k, c in acc.items() if c})}
+                    for left, amp in amps.items():
+                        if amp:
+                            acc[left] = acc.get(left, 0) + amp * extra
+            sweep = updated
         table.update((left, {}) for left in lefts)
-        for key, terms in sweep.items():
-            table[key[:width]][key[width:]] = RootScalar(terms)
+        for right, amps in sweep.items():
+            for left, amp in amps.items():
+                if amp:
+                    table[left][right] = RootScalar(_terms(amp, bits, low, unit))
     return table
 
 

@@ -293,7 +293,7 @@ def render_monomial(n: int, generator_ids, evec) -> str:
 
 def explain_polynomial(n, generator_ids, terms) -> str:
     lines = []
-    for evec in sorted(terms):
+    for evec in sorted(e for e, coeff in terms.items() if any(coeff.values())):
         coeff = render_coefficient(n, terms[evec])
         mono = render_monomial(n, generator_ids, evec)
         if mono:

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,6 +323,38 @@ class TestBiangleEngine:
         for i, left in enumerate(lefts):
             for j, right in enumerate(rights):
                 assert table[left].get(right, ZERO) == dense[i, j], (diagram, left, right)
+
+    @pytest.mark.parametrize("n,bits", [(2, 57), (3, 92), (4, 116)])
+    def test_sixty_unknots_are_the_sixtieth_power(self, n, bits):
+        # coefficients wider than one 64-bit field at n = 3 and 4
+        loops = BiangleDiagram(n, (), (Slice("inc_ccw", 1), Slice("dec_ccw", 1)) * 60)
+        power = reduce(mul, [unknot_value(n)] * 60)
+        assert amplitude_table(loops) == {(): {(): power}}
+        assert max(abs(c) for c in power.terms.values()).bit_length() == bits
+
+    # On two strands oriented (r, r): the four same-direction crossings
+    # between two kinks, a zig-zag on strand 1, and a cup whose new lower
+    # strand crosses strand 1 by the four opposite-direction crossings
+    # before a cap closes it.
+    MIXED = (
+        ("pos_same_to_lower", 1), ("kink_pos", 1), ("neg_same_to_higher", 1), ("kink_neg", 2),
+        ("pos_same_to_higher", 1), ("neg_same_to_lower", 1), ("inc_ccw", 1), ("inc_cw", 2),
+        ("dec_cw", 2), ("pos_opp_to_lower", 1), ("neg_opp_to_higher", 1), ("pos_opp_to_higher", 1),
+        ("neg_opp_to_lower", 1), ("inc_cw", 2),
+    )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_long_mixed_word_table_equals_the_dense_product(self, n):
+        word = self.MIXED * 3 + self.MIXED[:6]
+        diagram = BiangleDiagram(n, ("r", "r"), tuple(Slice(*s) for s in word))
+        assert len(word) >= 45 and {s.kind for s in diagram.slices} == set(SLICE_KINDS) - {"dec_ccw"}
+        table = amplitude_table(diagram)
+        dense = dense_word_matrix(n, 2, word)
+        pairs = list(itertools.product(range(1, n + 1), repeat=2))
+        assert list(table) == pairs
+        for i, left in enumerate(pairs):
+            for j, right in enumerate(pairs):
+                assert table[left].get(right, ZERO) == dense[i, j], (left, right)
 
     def test_trivial_diagram_is_identity(self):
         diagram = BiangleDiagram(3, ("r", "l"), ())

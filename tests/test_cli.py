@@ -407,6 +407,16 @@ class TestExplainCommand:
         assert main(["explain", str(poly)]) == 0
         assert capsys.readouterr().out == "(1 - q) d.1 d.2^(-2/3)\n"
 
+    def test_zero_terms_are_dropped(self, tmp_path, capsys):
+        poly = tmp_path / "p.poly"
+        head = "polynomial\nn 3\ngenerators a b\n"
+        poly.write_text(head + "term 1 2 ; 0 0\nterm 0 0 ; 6 0 12 0\n")
+        assert main(["explain", str(poly)]) == 0
+        assert capsys.readouterr().out == "0\n"
+        poly.write_text(head + "term 1 2 ; 0 0\nterm 3 0 ; 0 2 6 0\n")
+        assert main(["explain", str(poly)]) == 0
+        assert capsys.readouterr().out == "(2) a\n"
+
 # Lines of each file format, built from tokens that are valid, near misses
 # or numbers that str.isdigit, str.isdecimal and int disagree on, mixed
 # with lines of loose tokens.  Ranks stay small: a trace costs more as n grows.

@@ -55,6 +55,14 @@ CURVE_A_THRICE_BRAIDED = CURVE_A_THRICE + (
 # strands in the biangle d: the table splits above height 2, not height 1.
 CURVE_A_THRICE_LOW_CROSSING = CURVE_A_THRICE + "slice d pos_same_to_lower 1\n"
 
+# Two copies of curve a with 50 unknots in the biangle d: coefficients of up
+# to 78 bits, so the biangle sweep must carry amplitudes wider than 64 bits.
+CURVE_A_TWICE_UNKNOTS = CURVE_A_TWICE + "slice d inc_ccw 1\nslice d dec_ccw 1\n" * 50
+
+# Two copies of curve a twisted 48 times in the biangle d: small output
+# coefficients, but a coefficient bound of 3^48 over the sweep.
+CURVE_A_TWICE_TWISTED = CURVE_A_TWICE + "slice d pos_same_to_lower 1\n" * 48
+
 
 def strip(m):
     """One left-turning arc through a fan of m triangles at n = 3, from
@@ -91,6 +99,8 @@ TRACES = [
     ("braided-n3-k2-a", torus_surface(3), CURVE_A_TWICE_BRAIDED, "bundle-n3-k2-a.poly"),
     ("braided-n3-k3-a", torus_surface(3), CURVE_A_THRICE_BRAIDED, "bundle-n3-k3-a.poly"),
     ("braided-low-n3-k3-a", torus_surface(3), CURVE_A_THRICE_LOW_CROSSING, "braided-low-n3-k3-a.poly"),
+    ("unknots50-n3-k2-a", torus_surface(3), CURVE_A_TWICE_UNKNOTS, "unknots50-n3-k2-a.poly"),
+    ("twist48-n3-k2-a", torus_surface(3), CURVE_A_TWICE_TWISTED, "twist48-n3-k2-a.poly"),
     *((f"strip-n3-m{m}", *strip(m), f"strip-n3-m{m}.poly") for m in (2, 5, 8, 12)),
     ("strip2-n3-m5", *two_strands(5), "strip2-n3-m5.poly"),
 ]
