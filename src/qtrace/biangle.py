@@ -317,16 +317,15 @@ def kink_scalar(n: int, sign: int) -> RootScalar:
 
 
 @lru_cache(maxsize=None)
-def _slice_tables(n: int) -> tuple:
+def _slice_tables(n: int, bits: int = 64) -> tuple:
     """(unit, {slice kind: (norm, lowest exponent, {states in the window
     before the slice: [(states after, amplitude), ...]})}) at rank n, over
     the nonzero entries of each slice's matrix, so the state sum uses the
     matrices that the move and duality checks verify.  An amplitude is one
-    int whose field j, 64 bits wide, holds the coefficient of h^(lowest +
+    int whose field j, bits wide, holds the coefficient of h^(lowest +
     unit*j), unit being the gcd of every exponent; a kind's norm is its
     largest column L1 norm, the most by which one such slice multiplies the
-    sum of |coefficient|s reaching a state.  The first state sum with a
-    slice at a rank builds every kind's table, and no later one builds any."""
+    sum of |coefficient|s reaching a state.  A rank and width is built once."""
     states = range(1, n + 1)
     nonzero, unit, tables = {}, 0, {}
     for kind in SLICE_KINDS:
@@ -347,18 +346,10 @@ def _slice_tables(n: int) -> tuple:
     for kind, entries in nonzero.items():
         low, table, into = min(k for *_, terms in entries for k in terms), {}, {}
         for before, after, terms in entries:
-            table.setdefault(before, []).append((after, sum(c << 64 * ((k - low) // unit) for k, c in terms.items())))
+            table.setdefault(before, []).append((after, sum(c << bits * ((k - low) // unit) for k, c in terms.items())))
             into[after] = into.get(after, 0) + sum(map(abs, terms.values()))
         tables[kind] = max(into.values()), low, table
     return unit, tables
-
-
-@lru_cache(maxsize=None)
-def _packed_slices(n: int, bits: int) -> dict:
-    """The _slice_tables tables at rank n, with fields bits wide rather than 64."""
-    spread = lambda amp: sum(c << bits * j for j, c in _terms(amp, 64, 0, 1).items())
-    widen = lambda table: {before: [(after, spread(amp)) for after, amp in entries] for before, entries in table.items()}
-    return {kind: (norm, low, widen(table)) for kind, (norm, low, table) in _slice_tables(n)[1].items()}
 
 
 def _terms(amp: int, bits: int, low: int, unit: int) -> dict:
@@ -391,7 +382,7 @@ def amplitude_table(diagram: BiangleDiagram) -> dict:
         # a diagram without slices builds no slice tables
         unit, tables = _slice_tables(n) if diagram.slices else (1, {})
         bits = (prod(tables[s.kind][0] for s in diagram.slices).bit_length() + 65) // 64 * 64
-        tables = _packed_slices(n, bits) if bits > 64 else tables
+        unit, tables = _slice_tables(n, bits) if bits > 64 else (unit, tables)
         # zero amplitudes stay in the sweep until decoding drops them
         sweep, low = {left: {left: 1} for left in lefts}, 0
         for s in diagram.slices:

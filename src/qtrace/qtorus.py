@@ -450,29 +450,15 @@ class TorusMatrix:
     With spec=None the entries are RootScalars in Z[h, h^-1]; otherwise
     they are TorusElements over spec.  Products, Kronecker products and
     equality work across the two rings: a scalar entry multiplies and
-    compares with a torus entry directly.
+    compares with a torus entry directly.  Entries are stored as given,
+    so every builder and operation makes them in the matrix's ring.
     """
 
     __slots__ = ("spec", "rows", "cols", "entries")
 
     def __init__(self, spec: QuantumTorusSpec | None, entries):
-        rows = []
-        for row in entries:
-            r = []
-            for x in row:
-                if isinstance(x, int):
-                    x = RootScalar({0: x})
-                if spec is None:
-                    if not isinstance(x, RootScalar):
-                        raise ValueError("scalar matrix entries must be scalars")
-                elif isinstance(x, RootScalar):
-                    x = TorusElement.scalar(spec, x)
-                elif x.spec is not spec and x.spec != spec:
-                    raise ValueError("entry spec mismatch")
-                r.append(x)
-            rows.append(tuple(r))
         self.spec = spec
-        self.entries = tuple(rows)
+        self.entries = tuple(map(tuple, entries))
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(r) != self.cols for r in self.entries):
@@ -480,14 +466,15 @@ class TorusMatrix:
 
     @staticmethod
     def identity(spec, size: int) -> "TorusMatrix":
-        return TorusMatrix(spec, [[ONE if i == j else ZERO for j in range(size)] for i in range(size)])
+        one, zero = (ONE, ZERO) if spec is None else (TorusElement.one(spec), TorusElement.zero(spec))
+        return TorusMatrix(spec, [[one if i == j else zero for j in range(size)] for i in range(size)])
 
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
 
     def __mul__(self, other):
-        if isinstance(other, (int, RootScalar, TorusElement)):
+        if isinstance(other, (int, RootScalar)):
             return self.map(lambda x: x * other)
         return NotImplemented
 

@@ -676,7 +676,7 @@ def glued_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TorusEleme
     keys, traces = [], []
     for layer, tables in _layers(link, surface):
         heights = sorted({arc.height for arc in layer.arcs})
-        arcs = [(bisect_left(heights, a.height), a.triangle, a.entry, a.turn) for a in layer.arcs]
+        arcs = sorted((bisect_left(heights, a.height), a.triangle, a.entry, a.turn) for a in layer.arcs)
         key = (arcs, layer.boundary_states, tables)
         if key in keys:
             traces.append(traces[keys.index(key)])

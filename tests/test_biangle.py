@@ -33,6 +33,8 @@ from qtrace.biangle import (
     unknot_value,
     uturn_matrix,
     yang_baxter_holds,
+    _slice_tables,
+    _terms,
 )
 from oracles import crossing_constructions, dense_word_matrix, oracle_crossing_matrix
 
@@ -331,6 +333,41 @@ class TestBiangleEngine:
         power = reduce(mul, [unknot_value(n)] * 60)
         assert amplitude_table(loops) == {(): {(): power}}
         assert max(abs(c) for c in power.terms.values()).bit_length() == bits
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_slice_tables_hold_the_nonzero_matrix_entries(self, n, bits):
+        # every packed entry decodes to its crossing, U-turn or kink matrix
+        # entry, whatever the field width, and a kind's norm is its
+        # largest column L1 norm
+        states = range(1, n + 1)
+        unit, tables = _slice_tables(n, bits)
+        assert set(tables) == set(SLICE_KINDS)
+        for kind, (norm, low, table) in tables.items():
+            if kind in CROSSING_KINDS:
+                C = crossing_matrix(kind, n)
+                pairs = list(itertools.product(states, repeat=2))
+                entries = {(x, y): C[i, j] for (i, x), (j, y) in itertools.product(enumerate(pairs), repeat=2)}
+            elif kind in ("kink_pos", "kink_neg"):
+                entries = {((s,), (s,)): kink_scalar(n, 1 if kind == "kink_pos" else -1) for s in states}
+            else:
+                # a dec_* matrix is indexed (top, bottom), an inc_* one
+                # (bottom, top); a cup opens the pair and a cap closes it
+                U = uturn_matrix(kind, n)
+                U = U.transpose() if kind.startswith("dec") else U
+                cup = kind in ("dec_cw", "inc_ccw")
+                entries = {((), (b, t)) if cup else ((b, t), ()): U[b - 1, t - 1] for b, t in itertools.product(states, repeat=2)}
+            expected = {key: x for key, x in entries.items() if not x.is_zero()}
+            decoded = {
+                (before, after): RootScalar(_terms(amp, bits, low, unit))
+                for before, row in table.items()
+                for after, amp in row
+            }
+            assert decoded == expected, kind
+            into = {}
+            for (_, after), x in expected.items():
+                into[after] = into.get(after, 0) + sum(map(abs, x.terms.values()))
+            assert norm == max(into.values()), kind
 
     # On two strands oriented (r, r): the four same-direction crossings
     # between two kinks, a zig-zag on strand 1, and a cup whose new lower

@@ -188,7 +188,8 @@ class TestQuantumMatrixTheorem:
     def test_point_check_reads_each_kind_of_relation(self, rows):
         # each matrix breaks only the same-row, the same-column or the
         # cross relations
-        M = TorusMatrix(triangle_poisson(2).spec, rows)
+        spec = triangle_poisson(2).spec
+        M = TorusMatrix(spec, [[TorusElement.scalar(spec, RootScalar({0: x})) for x in row] for row in rows])
         assert not m2q_by_submatrix(M)
         assert not is_mnq_point(M)
 
@@ -231,7 +232,8 @@ class TestQuantumMatrixTheorem:
         a, b, c, d = (TorusElement.generator(spec, i) for i in range(4))
         q = q_power(3, 1)
         assert quantum_determinant(TorusMatrix(spec, [[a, b], [c, d]])) == normal_product(a, d) - normal_product(b, c) * q
-        antidiagonal = TorusMatrix(spec, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+        one, zero = TorusElement.one(spec), TorusElement.zero(spec)
+        antidiagonal = TorusMatrix(spec, [[zero, zero, one], [zero, one, zero], [one, zero, zero]])
         assert quantum_determinant(antidiagonal) == -q_power(3, 3)
 
     def test_five_tuple_matrices_are_arc_matrices(self):

@@ -21,6 +21,9 @@ from qtrace.qtorus import (
     torus_sum,
     weyl_monomial,
 )
+from qtrace.biangle import CROSSING_KINDS, crossing_matrix, duality_map_matrix, duality_parameter, uturn_matrix
+from qtrace.fock_goncharov import triangle_poisson
+from qtrace.surface import arc_quantum_matrix
 
 import oracles
 from oracles import evaluate_element, evaluate_scalar, make_spec, map_exponents, plain_normal_product, weyl_order
@@ -476,12 +479,66 @@ def sparse_matrices(spec, torus, rows, cols):
         )
     else:
         nonzero = laurent.map(RootScalar)
-    entry = st.one_of(st.just(ZERO), nonzero)
+    entry = st.one_of(st.just(TorusElement.zero(spec) if torus else ZERO), nonzero)
     row = st.lists(entry, min_size=cols, max_size=cols)
     return st.lists(row, min_size=rows, max_size=rows).map(lambda m: TorusMatrix(spec if torus else None, m))
 
 
+def in_ring(M, spec):
+    """M is over spec, and holds RootScalars when spec is None and
+    TorusElements over spec otherwise."""
+    if M.spec != spec:
+        return False
+    entries = [x for row in M.entries for x in row]
+    if spec is None:
+        return all(type(x) is RootScalar for x in entries)
+    return all(type(x) is TorusElement and x.spec == spec for x in entries)
+
+
 class TestMatrices:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_operation_keeps_its_ring(self, data):
+        # the constructor stores what it is given, so each operation must
+        # build its entries in the ring of its result
+        spec = make_spec(3, small_antisymmetric(4, random.Random(9)))
+        rows, inner, cols = (data.draw(st.integers(1, 3)) for _ in range(3))
+        torus_a, torus_b = data.draw(st.booleans()), data.draw(st.booleans())
+        ring_a, ring = (spec if torus_a else None), (spec if torus_a or torus_b else None)
+        A, A2 = (data.draw(sparse_matrices(spec, torus_a, rows, inner)) for _ in range(2))
+        B = data.draw(sparse_matrices(spec, torus_b, inner, cols))
+        c = data.draw(st.one_of(st.integers(-3, 3), laurent.map(RootScalar)))
+        assert in_ring(A, ring_a) and in_ring(B, spec if torus_b else None)
+        results = {
+            "mat_mul": (mat_mul(A, B), ring),
+            "kron": (kron(A, B), ring),
+            "transpose": (A.transpose(), ring_a),
+            "map": (A.map(lambda x: -x), ring_a),
+            "+": (A + A2, ring_a),
+            "-": (A - A2, ring_a),
+            "* scalar": (A * c, ring_a),
+            "identity": (TorusMatrix.identity(ring_a, rows), ring_a),
+        }
+        for name, (M, expected) in results.items():
+            assert in_ring(M, expected), name
+
+    def test_a_torus_factor_does_not_scale_a_matrix(self, spec3):
+        # it would leave torus entries in a scalar matrix
+        with pytest.raises(TypeError):
+            TorusMatrix.identity(None, 2) * TorusElement.one(spec3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_matrix_builders_build_in_their_ring(self, n):
+        lam = duality_parameter(n)
+        scalar = [uturn_matrix(kind, n) for kind in ("dec_cw", "dec_ccw", "inc_ccw", "inc_cw")]
+        scalar += [crossing_matrix(kind, n) for kind in CROSSING_KINDS]
+        scalar += [duality_map_matrix(n, which, lam) for which in ("b", "d", "bp", "dp")]
+        assert len(scalar) == 16 and all(in_ring(M, None) for M in scalar)
+        tri = triangle_poisson(n)
+        for entry in (0, 1, 2):
+            for turn in ("left", "right"):
+                assert in_ring(arc_quantum_matrix(tri, entry, turn), tri.spec), (entry, turn)
+
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_product_matches_entrywise_definition(self, data):
@@ -524,8 +581,8 @@ class TestMatrices:
 
     def test_scalar_matrices_mix_with_torus_matrices(self, spec3):
         # spec=None holds plain scalars; products and equality cross rings
-        S = TorusMatrix(None, [[RootScalar({2: 1}), 0], [3, RootScalar({-1: -1})]])
-        embedded = TorusMatrix(spec3, S.entries)
+        S = TorusMatrix(None, [[RootScalar({2: 1}), ZERO], [RootScalar({0: 3}), RootScalar({-1: -1})]])
+        embedded = TorusMatrix(spec3, [[TorusElement.scalar(spec3, x) for x in row] for row in S.entries])
         A = TorusMatrix(
             spec3,
             [

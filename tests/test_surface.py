@@ -991,6 +991,26 @@ class TestLayeredTrace:
             glued_trace(link, torus)
             assert sorted(calls) == ["_state_sum", "project_to_glued"]
 
+    def test_identical_layers_are_traced_once_whatever_their_arc_order(self, torus, monkeypatch):
+        # three copies of curve a, every copy listing its arcs T1, T0, or
+        # the middle copy T0, T1: the same link either way
+        calls = []
+        state_sum = surface_module._state_sum
+        monkeypatch.setattr(surface_module, "_state_sum", lambda *args: calls.append(args) or state_sum(*args))
+        listed = CURVES["a"]
+        assert [a.triangle for a in listed] == [1, 0]
+
+        def stacked(orders):
+            arcs = [TriangleArc(a.triangle, a.entry, a.turn, h) for h, order in enumerate(orders, start=1) for a in order]
+            return GoodPositionLink(arcs=arcs)
+
+        traces = []
+        for orders in ([listed] * 3, [listed, listed[::-1], listed]):
+            calls.clear()
+            traces.append(glued_trace(stacked(orders), torus))
+            assert len(calls) == 1
+        assert traces[0] == traces[1] and len(traces[0].terms) == 112
+
 
 class TestGluedSquare:
     def test_state_sum_equals_direct_contraction(self):
