@@ -19,12 +19,13 @@ from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .qtorus import (
+    ONE,
     QuantumTorusSpec,
     TorusElement,
     TorusMatrix,
     normal_product,
+    product_sum,
     q_power,
-    torus_sum,
     weyl_lift,
 )
 
@@ -179,43 +180,45 @@ def _inversions(perm: Sequence[int]) -> int:
 
 def quantum_determinant(M: TorusMatrix) -> TorusElement:
     """Row-ordered quantum determinant: sum over permutations of
-    (-q)^inv(s) * M[0][s(0)] * ... * M[m-1][s(m-1)]."""
+    (-q)^inv(s) * M[0][s(0)] * ... * M[m-1][s(m-1)], one ``product_sum``
+    whose pairs are the product of the first m-1 factors and the last."""
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
     n = M.spec.n
 
-    def terms():
+    def triples():
         for perm in permutations(range(M.rows)):
             entries = [row[j] for row, j in zip(M.entries, perm)]
             if not any(e.is_zero() for e in entries):
                 inv = _inversions(perm)
-                yield reduce(normal_product, entries) * q_power(n, inv, coeff=(-1) ** inv)
+                head = reduce(normal_product, entries[:-1] or [TorusElement.one(M.spec)])
+                yield q_power(n, inv, coeff=(-1) ** inv), head, entries[-1]
 
-    return torus_sum(M.spec, terms())
+    return product_sum(M.spec, triples())
 
 
 def is_mnq_point(M: TorusMatrix) -> bool:
     """Every 2x2 submatrix [[a, b], [c, d]] satisfies the quantum matrix
     relations b a = q a b, c a = q a c, d b = q b d, d c = q c d, b c =
     c b and d a - a d = (q - q^-1) b c.  A same-row or same-column pair
-    lies in many submatrices, so its relation is checked once."""
-    E = M.entries
-    n = M.spec.n
-    q = q_power(n, 1)
-    qinv = q_power(n, -1)
-    pairs = lambda size: combinations(range(size), 2)
+    lies in many submatrices, so its relation is checked once.  Each
+    relation is one ``product_sum`` that must vanish."""
+    E, spec, minus_q = M.entries, M.spec, q_power(M.spec.n, 1, coeff=-1)
+    minus_one, gap = -ONE, q_power(M.spec.n, -1) + minus_q  # gap = q^-1 - q
+
+    def vanishes(*triples):
+        return product_sum(spec, triples).is_zero()
 
     def q_commute(a, b):
-        return b * a == q * (a * b)
+        return vanishes((ONE, b, a), (minus_q, a, b))
 
     return (
-        all(q_commute(row[k], row[l]) for row in E for k, l in pairs(M.cols))
-        and all(q_commute(E[i][k], E[j][k]) for k in range(M.cols) for i, j in pairs(M.rows))
+        all(q_commute(a, b) for row in E for a, b in combinations(row, 2))
+        and all(q_commute(a, c) for col in zip(*E) for a, c in combinations(col, 2))
         and all(
-            E[i][l] * E[j][k] == E[j][k] * E[i][l]
-            and E[j][l] * E[i][k] - E[i][k] * E[j][l] == (q - qinv) * (E[i][l] * E[j][k])
-            for i, j in pairs(M.rows)
-            for k, l in pairs(M.cols)
+            vanishes((ONE, b, c), (minus_one, c, b)) and vanishes((ONE, d, a), (minus_one, a, d), (gap, b, c))
+            for i, j in combinations(range(M.rows), 2)
+            for (a, c), (b, d) in combinations(zip(E[i], E[j]), 2)
         )
     )
 

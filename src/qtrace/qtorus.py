@@ -194,11 +194,12 @@ class TorusElement:
     X_0^(e[0]/n) X_1^(e[1]/n) ... multiplied in increasing index order.
 
     ``terms`` is a mapping or an iterable of (exponent tuple, RootScalar)
-    pairs.  The constructor is the one place that canonicalises: it adds
-    up the coefficients of a repeated exponent, checks the length of each
-    distinct exponent once and drops the zero sums.  It converts nothing.
+    pairs.  The constructor canonicalises: it adds up the coefficients of
+    a repeated exponent, checks the length of each distinct exponent once
+    and drops the zero sums.  It converts nothing.  ``product_sum``
+    builds its result's terms canonical and sets them itself.
 
-    Elements are immutable, so the packed forms that ``normal_product``
+    Elements are immutable, so the packed forms that ``product_sum``
     reads (``_left_form``, ``_right_form`` and ``_column_form``) are built
     on first use and kept.
     """
@@ -398,40 +399,58 @@ def _largest_entry(vectors) -> int:
 
 
 def normal_product(a: TorusElement, b: TorusElement) -> TorusElement:
-    """Product in the quantum torus, returned in canonical normal order.
+    """Product in the quantum torus, returned in canonical normal order:
+    ``product_sum`` of the one pair (ONE, a, b), but a zero factor is
+    returned as it is."""
+    if a.spec is not b.spec and a.spec != b.spec:
+        raise ValueError("torus spec mismatch")
+    if not a._terms or not b._terms:
+        return b if a._terms else a
+    return product_sum(a.spec, ((ONE, a, b),))
+
+
+def product_sum(spec: QuantumTorusSpec, triples: Iterable[tuple]) -> TorusElement:
+    """The sum of s a b over the triples (s, a, b), s a RootScalar and a,
+    b TorusElements over spec, built as one element.
 
     X^e X^f = h^(2 u.f) X^(e+f) with u the ordering row of e.  One
     big-integer pass K = sum_i u_i column_i over b's packed columns gives
     a left term's orderings against every right term at once; a product
-    exponent is the sum of two packed exponents, and each one sums its
-    coefficient in one plain {h: int} dict and is unpacked once.  An
-    ordering that might not fit in 63 bits raises ValueError."""
-    if a.spec is not b.spec and a.spec != b.spec:
-        raise ValueError("torus spec mismatch")
-    spec = a.spec
-    if not a._terms or not b._terms:
-        return b if a._terms else a
-    rows, norm = a._left_form()
-    fs, cfs, fmax = b._right_form()
-    if norm * fmax >= 1 << 63:
-        raise ValueError(f"ordering bound {norm} * {fmax} does not fit in 63 bits")
-    # all orderings are 0 when every left row u is, as for the unit
-    columns = b._column_form() if norm else ()
-    fields, bias = _packer(len(fs))
+    exponent is the sum of two packed exponents.  Every pair adds into
+    one {packed exponent: {h: int}} table, whose keys are distinct, so a
+    sum that cancels is dropped before any exponent is unpacked and the
+    terms are canonical as built.  A factor over another spec, or an
+    ordering that might not fit in 63 bits, raises ValueError."""
     sums: dict[int, dict[int, int]] = {}
-    for pe, u, ce in rows:
-        for pf, cf, k in zip(fs, cfs, _unpack(sum(map(mul, u, columns), bias), fields, bias)):
-            key = pe + pf
-            acc = sums.get(key)
-            if acc is None:
-                acc = sums[key] = {}
-            k *= 2
-            for h1, c1 in ce:
-                h1 += k
-                for h2, c2 in cf:
-                    acc[h1 + h2] = acc.get(h1 + h2, 0) + c1 * c2
+    for s, a, b in triples:
+        if a.spec is not spec and a.spec != spec or b.spec is not spec and b.spec != spec:
+            raise ValueError("torus spec mismatch")
+        if not a._terms or not b._terms:
+            continue
+        rows, norm = a._left_form()
+        fs, cfs, fmax = b._right_form()
+        if norm * fmax >= 1 << 63:
+            raise ValueError(f"ordering bound {norm} * {fmax} does not fit in 63 bits")
+        if s._t != ONE._t:
+            rows = [(pe, u, tuple((h1 + h, c1 * c) for h1, c1 in ce for h, c in s._t.items())) for pe, u, ce in rows]
+        # all orderings are 0 when every left row u is, as for the unit
+        columns = b._column_form() if norm else ()
+        fields, bias = _packer(len(fs))
+        for pe, u, ce in rows:
+            for pf, cf, k in zip(fs, cfs, _unpack(sum(map(mul, u, columns), bias), fields, bias)):
+                key = pe + pf
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = {}
+                k *= 2
+                for h1, c1 in ce:
+                    h1 += k
+                    for h2, c2 in cf:
+                        acc[h1 + h2] = acc.get(h1 + h2, 0) + c1 * c2
     fields, bias = _packer(spec.N)
-    return TorusElement(spec, {_unpack(key + bias, fields, bias): RootScalar(t) for key, t in sums.items()})
+    out = TorusElement(spec)
+    out._terms = {_unpack(key + bias, fields, bias): c for key, t in sums.items() if (c := RootScalar(t))._t}
+    return out
 
 
 def weyl_monomial(spec: QuantumTorusSpec, e: tuple, coeff: RootScalar = ONE) -> TorusElement:
@@ -448,10 +467,11 @@ class TorusMatrix:
     """Rectangular matrix, left-to-right products, over one of two rings.
 
     With spec=None the entries are RootScalars in Z[h, h^-1]; otherwise
-    they are TorusElements over spec.  Products, Kronecker products and
-    equality work across the two rings: a scalar entry multiplies and
-    compares with a torus entry directly.  Entries are stored as given,
-    so every builder and operation makes them in the matrix's ring.
+    they are TorusElements over spec.  Sums, products, Kronecker products
+    and equality work across the two rings: a scalar entry adds as a
+    constant element, and multiplies and compares with a torus entry
+    directly.  Entries are stored as given, so every builder and
+    operation makes them in the matrix's ring.
     """
 
     __slots__ = ("spec", "rows", "cols", "entries")
@@ -483,10 +503,9 @@ class TorusMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return TorusMatrix(
-            _common_spec(self, other),
-            [[self.entries[i][j] + other.entries[i][j] for j in range(self.cols)] for i in range(self.rows)],
-        )
+        spec = _common_spec(self, other)
+        embed = lambda M: M.entries if M.spec == spec else [[TorusElement.scalar(spec, x) for x in row] for row in M.entries]
+        return TorusMatrix(spec, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(embed(self), embed(other))])
 
     def __sub__(self, other):
         return self + other.map(lambda x: -x)
@@ -518,22 +537,23 @@ def _common_spec(A: TorusMatrix, B: TorusMatrix) -> QuantumTorusSpec | None:
 
 
 def mat_mul(A: TorusMatrix, B: TorusMatrix) -> TorusMatrix:
-    """Noncommutative matrix product, factor order A then B."""
+    """Noncommutative matrix product, factor order A then B.  A torus entry
+    is built once: a ``product_sum`` over k when both factors are torus
+    matrices, the scaled terms when one is a scalar matrix."""
     spec = _common_spec(A, B)
     if A.cols != B.rows:
         raise ValueError("dimension mismatch")
-    zero = ZERO if spec is None else TorusElement.zero(spec)
-    b_rows = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B.entries]
-    out = []
-    for a_row in A.entries:
-        row = [zero] * B.cols
-        for a, b_row in zip(a_row, b_rows):
-            if a.is_zero():
-                continue
-            for j, b in b_row:
-                row[j] = row[j] + a * b
-        out.append(row)
-    return TorusMatrix(spec, out)
+
+    def entry(row, col):
+        if spec is None:
+            return sum((a * b for a, b in zip(row, col) if a._t and b._t), ZERO)
+        if A.spec is not None and B.spec is not None:
+            return product_sum(spec, [(ONE, a, b) for a, b in zip(row, col)])
+        pairs = zip(row, col) if A.spec is None else zip(col, row)  # (scalar, element)
+        return TorusElement(spec, ((e, c * s) for s, x in pairs if s._t for e, c in x._terms.items()))
+
+    b_cols = tuple(zip(*B.entries))
+    return TorusMatrix(spec, [[entry(row, col) for col in b_cols] for row in A.entries])
 
 
 def kron(A: TorusMatrix, B: TorusMatrix) -> TorusMatrix:

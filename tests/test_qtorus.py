@@ -17,6 +17,7 @@ from qtrace.qtorus import (
     kron,
     mat_mul,
     normal_product,
+    product_sum,
     q_power,
     torus_sum,
     weyl_monomial,
@@ -393,6 +394,41 @@ class TestElements:
             with pytest.raises(ValueError, match="63 bits"):
                 product(s, t)
 
+    @given(P=forms, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_product_sum_equals_the_fold_of_plain_products(self, P, data):
+        # factors may be zero, scalars the unit, zero or anything, and each
+        # cancelled triple (s, a, b) comes with (-s, a, b)
+        spec = make_spec(3, P)
+        elements = factors.map(lambda x: TorusElement(spec, [(e, RootScalar(c)) for e, c in x]))
+        triple = st.tuples(st.one_of(st.just(ONE), laurent.map(RootScalar)), elements, elements)
+        kept = data.draw(st.lists(triple, max_size=4))
+        cancelled = [t for s, a, b in data.draw(st.lists(triple, min_size=1, max_size=3)) for t in [(s, a, b), (-s, a, b)]]
+        assert product_sum(spec, iter(cancelled)).is_zero()
+        triples = data.draw(st.permutations(kept + cancelled))
+        total = product_sum(spec, iter(triples))
+        assert total.spec is spec
+        assert total == reduce(add, (plain_normal_product(a, b) * s for s, a, b in kept), TorusElement.zero(spec))
+
+    def test_product_sum_checks_what_normal_product_checks(self, spec3):
+        other = make_spec(3, [[0] * 4 for _ in range(4)])
+        one, zero = TorusElement.one(spec3), TorusElement.zero(spec3)
+        # a foreign factor raises even where the other factor is zero
+        for foreign in (TorusElement.one(other), TorusElement.zero(other)):
+            for pair in [(zero, foreign), (foreign, one)]:
+                with pytest.raises(ValueError, match="spec mismatch"):
+                    normal_product(*pair)
+                with pytest.raises(ValueError, match="spec mismatch"):
+                    product_sum(spec3, [(ONE, one, one), (ONE, *pair)])
+        spec = make_spec(3, [[0, 1], [-1, 0]])
+        x, y = TorusElement.monomial(spec, (0, 1 << 33)), TorusElement.monomial(spec, (1 << 31, 0))
+        for scale in (ONE, RootScalar({1: 2, 0: -1})):
+            with pytest.raises(ValueError, match="63 bits"):
+                product_sum(spec, [(ONE, y, x), (scale, x, y)])
+        big = TorusElement.monomial(spec3, (0, 1 << 62, 0, 0))
+        with pytest.raises(ValueError, match="2\\^62"):
+            product_sum(spec3, [(ONE, one, big)])
+
     @given(e=exponents, f=exponents, g=exponents)
     @settings(max_examples=30, deadline=None)
     def test_associativity(self, e, f, g):
@@ -507,6 +543,7 @@ class TestMatrices:
         ring_a, ring = (spec if torus_a else None), (spec if torus_a or torus_b else None)
         A, A2 = (data.draw(sparse_matrices(spec, torus_a, rows, inner)) for _ in range(2))
         B = data.draw(sparse_matrices(spec, torus_b, inner, cols))
+        B2 = data.draw(sparse_matrices(spec, torus_b, rows, inner))
         c = data.draw(st.one_of(st.integers(-3, 3), laurent.map(RootScalar)))
         assert in_ring(A, ring_a) and in_ring(B, spec if torus_b else None)
         results = {
@@ -516,11 +553,22 @@ class TestMatrices:
             "map": (A.map(lambda x: -x), ring_a),
             "+": (A + A2, ring_a),
             "-": (A - A2, ring_a),
+            "mixed +": (A + B2, ring),
+            "mixed -": (B2 - A, ring),
             "* scalar": (A * c, ring_a),
             "identity": (TorusMatrix.identity(ring_a, rows), ring_a),
         }
         for name, (M, expected) in results.items():
             assert in_ring(M, expected), name
+
+    def test_a_scalar_matrix_adds_as_constant_elements(self, spec3):
+        S, T = TorusMatrix.identity(None, 2), TorusMatrix.identity(spec3, 2)
+        x = TorusElement.monomial(spec3, (1, -2, 0, 3))
+        U = TorusMatrix(spec3, [[x, TorusElement.zero(spec3)], [TorusElement.one(spec3), -x]])
+        one = TorusElement.one(spec3)
+        assert S + T == T + S == T * 2
+        assert S + U == U + S == TorusMatrix(spec3, [[x + one, U[0, 1]], [U[1, 0], one - x]])
+        assert S - U == (U - S) * -1 and in_ring(S - U, spec3)
 
     def test_a_torus_factor_does_not_scale_a_matrix(self, spec3):
         # it would leave torus entries in a scalar matrix
