@@ -395,7 +395,7 @@ def arc_quantum_matrix(tri: TriangleCoordinates, entry: int, turn: str, normaliz
 
 
 class _Factor(NamedTuple):
-    """A factor of the state sum: the internal edges it reads and its
+    """A factor of the state sum: the summed edges it reads and its
     reader of the flat state list (see _state_sum)."""
 
     edges: tuple
@@ -410,13 +410,18 @@ class TracePolynomial:
 
 
 def _edge_tables(link: GoodPositionLink, surface: SurfaceTorusSpec) -> list:
-    """Per internal edge, the biangle amplitudes keyed by the edge's left
-    states then its right states, bottom to top: the diagram's
-    amplitude_table flattened.  Each nonzero entry is read through
-    biangle_trace, the one reader of an amplitude."""
+    """Per edge, in declaration order, its amplitudes keyed by its states
+    bottom to top.  A boundary edge has one entry, its given states, of
+    amplitude 1; an internal edge's keys are its left states then its
+    right, the diagram's amplitude_table flattened, each nonzero entry
+    read through biangle_trace, the one reader of an amplitude."""
     sides = _sides(link)
     tables = []
-    for edge in surface.triangulation.internal_edges:
+    for edge in surface.triangulation.edges:
+        if edge.is_boundary:
+            count = len(sides.get(edge.incidences[0], ()))
+            tables.append({tuple(link.boundary_states[(edge.id, pos)] for pos in range(1, count + 1)): ONE})
+            continue
         diagram = BiangleDiagram(surface.tri.n, _profiles(sides, edge)[0], link.slices.get(edge.id, ()))
         table = amplitude_table(diagram)
         tables.append({ls + rs: biangle_trace(diagram, ls, rs) for ls, row in table.items() for rs in row})
@@ -439,36 +444,36 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
     in _edge_tables), in the tensor torus.  Every term carries its tensor
     exponent packed into one int until the output unpacks it once.
 
-    The sum is a tensor network whose indices are the internal edges'
-    states, contracted in one loop.  Each step sums out the edge whose
-    bucket (the factors that read it, and the edges those read) has the
-    fewest state combinations; once the bucket spans every edge left, the
-    step sums out all of them, and the one table left is the trace.
+    The sum is a tensor network whose indices are the edges' states.  An
+    edge whose table has one entry is fixed: never summed, its amplitude
+    scales the output.  One loop contracts the rest: each step sums out
+    the edge whose bucket (the factors that read it, and the edges those
+    read) has the fewest state combinations; once the bucket spans every
+    edge left, the step sums out all of them, and the one table left is
+    the trace.
     """
-    tr = surface.triangulation
     sides = _sides(link)
 
-    # Each arc end reads one entry of a flat state list: the fixed
-    # boundary states first, then each internal edge's left and right
-    # strands, bottom to top, edge by edge.
+    # Each arc end reads one entry of a flat state list: each edge's ends
+    # in the order of its table's keys, edge by edge.  Edge k's table is
+    # keyed by its block of the list, states[slots[k]].
     ends = {}
-    states = []
-    for edge in tr.boundary_edges:
-        for pos, end in enumerate(sides.get(edge.incidences[0], ()), start=1):
-            ends[end] = len(ends)
-            states.append(link.boundary_states[(edge.id, pos)])
-
-    # edge k's table is keyed by its block of the state list, states[slots[k]]
     slots = []
-    for edge in tr.internal_edges:
+    for edge in surface.triangulation.edges:
         first = len(ends)
         for incidence in edge.incidences:
             for end in sides.get(incidence, ()):
                 ends[end] = len(ends)
         slots.append(slice(first, len(ends)))
-    states += [None] * (len(ends) - len(states))
+    states, alive, scale = [None] * len(ends), set(), ONE
+    for k, table in enumerate(edge_tables):
+        if len(table) == 1:
+            ((states[slots[k]], amp),) = table.items()
+            scale = scale if amp == ONE else scale * amp
+        else:
+            alive.add(k)
     index = range(len(ends))
-    owner = {i: k for k, block in enumerate(slots) for i in index[block]}
+    owner = {i: k for k in alive for i in index[slots[k]]}
 
     tri_arcs = {}
     for arc in sorted(link.arcs, key=lambda a: a.height):
@@ -479,12 +484,12 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
     # one unit for every triangle, so that it packs its left form once
     one = TorusElement.one(tri_spec)
 
-    # A factor reads the states of some internal edges from the flat
-    # state list and gives (exponent, coefficient) pairs, each exponent a
-    # whole tensor exponent packed into one int, a 64-bit field per
-    # generator (qtorus._packer).  Factors of different triangles commute
-    # in the block-diagonal tensor torus, so multiplying two terms adds
-    # their packed exponents.  This is exact: a product takes one triangle
+    # A factor reads edge states from the flat state list and gives
+    # (exponent, coefficient) pairs, each exponent a whole tensor
+    # exponent packed into one int, a 64-bit field per generator
+    # (qtorus._packer).  Factors of different triangles commute in the
+    # block-diagonal tensor torus, so multiplying two terms adds their
+    # packed exponents.  This is exact: a product takes one triangle
     # factor per triangle, so each field receives one triangle's entry,
     # which normal_product has bounded below 2^63 (it checks its inputs
     # below 2^62), and no field carries into the next.  A triangle
@@ -528,7 +533,6 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
         return terms
 
     factors = [triangle_factor(t) for t in sorted(tri_arcs)]
-    alive = set(range(len(edge_tables)))
     while alive:
         buckets = {v: sorted({v}.union(*(f.edges for f in factors if v in f.edges))) for v in alive}
         v = min(alive, key=lambda u: (prod(len(edge_tables[k]) for k in buckets[u]), u))
@@ -559,7 +563,7 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
     # Unpack each output term once, in place: with the last step's sums and inputs
     # dropped, the list alone holds the packed exponents, each freed as its tuple is made.
     sums = inside = None
-    terms = times(factors)
+    terms = times(factors, None if scale == ONE else scale)
     fields, bias = _packer(surface.tensor_spec.N)
     for k, (e, c) in enumerate(terms):
         terms[k] = _unpack(e + bias, fields, bias), c
@@ -631,16 +635,17 @@ def _split(table: dict, left: list, right: list, h: int):
 
 def _layers(link: GoodPositionLink, surface: SurfaceTorusSpec):
     """The maximal height layers of a valid link, lowest first, each as a
-    link without slices and its part of the edge tables.
+    link of its arcs alone and its part of the edge tables.
 
-    A cut above height h is valid when every internal edge's table splits
-    there (see _split), so that the state sum is the product of the sums
-    below and above h.  Cuts are taken lowest first, each splitting what
-    the cuts below it left.  Each layer numbers its boundary states from
-    1."""
+    A cut above height h is valid when every edge's table splits there
+    (see _split), so that the state sum is the product of the sums below
+    and above h.  A boundary edge has ends on one side only, and its one
+    entry always splits.  Cuts are taken lowest first, each splitting what
+    the cuts below it left."""
     tr = surface.triangulation
     sides = _sides(link)
-    ends = [[[arc.height for arc, _ in sides.get(i, ())] for i in e.incidences] for e in tr.internal_edges]
+    # the heights of each edge's left ends, then right ends (a boundary edge has none)
+    ends = [[[a.height for a, _ in sides.get(i, ())] for i in e.incidences] + [[]] * e.is_boundary for e in tr.edges]
     heights = sorted({arc.height for arc in link.arcs})
     rest = _edge_tables(link, surface)
     cuts, tables = [], []
@@ -654,12 +659,6 @@ def _layers(link: GoodPositionLink, surface: SurfaceTorusSpec):
     layers = [GoodPositionLink() for _ in range(len(cuts) + 1)]
     for arc in link.arcs:
         layers[bisect_left(cuts, arc.height)].arcs += (arc,)
-    for edge in tr.boundary_edges:
-        count = [0] * len(layers)
-        for pos, (arc, _) in enumerate(sides.get(edge.incidences[0], ()), start=1):
-            k = bisect_left(cuts, arc.height)
-            count[k] += 1
-            layers[k].boundary_states[(edge.id, count[k])] = link.boundary_states[(edge.id, pos)]
     return list(zip(layers, tables + [rest]))
 
 
@@ -668,16 +667,16 @@ def glued_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TorusEleme
 
     The trace is an algebra homomorphism, so a link stacked in height
     layers traces to the lower-first product of the layers' traces; a
-    layer's state sum reads only its own strands and its share of the tables.
-    Layers that agree in their arcs up to height, their boundary states
-    and their tables are traced once per call.
+    layer's state sum reads only its own strands and its share of the
+    tables, the boundary states among them.  Layers that agree in their
+    arcs up to height and in their tables are traced once per call.
     """
     _require_good_position(link, surface)
     keys, traces = [], []
     for layer, tables in _layers(link, surface):
         heights = sorted({arc.height for arc in layer.arcs})
         arcs = sorted((bisect_left(heights, a.height), a.triangle, a.entry, a.turn) for a in layer.arcs)
-        key = (arcs, layer.boundary_states, tables)
+        key = (arcs, tables)
         if key in keys:
             traces.append(traces[keys.index(key)])
         else:

@@ -5,8 +5,9 @@ multiplicative consistency properties."""
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache, reduce
-from itertools import permutations
+from itertools import permutations, product as iter_product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +23,7 @@ from qtrace.qtorus import (
     q_power,
 )
 from qtrace.biangle import CROSSING_KINDS, Slice, crossing_matrix, kink_scalar, unknot_value, uturn_matrix
-from qtrace.fock_goncharov import triangle_poisson
+from qtrace.fock_goncharov import is_slnq_point, triangle_poisson
 from qtrace.surface import (
     Edge,
     GoodPositionLink,
@@ -494,6 +495,21 @@ EDGE_CASES = {
     "disconnected_pieces": two_fans(),
 }
 
+UNKNOT = (Slice("inc_ccw", 1), Slice("dec_ccw", 1))
+
+# (link, surface, trace or None for the oracle's): curve a leaves the edge b
+# uncrossed, and the last two cases fix every edge, so the trace is a scalar
+ONE_ENTRY_CASES = {
+    "curve_a": (link_a(), torus_at(3), None),
+    "uncrossed_edge": (*EDGE_CASES["uncrossed_edge"], None),
+    "arcless_strip": (GoodPositionLink(), strip_at(3, 4), TorusElement.one(strip_at(3, 4).tensor_spec)),
+    "unknots_only": (
+        GoodPositionLink(slices={"r": UNKNOT, "b": UNKNOT * 2}),
+        torus_at(3),
+        TorusElement.scalar(torus_at(3).tensor_spec, unknot_value(3) * unknot_value(3) * unknot_value(3)),
+    ),
+}
+
 # Kinks that cancel; the empty-table case below makes every amplitude of
 # a biangle holding them zero.
 ZERO_MARK = (Slice("kink_pos", 1), Slice("kink_neg", 1))
@@ -527,6 +543,34 @@ class TestStateSumEngine:
         link, surface = fan_case(3, (2, 0, 1), [(0, 2, True, True)], {"i2": ZERO_MARK})
         assert quantum_trace(link, surface).tensor.is_zero()
         assert oracles.enumerated_trace(link, surface).is_zero()
+
+    @given(case=st.one_of(strips(), squares(), fans()))
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_states_are_read_only_from_the_tables(self, case):
+        # a link of the arcs alone, its boundary states and slices dropped,
+        # traces as the whole link over the whole link's edge tables
+        link, surface = case
+        tables = surface_module._edge_tables(link, surface)
+        bare = GoodPositionLink(arcs=link.arcs)
+        assert surface_module._state_sum(bare, surface, tables) == quantum_trace(link, surface).tensor
+
+    @pytest.mark.parametrize("name", sorted(ONE_ENTRY_CASES))
+    def test_one_entry_tables_are_never_summed(self, name, monkeypatch):
+        # an edge whose table has one entry is fixed; the contraction loop
+        # hands iter_product the tables of the edges it keeps or sums out,
+        # and never runs when every edge is fixed
+        link, surface, scalar = ONE_ENTRY_CASES[name]
+        expected = oracles.enumerated_trace(link, surface) if scalar is None else scalar
+        widths, real = [], surface_module.iter_product
+
+        def recorded(*tables):
+            widths.append([len(table) for table in tables])
+            return real(*tables)
+
+        monkeypatch.setattr(surface_module, "iter_product", recorded)
+        assert quantum_trace(link, surface).tensor == expected
+        assert all(1 not in row for row in widths)
+        assert bool(widths) == (scalar is None)
 
 
 def lone_edge_dot(surface):
@@ -1121,3 +1165,86 @@ class TestTraceIdentities:
         e = self.assert_highest_term(glued_trace(copies(curve, 1), surface), n)
         top = self.assert_highest_term(glued_trace(copies(curve, k), surface), n)
         assert top == tuple(k * x for x in e)
+
+
+def negated_correction(surface):
+    """The surface with every coefficient of its Weyl correction negated."""
+    return replace(surface, weyl_correction=tuple((a, b, -c) for a, b, c in surface.weyl_correction))
+
+
+def stated_arc_table(surface, m):
+    """The n x n table of glued traces of the left-turning arc through a
+    strip of m triangles: entry (i, j) has state i on e0 and j on e1."""
+    arcs = [TriangleArc(t, 0, "left", 1) for t in range(m)]
+    states = range(1, surface.tri.n + 1)
+
+    def entry(i, j):
+        return glued_trace(GoodPositionLink(arcs=arcs, boundary_states={("e0", 1): i, ("e1", 1): j}), surface)
+
+    return TorusMatrix(surface.glued_spec, [[entry(i, j) for j in states] for i in states])
+
+
+class TestStatedTables:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stated_table_of_an_arc_is_a_quantum_sln_point(self, n, m):
+        assert is_slnq_point(stated_arc_table(strip_at(n, m), m))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_negated_correction_breaks_the_point(self, m):
+        assert not is_slnq_point(stated_arc_table(negated_correction(strip_at(3, m)), m))
+
+
+# The loop around the puncture of the once-punctured torus: it turns left
+# through all six corners and crosses every edge twice.
+PUNCTURE_WORD = [CurveStep(e, t, "left") for e, t in (("d", 0), ("r", 1), ("b", 0), ("d", 1), ("r", 0), ("b", 1))]
+
+
+def puncture_loops():
+    """The puncture loop at every assignment of heights 1..3 to each
+    triangle's three arcs that puts it in good position with no biangle
+    slice."""
+    surface = torus_at(3)
+    side_of = {(t, e.id): s for e in surface.triangulation.edges for t, s in e.incidences}
+    corners = [(step.triangle, side_of[step.triangle, step.edge]) for step in PUNCTURE_WORD]
+    loops = []
+    for h0, h1 in iter_product(permutations((1, 2, 3)), repeat=2):
+        heights = (iter(h0), iter(h1))
+        link = GoodPositionLink(arcs=[TriangleArc(t, side, "left", next(heights[t])) for t, side in corners])
+        if not validate_good_position(link, surface):
+            loops.append(link)
+    return loops
+
+
+@lru_cache(maxsize=None)
+def puncture_trace(n):
+    """The puncture loop's trace in the tensor torus at rank n."""
+    return quantum_trace(puncture_loops()[0], torus_at(n)).tensor
+
+
+def weyl_coefficients_are_one(elem):
+    return all(c == RootScalar({elem.spec.ordering(e, e): 1}) for e, c in elem.terms.items())
+
+
+class TestPunctureLoop:
+    def test_six_height_assignments_need_no_slice(self):
+        loops = puncture_loops()
+        assert len(loops) == 6
+        traces = [glued_trace(loop, torus_at(3)) for loop in loops]
+        assert all(trace == traces[0] for trace in traces)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_traces_to_n_central_weyl_ordered_terms(self, n):
+        surface = torus_at(n)
+        trace = project_to_glued(puncture_trace(n), surface)
+        assert len(trace.terms) == n
+        # each exponent pairs to zero with every generator under the glued form
+        P, N = oracles.dense_form(surface.glued_spec), surface.glued_spec.N
+        assert all(sum(e[i] * P[i][j] for i in range(N)) == 0 for e in trace.terms for j in range(N))
+        assert all(sum(column) == 0 for column in zip(*trace.terms))
+        assert weyl_coefficients_are_one(trace)
+        assert trace.at_one() == classical_trace_polynomial(PUNCTURE_WORD, surface)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_negated_correction_breaks_the_coefficients(self, n):
+        assert not weyl_coefficients_are_one(project_to_glued(puncture_trace(n), negated_correction(torus_at(n))))
