@@ -76,32 +76,36 @@ def _content_lines(path, text):
 # surface and link files
 
 
+INTEGER_DIRECTIVES = {
+    "n": ("expected 'n <integer>'", 2, "rank n must be at least 2"),
+    "triangles": ("expected 'triangles <count>'", 1, "a triangulation needs at least one triangle"),
+}
+
+
+def _integer_directive(path, line_no, tokens, header):
+    """Read '<key> <integer>' into header[key]: given once, in its form,
+    and at least its least value, as INTEGER_DIRECTIVES lists them."""
+    form, least, too_small = INTEGER_DIRECTIVES[tokens[0]]
+    if tokens[0] in header:
+        raise ParseError(path, line_no, f"repeated {tokens[0]!r} directive")
+    if len(tokens) != 2 or not tokens[1].isdecimal():
+        raise ParseError(path, line_no, form)
+    if int(tokens[1]) < least:
+        raise ParseError(path, line_no, too_small)
+    header[tokens[0]] = int(tokens[1])
+
+
 def parse_surface_file(path, text):
-    n = None
-    n_triangles = None
+    header = {}
     edges = []
     edge_lines = []
     for line_no, tokens in _content_lines(path, text):
         key = tokens[0]
-        if key in ("n", "triangles") and (n if key == "n" else n_triangles) is not None:
-            raise ParseError(path, line_no, f"repeated {key!r} directive")
-        if key == "n":
-            if len(tokens) != 2 or not tokens[1].isdecimal():
-                raise ParseError(path, line_no, "expected 'n <integer>'")
-            n = int(tokens[1])
-            if n < 2:
-                raise ParseError(path, line_no, "rank n must be at least 2")
-        elif key == "triangles":
-            if len(tokens) != 2 or not tokens[1].isdecimal():
-                raise ParseError(path, line_no, "expected 'triangles <count>'")
-            n_triangles = int(tokens[1])
-            if n_triangles < 1:
-                raise ParseError(path, line_no, "a triangulation needs at least one triangle")
+        if key in INTEGER_DIRECTIVES:
+            _integer_directive(path, line_no, tokens, header)
         elif key == "edge":
             if len(tokens) not in (3, 4):
-                raise ParseError(
-                    path, line_no, "expected 'edge <id> <tri>.<side> [<tri>.<side>]'"
-                )
+                raise ParseError(path, line_no, "expected 'edge <id> <tri>.<side> [<tri>.<side>]'")
             incidences = []
             for token in tokens[2:]:
                 parts = token.split(".")
@@ -111,23 +115,20 @@ def parse_surface_file(path, text):
                     or not parts[0][1:].isdecimal()
                     or not parts[1].isdecimal()
                 ):
-                    raise ParseError(
-                        path, line_no, f"bad incidence {token!r}, expected T<tri>.<side>"
-                    )
+                    raise ParseError(path, line_no, f"bad incidence {token!r}, expected T<tri>.<side>")
                 incidences.append((int(parts[0][1:]), int(parts[1])))
             edges.append(Edge(tokens[1], tuple(incidences)))
             edge_lines.append(line_no)
         else:
             raise ParseError(path, line_no, f"unknown directive {key!r}")
-    if n is None:
-        raise ParseError(path, 1, "missing 'n' directive")
-    if n_triangles is None:
-        raise ParseError(path, 1, "missing 'triangles' directive")
+    for key in ("n", "triangles"):
+        if key not in header:
+            raise ParseError(path, 1, f"missing {key!r} directive")
     try:
-        triangulation = IdealTriangulation(n_triangles=n_triangles, edges=tuple(edges))
+        triangulation = IdealTriangulation(n_triangles=header["triangles"], edges=tuple(edges))
     except TriangulationError as err:
         raise ParseError(path, 1 if err.edge is None else edge_lines[err.edge], str(err))
-    return n, triangulation
+    return header["n"], triangulation
 
 
 def parse_link_file(path, text):
@@ -190,26 +191,24 @@ def polynomial_terms(elem: TorusElement):
 
 
 def parse_polynomial_file(path, text):
-    n = None
-    generator_ids = None
+    header = {}
     terms = {}
     saw_header = False
     for line_no, tokens in _content_lines(path, text):
         key = tokens[0]
-        if key in ("n", "generators") and (n if key == "n" else generator_ids) is not None:
-            raise ParseError(path, line_no, f"repeated {key!r} directive")
         if key == "polynomial":
             saw_header = True
         elif key == "n":
-            if len(tokens) != 2 or not tokens[1].isdecimal():
-                raise ParseError(path, line_no, "expected 'n <integer>'")
-            n = int(tokens[1])
-            if n < 2:
-                raise ParseError(path, line_no, "rank n must be at least 2")
+            _integer_directive(path, line_no, tokens, header)
         elif key == "generators":
-            generator_ids = tuple(tokens[1:])
+            if key in header:
+                raise ParseError(path, line_no, "repeated 'generators' directive")
+            header[key] = generator_ids = tuple(tokens[1:])
+            for k, gid in enumerate(generator_ids):
+                if gid in generator_ids[:k]:
+                    raise ParseError(path, line_no, f"repeated generator id {gid!r}")
         elif key == "term":
-            if generator_ids is None:
+            if "generators" not in header:
                 raise ParseError(path, line_no, "'term' before 'generators'")
             if ";" not in tokens:
                 raise ParseError(path, line_no, "term line needs ';' separator")
@@ -239,11 +238,10 @@ def parse_polynomial_file(path, text):
             raise ParseError(path, line_no, f"unknown directive {key!r}")
     if not saw_header:
         raise ParseError(path, 1, "missing 'polynomial' header")
-    if n is None:
-        raise ParseError(path, 1, "missing 'n' directive")
-    if generator_ids is None:
-        raise ParseError(path, 1, "missing 'generators' directive")
-    return n, generator_ids, terms
+    for key in ("n", "generators"):
+        if key not in header:
+            raise ParseError(path, 1, f"missing {key!r} directive")
+    return header["n"], header["generators"], terms
 
 
 # ---------------------------------------------------------------------------

@@ -284,12 +284,12 @@ class GoodPositionLink:
         self.boundary_states = dict(self.boundary_states)
 
 
-def _sides(link: GoodPositionLink):
+def _sides(arcs):
     """The arc ends on each (triangle, side), bottom to top, as (arc,
     role) pairs with role 'entry' or 'exit'.  An arc never enters and
     exits through one side, so every pair is one arc end."""
     sides = {}
-    for arc in sorted(link.arcs, key=lambda a: a.height):
+    for arc in sorted(arcs, key=lambda a: a.height):
         sides.setdefault((arc.triangle, arc.entry), []).append((arc, "entry"))
         sides.setdefault((arc.triangle, arc.exit), []).append((arc, "exit"))
     return sides
@@ -335,7 +335,7 @@ def validate_good_position(link: GoodPositionLink, surface: SurfaceTorusSpec):
         if edge.is_boundary:
             problems.append(f"edge {edge_id!r} is a boundary edge and has no biangle")
 
-    sides = _sides(link)
+    sides = _sides(link.arcs)
     for edge in tr.internal_edges:
         left, right = _profiles(sides, edge)
         try:
@@ -415,7 +415,7 @@ def _edge_tables(link: GoodPositionLink, surface: SurfaceTorusSpec) -> list:
     amplitude 1; an internal edge's keys are its left states then its
     right, the diagram's amplitude_table flattened, each nonzero entry
     read through biangle_trace, the one reader of an amplitude."""
-    sides = _sides(link)
+    sides = _sides(link.arcs)
     tables = []
     for edge in surface.triangulation.edges:
         if edge.is_boundary:
@@ -436,11 +436,11 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
     (lowest first) product of its arcs' turn matrix entries.
     """
     _require_good_position(link, surface)
-    return TracePolynomial(tensor=_state_sum(link, surface, _edge_tables(link, surface)))
+    return TracePolynomial(tensor=_state_sum(link.arcs, surface, _edge_tables(link, surface)))
 
 
-def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: list) -> TorusElement:
-    """The state sum of a valid link over the given edge tables (keyed as
+def _state_sum(arcs, surface: SurfaceTorusSpec, edge_tables: list) -> TorusElement:
+    """The state sum of a valid link's arcs over its edge tables (keyed as
     in _edge_tables), in the tensor torus.  Every term carries its tensor
     exponent packed into one int until the output unpacks it once.
 
@@ -452,7 +452,7 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
     edge left, the step sums out all of them, and the one table left is
     the trace.
     """
-    sides = _sides(link)
+    sides = _sides(arcs)
 
     # Each arc end reads one entry of a flat state list: each edge's ends
     # in the order of its table's keys, edge by edge.  Edge k's table is
@@ -476,7 +476,7 @@ def _state_sum(link: GoodPositionLink, surface: SurfaceTorusSpec, edge_tables: l
     owner = {i: k for k in alive for i in index[slots[k]]}
 
     tri_arcs = {}
-    for arc in sorted(link.arcs, key=lambda a: a.height):
+    for arc in sorted(arcs, key=lambda a: a.height):
         tri_arcs.setdefault(arc.triangle, []).append(arc)
 
     tri_spec = surface.tri.spec
@@ -634,8 +634,8 @@ def _split(table: dict, left: list, right: list, h: int):
 
 
 def _layers(link: GoodPositionLink, surface: SurfaceTorusSpec):
-    """The maximal height layers of a valid link, lowest first, each as a
-    link of its arcs alone and its part of the edge tables.
+    """The maximal height layers of a valid link, lowest first, each as
+    its arcs and its part of the edge tables.
 
     A cut above height h is valid when every edge's table splits there
     (see _split), so that the state sum is the product of the sums below
@@ -643,7 +643,7 @@ def _layers(link: GoodPositionLink, surface: SurfaceTorusSpec):
     entry always splits.  Cuts are taken lowest first, each splitting what
     the cuts below it left."""
     tr = surface.triangulation
-    sides = _sides(link)
+    sides = _sides(link.arcs)
     # the heights of each edge's left ends, then right ends (a boundary edge has none)
     ends = [[[a.height for a, _ in sides.get(i, ())] for i in e.incidences] + [[]] * e.is_boundary for e in tr.edges]
     heights = sorted({arc.height for arc in link.arcs})
@@ -656,9 +656,9 @@ def _layers(link: GoodPositionLink, surface: SurfaceTorusSpec):
             tables.append([lower for lower, _ in splits])
             rest = [upper for _, upper in splits]
             ends = [[side[bisect_right(side, h) :] for side in pair] for pair in ends]
-    layers = [GoodPositionLink() for _ in range(len(cuts) + 1)]
+    layers = [()] * (len(cuts) + 1)
     for arc in link.arcs:
-        layers[bisect_left(cuts, arc.height)].arcs += (arc,)
+        layers[bisect_left(cuts, arc.height)] += (arc,)
     return list(zip(layers, tables + [rest]))
 
 
@@ -673,14 +673,13 @@ def glued_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TorusEleme
     """
     _require_good_position(link, surface)
     keys, traces = [], []
-    for layer, tables in _layers(link, surface):
-        heights = sorted({arc.height for arc in layer.arcs})
-        arcs = sorted((bisect_left(heights, a.height), a.triangle, a.entry, a.turn) for a in layer.arcs)
-        key = (arcs, tables)
+    for arcs, tables in _layers(link, surface):
+        heights = sorted({arc.height for arc in arcs})
+        key = (sorted((bisect_left(heights, a.height), a.triangle, a.entry, a.turn) for a in arcs), tables)
         if key in keys:
             traces.append(traces[keys.index(key)])
         else:
-            traces.append(project_to_glued(_state_sum(layer, surface, tables), surface))
+            traces.append(project_to_glued(_state_sum(arcs, surface, tables), surface))
         keys.append(key)
     return reduce(normal_product, traces)
 

@@ -26,6 +26,9 @@ products of the public slice matrices, independently of the slice tables
 and the biangle sweep.  ``paper_move_displays`` transcribes the paper's
 n = 3 displayed matrices of the moves I-IV entry by entry, independently
 of the matrix products that the move suite compares.
+``cut_along`` cuts a triangulation along an edge, and ``lift_to_tensor``
+inverts ``project_to_glued`` term by term, so that the trace of a cut
+surface can be glued back on the uncut one.
 ``make_spec``, ``dense_form``, ``dense_quiver`` and ``dense_surface_forms``
 hold the dense N x N matrices that the library's sparse specs stand for:
 a spec from a checked dense matrix, a spec's matrix filled in from its
@@ -56,7 +59,7 @@ from qtrace.qtorus import (
     weyl_lift,
 )
 from qtrace.fock_goncharov import triangle_vertices
-from qtrace.surface import arc_quantum_matrix, inward_sequence, rotate_vertex, turn_exit_side
+from qtrace.surface import Edge, IdealTriangulation, arc_quantum_matrix, inward_sequence, rotate_vertex, turn_exit_side
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +394,36 @@ def map_exponents(elem, target_spec, index_map):
         return tuple(e2)
 
     return TorusElement(target_spec, ((reindexed(e), c) for e, c in elem.terms.items()))
+
+
+# ---------------------------------------------------------------------------
+# cutting and gluing
+
+
+def cut_along(triangulation, edge_id):
+    """The triangulation cut along an internal edge e: e becomes two
+    boundary edges, e0 on its first incidence and e1 on its second.  The
+    triangles are unchanged, so the cut surface has the same tensor torus."""
+    edges = []
+    for edge in triangulation.edges:
+        if edge.id == edge_id:
+            edges += [Edge(f"{edge_id}{k}", (incidence,)) for k, incidence in enumerate(edge.incidences)]
+        else:
+            edges.append(edge)
+    return IdealTriangulation(triangulation.n_triangles, tuple(edges))
+
+
+def lift_to_tensor(elem, surface):
+    """The inverse of project_to_glued: a glued monomial g becomes the
+    tensor monomial with e_i = g[tensor_to_glued[i]], its coefficient
+    times h^(-sum c g_a g_b) over the surface's weyl_correction."""
+
+    def lifted():
+        for g, coeff in elem.terms.items():
+            k = sum(c * g[a] * g[b] for a, b, c in surface.weyl_correction)
+            yield tuple(g[i] for i in surface.tensor_to_glued), coeff * RootScalar({-k: 1})
+
+    return TorusElement(surface.tensor_spec, lifted())
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,8 @@ class TestParsers:
             ("polynomial\nn 3\ngenerators a\nn 4\nterm 1 ; 0 1\n", ":4: repeated 'n' directive"),
             # and within one term, the last pair of an h-exponent must not win
             ("polynomial\nn 3\ngenerators a b\nterm 1 2 ; 0 1 0 5\n", ":4: repeated h-exponent 0"),
+            # and a generator id may appear once, or its exponents would be read twice
+            ("polynomial\nn 3\ngenerators a a\nterm 1 2 ; 0 1\n", ":3: repeated generator id 'a'"),
         ]:
             with pytest.raises(ParseError) as err:
                 parse_polynomial_file("p.poly", text)
