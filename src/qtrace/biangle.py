@@ -317,7 +317,7 @@ def kink_scalar(n: int, sign: int) -> RootScalar:
 
 
 @lru_cache(maxsize=None)
-def _slice_tables(n: int, bits: int = 64) -> tuple:
+def _slice_tables(n: int, bits: int = 32) -> tuple:
     """(unit, {slice kind: (norm, lowest exponent, {states in the window
     before the slice: [(states after, amplitude), ...]})}) at rank n, over
     the nonzero entries of each slice's matrix, so the state sum uses the
@@ -353,10 +353,14 @@ def _slice_tables(n: int, bits: int = 64) -> tuple:
 
 
 def _terms(amp: int, bits: int, low: int, unit: int) -> dict:
-    """{h exponent: coefficient} of a packed amplitude whose field j, bits wide,
-    holds the coefficient of h^(low + unit*j): its balanced base-2^bits digits."""
+    """{h exponent: nonzero coefficient} of a packed amplitude whose field j,
+    bits wide, holds the coefficient of h^(low + unit*j): its balanced
+    base-2^bits digits, each run of zero fields shifted out in one step."""
     mask, half, terms = (1 << bits) - 1, 1 << bits - 1, {}
     while amp:
+        if not amp & mask:
+            skip = ((amp & -amp).bit_length() - 1) // bits
+            amp, low = amp >> bits * skip, low + unit * skip
         c, amp = amp & mask, amp >> bits
         if c >= half:
             c, amp = c - (1 << bits), amp + 1
@@ -371,18 +375,18 @@ def amplitude_table(diagram: BiangleDiagram) -> dict:
 
     One sweep through the slices carries every left tuple at once, keyed
     by the current states, each holding {left states: amplitude}.  An
-    amplitude is one packed int (_slice_tables) whose fields, in whole
-    64-bit words, hold 2 bits more than the product of the slices' norms,
-    which bounds every coefficient.  The diagram keeps the table, so
-    later calls are lookups.
+    amplitude is one packed int (_slice_tables) whose fields, a multiple
+    of 32 bits wide, hold 2 bits more than the product of the slices'
+    norms, which bounds every coefficient.  The diagram keeps the table,
+    so later calls are lookups.
     """
     table = diagram._amplitudes
     if not table:
         n, lefts = diagram.n, list(product(range(1, diagram.n + 1), repeat=len(diagram.left)))
         # a diagram without slices builds no slice tables
         unit, tables = _slice_tables(n) if diagram.slices else (1, {})
-        bits = (prod(tables[s.kind][0] for s in diagram.slices).bit_length() + 65) // 64 * 64
-        unit, tables = _slice_tables(n, bits) if bits > 64 else (unit, tables)
+        bits = (prod(tables[s.kind][0] for s in diagram.slices).bit_length() + 33) // 32 * 32
+        unit, tables = _slice_tables(n, bits) if bits > 32 else (unit, tables)
         # zero amplitudes stay in the sweep until decoding drops them
         sweep, low = {left: {left: 1} for left in lefts}, 0
         for s in diagram.slices:

@@ -180,8 +180,10 @@ def _inversions(perm: Sequence[int]) -> int:
 
 def quantum_determinant(M: TorusMatrix) -> TorusElement:
     """Row-ordered quantum determinant: sum over permutations of
-    (-q)^inv(s) * M[0][s(0)] * ... * M[m-1][s(m-1)], one ``product_sum``
-    whose pairs are the product of the first m-1 factors and the last."""
+    (-q)^-inv(s) * M[0][s(0)] * ... * M[m-1][s(m-1)], one ``product_sum``
+    whose pairs are the product of the first m-1 factors and the last.
+    This is the determinant of the relations ``is_mnq_point`` checks
+    (b a = q a b, ..., Manin's with q inverted): a d - q^-1 b c at m = 2."""
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
     n = M.spec.n
@@ -192,7 +194,7 @@ def quantum_determinant(M: TorusMatrix) -> TorusElement:
             if not any(e.is_zero() for e in entries):
                 inv = _inversions(perm)
                 head = reduce(normal_product, entries[:-1] or [TorusElement.one(M.spec)])
-                yield q_power(n, inv, coeff=(-1) ** inv), head, entries[-1]
+                yield q_power(n, -inv, coeff=(-1) ** inv), head, entries[-1]
 
     return product_sum(M.spec, triples())
 

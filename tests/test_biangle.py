@@ -6,7 +6,7 @@ from functools import reduce
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtrace.qtorus import (
     ONE,
@@ -36,6 +36,7 @@ from qtrace.biangle import (
     _slice_tables,
     _terms,
 )
+import qtrace.biangle as biangle
 from oracles import crossing_constructions, dense_word_matrix, oracle_crossing_matrix
 
 
@@ -67,6 +68,22 @@ def diagrams(draw):
         if len(diagram.right) <= most:
             slices = diagram.slices
     return BiangleDiagram(n, left, slices)
+
+
+@st.composite
+def packed_terms(draw):
+    """(bits, low, unit, {h exponent: coefficient}) for fields bits wide
+    holding the coefficients of h^(low + unit*j): nonzero coefficients up
+    to 2^(bits-2) in size, often negative or extreme, with runs of up to
+    100 zero fields between them."""
+    bits = draw(st.sampled_from([32, 64, 96]))
+    top, low, unit = 1 << bits - 2, draw(st.integers(-40, 40)), draw(st.sampled_from([1, 2, 18]))
+    coefficients = st.one_of(st.sampled_from([-top, -1, 1, top]), st.integers(-top, top).filter(bool))
+    gaps, terms, j = st.one_of(st.integers(0, 2), st.integers(3, 100)), {}, 0
+    for gap, c in draw(st.lists(st.tuples(gaps, coefficients), max_size=12)):
+        j += gap
+        terms[low + unit * j], j = c, j + 1
+    return bits, low, unit, terms
 
 
 class TestRibbonScalars:
@@ -334,8 +351,40 @@ class TestBiangleEngine:
         assert amplitude_table(loops) == {(): {(): power}}
         assert max(abs(c) for c in power.terms.values()).bit_length() == bits
 
+    @pytest.mark.parametrize(
+        "n,m,bits",
+        [(2, 18, 32), (2, 19, 32), (2, 29, 32), (2, 30, 64), (3, 18, 32)]
+        + [(3, 19, 64), (4, 14, 32), (4, 15, 64), (4, 18, 64), (4, 19, 64)],
+    )
+    def test_unknot_words_take_the_narrowest_fields(self, n, m, bits, monkeypatch):
+        # a cup-cap pair has norm n, so m unknots bound the coefficients by
+        # n^m; the fields are the next multiple of 32 bits above its bit
+        # length plus 2, and only a width past 32 builds its own tables
+        asked, built = [], biangle._slice_tables
+
+        def spy(*args):
+            asked.append(args)
+            return built(*args)
+
+        monkeypatch.setattr(biangle, "_slice_tables", spy)
+        loops = BiangleDiagram(n, (), (Slice("inc_ccw", 1), Slice("dec_ccw", 1)) * m)
+        assert amplitude_table(loops) == {(): {(): reduce(mul, [unknot_value(n)] * m)}}
+        assert asked == ([(n,)] if bits == 32 else [(n,), (n, bits)])
+
+    @given(case=packed_terms())
+    @example(case=(32, 0, 1, {5: -1, 6: 1}))
+    @example(case=(64, -3, 2, {-3: 7, 97: -(1 << 62)}))
+    @settings(max_examples=300, deadline=None)
+    def test_terms_decodes_what_the_slice_tables_pack(self, case):
+        # packed as _slice_tables packs an entry: a negative coefficient
+        # borrows from the field above, and a run of zero fields below a
+        # nonzero one is skipped, so no zero coefficient is decoded
+        bits, low, unit, terms = case
+        amp = sum(c << bits * ((k - low) // unit) for k, c in terms.items())
+        assert _terms(amp, bits, low, unit) == terms
+
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("bits", [64, 128])
+    @pytest.mark.parametrize("bits", [32, 64, 96, 128])
     def test_slice_tables_hold_the_nonzero_matrix_entries(self, n, bits):
         # every packed entry decodes to its crossing, U-turn or kink matrix
         # entry, whatever the field width, and a kind's norm is its

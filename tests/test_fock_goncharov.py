@@ -227,14 +227,19 @@ class TestQuantumMatrixTheorem:
 
     def test_determinant_signs_and_q_powers_follow_inversions(self):
         # the turn matrices are triangular, so every permutation but the
-        # identity meets a zero entry there; these matrices reach others
+        # identity meets a zero entry there; these matrices reach others.
+        # is_mnq_point checks b a = q a b, c a = q a c, d b = q b d, d c =
+        # q c d, b c = c b and d a - a d = (q - q^-1) b c, whose quantum
+        # determinant is a d - q^-1 b c: a permutation with inv
+        # inversions weighs (-q^-1)^inv, so the n = 3 antidiagonal (three
+        # inversions) gives -q^-3
         spec = triangle_poisson(3).spec
         a, b, c, d = (TorusElement.generator(spec, i) for i in range(4))
-        q = q_power(3, 1)
-        assert quantum_determinant(TorusMatrix(spec, [[a, b], [c, d]])) == normal_product(a, d) - normal_product(b, c) * q
+        q_inv = q_power(3, -1)
+        assert quantum_determinant(TorusMatrix(spec, [[a, b], [c, d]])) == normal_product(a, d) - normal_product(b, c) * q_inv
         one, zero = TorusElement.one(spec), TorusElement.zero(spec)
         antidiagonal = TorusMatrix(spec, [[zero, zero, one], [zero, one, zero], [one, zero, zero]])
-        assert quantum_determinant(antidiagonal) == -q_power(3, 3)
+        assert quantum_determinant(antidiagonal) == -q_power(3, -3)
 
     def test_five_tuple_matrices_are_arc_matrices(self):
         # The move identities' L(W, Z, W', Z', X) and R(W, Z, W', Z', X)

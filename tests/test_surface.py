@@ -39,6 +39,7 @@ from qtrace.surface import (
     verify_moves,
 )
 
+import qtrace.fock_goncharov as fock_goncharov
 import qtrace.surface as surface_module
 import oracles
 from oracles import CurveStep, classical_trace_polynomial
@@ -1197,6 +1198,17 @@ SQUARE_STRANDS = {
 }
 
 
+def permutation_determinant(M, sign):
+    """Sum over permutations s of (-q)^(sign*inv(s)) * M[0][s(0)] * ... *
+    M[m-1][s(m-1)], one normal product at a time."""
+    total, rows = TorusElement.zero(M.spec), range(M.rows)
+    for perm in permutations(rows):
+        inv = sum(perm[i] > perm[j] for i in rows for j in rows if i < j)
+        entries = [row[j] for row, j in zip(M.entries, perm)]
+        total = total + reduce(normal_product, entries) * q_power(M.spec.n, sign * inv, coeff=(-1) ** inv)
+    return total
+
+
 def fan_strand(m, kind):
     """The strand along a fan of m triangles from e0 to s(m-1), turning
     left and then right, or from s0 to e1, turning right and then left:
@@ -1238,16 +1250,25 @@ class TestStatedTables:
     def test_fan_strand_changing_its_turn_is_a_quantum_matrix_point(self, kind, m, n):
         assert is_mnq_point(stated_table(strip_at(n, m), *fan_strand(m, kind)))
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="a strand that changes its turning direction has quantum determinant "
-        "1 + (q^-1 - q) X^-1, not 1 (FOUND in CHANGES.md: stated tables of such strands)",
-    )
     def test_fan_strand_changing_its_turn_has_quantum_determinant_one(self):
         surface = strip_at(2, 2)
         table = stated_table(surface, *fan_strand(2, "e0-s"))
         assert quantum_determinant(table) == TorusElement.one(surface.glued_spec)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("strand", ["fan2-e0-s", "fan2-s0-e1", "fan3-e0-s", "fan3-s0-e1", "q-v", "p-u"])
+    def test_strand_changing_its_turn_is_a_quantum_sln_point(self, strand, n, monkeypatch):
+        # the determinant follows the relations is_mnq_point checks; with
+        # the weight (-q)^inv of Manin's uninverted relations it fails
+        if strand.startswith("fan"):
+            m = int(strand[3])
+            table = stated_table(strip_at(n, m), *fan_strand(m, strand[5:]))
+        else:
+            table = stated_table(square_at(n), *SQUARE_STRANDS[strand])
+        assert quantum_determinant(table) == permutation_determinant(table, -1)
+        assert is_slnq_point(table)
+        monkeypatch.setattr(fock_goncharov, "quantum_determinant", lambda M: permutation_determinant(M, 1))
+        assert not is_slnq_point(table)
 
 
 # The once-punctured torus's fixture links, cut along each of its edges.
@@ -1367,3 +1388,20 @@ class TestPunctureLoop:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_negated_correction_breaks_the_coefficients(self, n):
         assert not weyl_coefficients_are_one(project_to_glued(puncture_trace(n), negated_correction(torus_at(n))))
+
+
+class TestSimpleLoops:
+    """Curves a, b and c cross each edge of the torus at most once, and
+    every Weyl-ordered coefficient of their traces is 1."""
+
+    @pytest.mark.parametrize("n,terms", [(2, 3), (3, 8), (4, 21), (5, 55)])
+    @pytest.mark.parametrize("curve", ["a", "b", "c"])
+    def test_weyl_coefficients_are_one(self, curve, n, terms):
+        link = GoodPositionLink(arcs=CURVE_C if curve == "c" else CURVES[curve])
+        trace = glued_trace(link, torus_at(n))
+        assert len(trace.terms) == terms
+        assert weyl_coefficients_are_one(trace)
+        # control: with the correction negated they are other powers of h,
+        # except on curve a at n = 2
+        negated = glued_trace(link, negated_correction(torus_at(n)))
+        assert weyl_coefficients_are_one(negated) == (curve == "a" and n == 2)
