@@ -141,10 +141,6 @@ class IdealTriangulation:
     def internal_edges(self):
         return tuple(e for e in self.edges if not e.is_boundary)
 
-    @property
-    def boundary_edges(self):
-        return tuple(e for e in self.edges if e.is_boundary)
-
 
 def rotate_vertex(v, k: int):
     """Apply the discrete triangle's side rotation k times; it carries
@@ -284,23 +280,25 @@ class GoodPositionLink:
         self.boundary_states = dict(self.boundary_states)
 
 
-def _sides(arcs):
-    """The arc ends on each (triangle, side), bottom to top, as (arc,
-    role) pairs with role 'entry' or 'exit'.  An arc never enters and
-    exits through one side, so every pair is one arc end."""
-    sides = {}
+def _edge_ends(arcs, triangulation) -> list:
+    """Per edge, in declaration order, the arc ends on its first
+    incidence and on its second (none on a boundary edge's), bottom to
+    top, as (arc, role) pairs with role 'entry' or 'exit'.  An arc never
+    enters and exits through one side, so every pair is one arc end."""
+    where = {inc: (k, i) for k, e in enumerate(triangulation.edges) for i, inc in enumerate(e.incidences)}
+    ends = [([], []) for _ in triangulation.edges]
     for arc in sorted(arcs, key=lambda a: a.height):
-        sides.setdefault((arc.triangle, arc.entry), []).append((arc, "entry"))
-        sides.setdefault((arc.triangle, arc.exit), []).append((arc, "exit"))
-    return sides
+        for role, side in (("entry", arc.entry), ("exit", arc.exit)):
+            k, i = where[arc.triangle, side]
+            ends[k][i].append((arc, role))
+    return ends
 
 
-def _profiles(sides, edge: Edge):
-    """Boundary orientation profiles of an internal edge's biangle as
-    forced by the adjacent triangle arcs."""
-    left = tuple("r" if role == "exit" else "l" for _, role in sides.get(edge.incidences[0], ()))
-    right = tuple("r" if role == "entry" else "l" for _, role in sides.get(edge.incidences[1], ()))
-    return left, right
+def _profile(ends, toward: str) -> tuple:
+    """The orientations at one side of a biangle forced by the arc ends
+    there: 'r' for an end whose role is toward ('exit' on the left side,
+    'entry' on the right), else 'l'."""
+    return tuple("r" if role == toward else "l" for _, role in ends)
 
 
 def validate_good_position(link: GoodPositionLink, surface: SurfaceTorusSpec):
@@ -335,9 +333,12 @@ def validate_good_position(link: GoodPositionLink, surface: SurfaceTorusSpec):
         if edge.is_boundary:
             problems.append(f"edge {edge_id!r} is a boundary edge and has no biangle")
 
-    sides = _sides(link.arcs)
-    for edge in tr.internal_edges:
-        left, right = _profiles(sides, edge)
+    strands = {}
+    for edge, (left, right) in zip(tr.edges, _edge_ends(link.arcs, tr)):
+        if edge.is_boundary:
+            strands[edge.id] = len(left)
+            continue
+        left, right = _profile(left, "exit"), _profile(right, "entry")
         try:
             diagram = BiangleDiagram(surface.tri.n, left, link.slices.get(edge.id, ()))
         except ValueError as err:
@@ -349,7 +350,6 @@ def validate_good_position(link: GoodPositionLink, surface: SurfaceTorusSpec):
                 f"the adjacent triangle arcs {right}"
             )
 
-    strands = {e.id: len(sides.get(e.incidences[0], ())) for e in tr.boundary_edges}
     for eid, count in strands.items():
         for pos in range(1, count + 1):
             if (eid, pos) not in link.boundary_states:
@@ -396,7 +396,7 @@ def arc_quantum_matrix(tri: TriangleCoordinates, entry: int, turn: str, normaliz
 
 class _Factor(NamedTuple):
     """A factor of the state sum: the summed edges it reads and its
-    reader of the flat state list (see _state_sum)."""
+    reader of the per-edge state keys (see _state_sum)."""
 
     edges: tuple
     read: Callable
@@ -415,14 +415,12 @@ def _edge_tables(link: GoodPositionLink, surface: SurfaceTorusSpec) -> list:
     amplitude 1; an internal edge's keys are its left states then its
     right, the diagram's amplitude_table flattened, each nonzero entry
     read through biangle_trace, the one reader of an amplitude."""
-    sides = _sides(link.arcs)
     tables = []
-    for edge in surface.triangulation.edges:
+    for edge, (left, _) in zip(surface.triangulation.edges, _edge_ends(link.arcs, surface.triangulation)):
         if edge.is_boundary:
-            count = len(sides.get(edge.incidences[0], ()))
-            tables.append({tuple(link.boundary_states[(edge.id, pos)] for pos in range(1, count + 1)): ONE})
+            tables.append({tuple(link.boundary_states[(edge.id, pos)] for pos in range(1, len(left) + 1)): ONE})
             continue
-        diagram = BiangleDiagram(surface.tri.n, _profiles(sides, edge)[0], link.slices.get(edge.id, ()))
+        diagram = BiangleDiagram(surface.tri.n, _profile(left, "exit"), link.slices.get(edge.id, ()))
         table = amplitude_table(diagram)
         tables.append({ls + rs: biangle_trace(diagram, ls, rs) for ls, row in table.items() for rs in row})
     return tables
@@ -452,28 +450,18 @@ def _state_sum(arcs, surface: SurfaceTorusSpec, edge_tables: list) -> TorusEleme
     edge left, the step sums out all of them, and the one table left is
     the trace.
     """
-    sides = _sides(arcs)
-
-    # Each arc end reads one entry of a flat state list: each edge's ends
-    # in the order of its table's keys, edge by edge.  Edge k's table is
-    # keyed by its block of the list, states[slots[k]].
-    ends = {}
-    slots = []
-    for edge in surface.triangulation.edges:
-        first = len(ends)
-        for incidence in edge.incidences:
-            for end in sides.get(incidence, ()):
-                ends[end] = len(ends)
-        slots.append(slice(first, len(ends)))
-    states, alive, scale = [None] * len(ends), set(), ONE
+    # states[k] holds edge k's current key in its table, its left ends'
+    # states then its right ends'; an arc end reads position p of its
+    # edge's key, ends[(arc, role)] = (k, p).
+    edge_ends = _edge_ends(arcs, surface.triangulation)
+    ends = {end: (k, p) for k, (left, right) in enumerate(edge_ends) for p, end in enumerate(left + right)}
+    states, alive, scale = [None] * len(edge_tables), set(), ONE
     for k, table in enumerate(edge_tables):
         if len(table) == 1:
-            ((states[slots[k]], amp),) = table.items()
+            ((states[k], amp),) = table.items()
             scale = scale if amp == ONE else scale * amp
         else:
             alive.add(k)
-    index = range(len(ends))
-    owner = {i: k for k in alive for i in index[slots[k]]}
 
     tri_arcs = {}
     for arc in sorted(arcs, key=lambda a: a.height):
@@ -484,21 +472,21 @@ def _state_sum(arcs, surface: SurfaceTorusSpec, edge_tables: list) -> TorusEleme
     # one unit for every triangle, so that it packs its left form once
     one = TorusElement.one(tri_spec)
 
-    # A factor reads edge states from the flat state list and gives
-    # (exponent, coefficient) pairs, each exponent a whole tensor
-    # exponent packed into one int, a 64-bit field per generator
-    # (qtorus._packer).  Factors of different triangles commute in the
-    # block-diagonal tensor torus, so multiplying two terms adds their
-    # packed exponents.  This is exact: a product takes one triangle
-    # factor per triangle, so each field receives one triangle's entry,
-    # which normal_product has bounded below 2^63 (it checks its inputs
-    # below 2^62), and no field carries into the next.  A triangle
-    # without arcs is the unit and has no factor.
+    # A factor reads the edges' current keys and gives (exponent,
+    # coefficient) pairs, each exponent a whole tensor exponent packed
+    # into one int, a 64-bit field per generator (qtorus._packer).
+    # Factors of different triangles commute in the block-diagonal tensor
+    # torus, so multiplying two terms adds their packed exponents.  This
+    # is exact: a product takes one triangle factor per triangle, so each
+    # field receives one triangle's entry, which normal_product has
+    # bounded below 2^63 (it checks its inputs below 2^62), and no field
+    # carries into the next.  A triangle without arcs is the unit and has
+    # no factor.
     def triangle_factor(t):
         arcs = tri_arcs[t]
         arc_ends = [(ends[(arc, "entry")], ends[(arc, "exit")]) for arc in arcs]
         matrices = [arc_quantum_matrix(surface.tri, arc.entry, arc.turn) for arc in arcs]
-        edges = tuple(sorted({owner[i] for end in arc_ends for i in end if i in owner}))
+        edges = tuple(sorted({k for end in arc_ends for k, _ in end} & alive))
         shift = 64 * t * tri_spec.N
         cache = {}
 
@@ -506,7 +494,7 @@ def _state_sum(arcs, surface: SurfaceTorusSpec, edge_tables: list) -> TorusEleme
             """The height-ordered product of the triangle's arc entries,
             computed once in the triangle's own torus for each tuple of
             (entry, exit) state pairs and shifted to its tensor block."""
-            pairs = tuple((states[i], states[j]) for i, j in arc_ends)
+            pairs = tuple((states[a][i], states[b][j]) for (a, i), (b, j) in arc_ends)
             if pairs not in cache:
                 entries = [m[i - 1, j - 1] for m, (i, j) in zip(matrices, pairs)]
                 terms = () if any(x.is_zero() for x in entries) else reduce(normal_product, entries, one).terms.items()
@@ -516,8 +504,7 @@ def _state_sum(arcs, surface: SurfaceTorusSpec, edge_tables: list) -> TorusEleme
         return _Factor(edges, read)
 
     def table_factor(edges, table):
-        places = [i for k in edges for i in index[slots[k]]]
-        return _Factor(tuple(edges), lambda states: table.get(tuple(states[i] for i in places), ()))
+        return _Factor(tuple(edges), lambda states: table.get(tuple(states[k] for k in edges), ()))
 
     def times(factors, amp=None):
         """The factors' product at the current states, times amp."""
@@ -547,16 +534,16 @@ def _state_sum(arcs, surface: SurfaceTorusSpec, edge_tables: list) -> TorusEleme
         table = {}
         for combo in iter_product(*(edge_tables[k] for k in rest)):
             for k, key in zip(rest, combo):
-                states[slots[k]] = key
+                states[k] = key
             sums = {}
             for cut in iter_product(*(edge_tables[k].items() for k in summed)):
                 for k, (key, _) in zip(summed, cut):
-                    states[slots[k]] = key
+                    states[k] = key
                 for e, c in times(inside, reduce(mul, (amp for _, amp in cut))):
                     sums[e] = sums[e] + c if e in sums else c
             terms = [(e, c) for e, c in sums.items() if not c.is_zero()]
             if terms:
-                table[sum(combo, ())] = terms
+                table[combo] = terms
         factors = [f for f in factors if f not in inside] + [table_factor(rest, table)]
         alive.difference_update(summed)
 
@@ -642,10 +629,8 @@ def _layers(link: GoodPositionLink, surface: SurfaceTorusSpec):
     and above h.  A boundary edge has ends on one side only, and its one
     entry always splits.  Cuts are taken lowest first, each splitting what
     the cuts below it left."""
-    tr = surface.triangulation
-    sides = _sides(link.arcs)
     # the heights of each edge's left ends, then right ends (a boundary edge has none)
-    ends = [[[a.height for a, _ in sides.get(i, ())] for i in e.incidences] + [[]] * e.is_boundary for e in tr.edges]
+    ends = [[[a.height for a, _ in side] for side in pair] for pair in _edge_ends(link.arcs, surface.triangulation)]
     heights = sorted({arc.height for arc in link.arcs})
     rest = _edge_tables(link, surface)
     cuts, tables = [], []

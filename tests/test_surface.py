@@ -80,8 +80,8 @@ STEPS_B = [CurveStep("b", 0, "left"), CurveStep("d", 1, "right")]
 class TestTriangulation:
     def test_fixtures_are_valid(self):
         assert len(once_punctured_torus().internal_edges) == 3
-        assert len(glued_square().boundary_edges) == 4
-        assert len(single_triangle().boundary_edges) == 3
+        assert sum(e.is_boundary for e in glued_square().edges) == 4
+        assert sum(e.is_boundary for e in single_triangle().edges) == 3
 
     def test_duplicate_edge_id_rejected(self):
         with pytest.raises(ValueError):
@@ -311,7 +311,7 @@ def strip_at(n, m):
 
 def boundary_slots(arcs, surface):
     """(boundary edge id, position) of every arc end on a boundary edge."""
-    where = {e.incidences[0]: e.id for e in surface.triangulation.boundary_edges}
+    where = {e.incidences[0]: e.id for e in surface.triangulation.edges if e.is_boundary}
     count = {}
     for arc in arcs:
         for side in (arc.entry, arc.exit):
@@ -342,18 +342,20 @@ SAME_KINDS = [kind for kind in CROSSING_KINDS if "_same_" in kind]
 
 
 @st.composite
-def braided_bundles(draw):
-    """k parallel copies of curve a with random words of crossings, kinks
-    and zig-zags in the biangles d and r."""
-    n, k = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+def braided_bundles(draw, max_n=3, zigzags=True):
+    """k parallel copies of curve a at rank n = 2..max_n with random words
+    of crossings, kinks and (when zigzags) zig-zags in the biangles d and
+    r."""
+    n, k = draw(st.integers(2, max_n)), draw(st.integers(1, 2))
     arcs = []
     for h in range(1, k + 1):
         arcs += [TriangleArc(1, 0, "right", h), TriangleArc(0, 0, "left", h)]
+    letters = ("crossing",) * (k > 1) + ("kink",) + ("zigzag",) * zigzags
     slices = {}
     for edge in ("d", "r"):
         word = []
         for _ in range(draw(st.integers(0, 4))):
-            letter = draw(st.sampled_from(("crossing", "kink", "zigzag") if k > 1 else ("kink", "zigzag")))
+            letter = draw(st.sampled_from(letters))
             if letter == "crossing":
                 word.append(Slice(draw(st.sampled_from(SAME_KINDS)), draw(st.integers(1, k - 1))))
             elif letter == "kink":
@@ -571,6 +573,35 @@ class TestStateSumEngine:
         assert quantum_trace(link, surface).tensor == expected
         assert all(1 not in row for row in widths)
         assert bool(widths) == (scalar is None)
+
+
+def weyl_ordered(elem):
+    """elem's Weyl-ordered coefficients, c h^-ordering(e, e) per term."""
+    return {e: c * RootScalar({-elem.spec.ordering(e, e): 1}) for e, c in elem.terms.items()}
+
+
+def named_weyl_ordered(elem):
+    """weyl_ordered(elem) keyed by the generator names and exponents of
+    each term's nonzero entries."""
+    names = elem.spec.names
+    return {tuple(sorted((name, x) for name, x in zip(names, e) if x)): c for e, c in weyl_ordered(elem).items()}
+
+
+class TestEdgeDeclarationOrder:
+    """The state sum keys its states by edge, in the order the
+    triangulation declares its edges; the trace must not depend on it."""
+
+    @given(case=st.one_of(braided_bundles(), strips(), squares(), fans()), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_trace_does_not_depend_on_edge_order(self, case, data):
+        link, surface = case
+        tr = surface.triangulation
+        edges = data.draw(st.permutations(tr.edges))
+        permuted = build_surface(IdealTriangulation(tr.n_triangles, edges), surface.tri.n)
+        assert quantum_trace(link, permuted).tensor == quantum_trace(link, surface).tensor
+        # the glued torus numbers its generators edge by edge, so compare
+        # the Weyl-ordered coefficients by generator name
+        assert named_weyl_ordered(glued_trace(link, permuted)) == named_weyl_ordered(glued_trace(link, surface))
 
 
 def lone_edge_dot(surface):
@@ -1055,21 +1086,24 @@ class TestLayeredTrace:
         assert traces[0] == traces[1] and len(traces[0].terms) == 112
 
 
+def block_matrix(surf, M, t):
+    """A triangle-torus matrix with its entries moved to triangle t's
+    block of the surface's tensor torus."""
+    mapping = {i: t * surf.tri.spec.N + i for i in range(surf.tri.spec.N)}
+    rows = [
+        [oracles.map_exponents(x, surf.tensor_spec, mapping) for x in row]
+        for row in M.entries
+    ]
+    return TorusMatrix(surf.tensor_spec, rows)
+
+
 class TestGluedSquare:
     def test_state_sum_equals_direct_contraction(self):
         surf = build_surface(glued_square(), 3)
         M0 = arc_quantum_matrix(surf.tri, 2, "left")
         M1 = arc_quantum_matrix(surf.tri, 2, "right")
 
-        def embed(M, t):
-            mapping = {i: t * surf.tri.spec.N + i for i in range(surf.tri.spec.N)}
-            rows = [
-                [oracles.map_exponents(x, surf.tensor_spec, mapping) for x in row]
-                for row in M.entries
-            ]
-            return TorusMatrix(surf.tensor_spec, rows)
-
-        prod = mat_mul(embed(M0, 0), embed(M1, 1))
+        prod = mat_mul(block_matrix(surf, M0, 0), block_matrix(surf, M1, 1))
         for s1 in range(1, 4):
             for s2 in range(1, 4):
                 link = GoodPositionLink(
@@ -1078,6 +1112,27 @@ class TestGluedSquare:
                 )
                 g = quantum_trace(link, surf)
                 assert g.tensor == prod[s1 - 1, s2 - 1]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_turn_matrix_products_are_quantum_sln_points(self, n):
+        # Manin: two SL_n^q points whose entries commute multiply to one,
+        # and the determinant is multiplicative; the two triangles' blocks
+        # commute.  Control: with the weight (-q)^inv of Manin's
+        # uninverted relations, det(AB) = 1 exactly when A and B turn the
+        # same way.
+        surf = square_at(n)
+        one = TorusElement.one(surf.tensor_spec)
+        turns = [(entry, turn) for entry in range(3) for turn in ("left", "right")]
+        held = set()
+        for a, b in iter_product(turns, repeat=2):
+            A, B = (block_matrix(surf, arc_quantum_matrix(surf.tri, *x), t) for t, x in enumerate((a, b)))
+            AB = mat_mul(A, B)
+            assert quantum_determinant(AB) == quantum_determinant(A) * quantum_determinant(B) == one
+            assert is_slnq_point(AB)
+            if permutation_determinant(AB, 1) == one:
+                held.add((a, b))
+        assert held == {(a, b) for a, b in iter_product(turns, repeat=2) if a[1] == b[1]}
+        assert len(held) == 18
 
 
 # curve c resolves the one crossing of a stacked on b (Le-Yu's L0)
@@ -1405,3 +1460,64 @@ class TestSimpleLoops:
         # except on curve a at n = 2
         negated = glued_trace(link, negated_correction(torus_at(n)))
         assert weyl_coefficients_are_one(negated) == (curve == "a" and n == 2)
+
+
+def mirror(link, flip=True):
+    """The mirror of copies of curve a with crossings and kinks: heights h
+    go to k + 1 - h, a crossing at p to k - p and a kink at p to k + 1 - p,
+    each of the opposite sign unless flip is False."""
+    k = max(arc.height for arc in link.arcs)
+    sign = {"pos": "neg", "neg": "pos"} if flip else {"pos": "pos", "neg": "neg"}
+
+    def image(s):
+        if s.kind.startswith("kink"):
+            return Slice("kink_" + sign[s.kind[5:]], k + 1 - s.pos)
+        return Slice(sign[s.kind[:3]] + s.kind[3:], k - s.pos)
+
+    return GoodPositionLink(
+        arcs=[TriangleArc(a.triangle, a.entry, a.turn, k + 1 - a.height) for a in link.arcs],
+        slices={edge: tuple(map(image, word)) for edge, word in link.slices.items()},
+    )
+
+
+def mirror_holds(link, surface, flip=True):
+    """Tr(mirror K) = bar Tr(K) in the Weyl basis: each Weyl-ordered
+    coefficient of the mirror's trace is K's with h inverted."""
+    trace = weyl_ordered(glued_trace(link, surface))
+    expected = {e: RootScalar({-k: c for k, c in coeff.terms.items()}) for e, coeff in trace.items()}
+    return weyl_ordered(glued_trace(mirror(link, flip), surface)) == expected
+
+
+def crossed_copies(slices, k=2):
+    """k copies of curve a with the given biangle words."""
+    return GoodPositionLink(arcs=copies("a", k).arcs, slices=slices)
+
+
+class TestMirror:
+    """Mirror symmetry of crossings and kinks (no U-turns) on copies of
+    curve a."""
+
+    @given(case=braided_bundles(max_n=4, zigzags=False))
+    @settings(max_examples=15, deadline=None)
+    def test_mirror_inverts_h_in_the_weyl_basis(self, case):
+        assert mirror_holds(*case)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", SAME_KINDS)
+    def test_mirror_of_one_crossing(self, kind, n):
+        assert mirror_holds(crossed_copies({"d": (Slice(kind, 1),)}), torus_at(n))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mirror_of_three_copies_with_two_crossings_and_a_kink(self, n):
+        word = (Slice("pos_same_to_lower", 1), Slice("neg_same_to_higher", 2))
+        link = crossed_copies({"d": word, "r": (Slice("kink_pos", 3),)}, 3)
+        assert mirror_holds(link, torus_at(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unflipped_signs_and_negated_correction_break_it(self, n):
+        # unflipped signs break the identity at every rank; the negated
+        # correction breaks it from n = 3, and at n = 2 it never weighs on
+        # copies of curve a
+        link = crossed_copies({"d": (Slice("pos_same_to_lower", 1),)})
+        assert not mirror_holds(link, torus_at(n), flip=False)
+        assert mirror_holds(link, negated_correction(torus_at(n))) == (n == 2)
