@@ -439,16 +439,16 @@ def quantum_trace(link: GoodPositionLink, surface: SurfaceTorusSpec) -> TracePol
 
 def _state_sum(arcs, surface: SurfaceTorusSpec, edge_tables: list) -> TorusElement:
     """The state sum of a valid link's arcs over its edge tables (keyed as
-    in _edge_tables), in the tensor torus.  Every term carries its tensor
-    exponent packed into one int until the output unpacks it once.
+    in _edge_tables), in the tensor torus, each term's tensor exponent
+    packed into one int until the output unpacks it once.
 
-    The sum is a tensor network whose indices are the edges' states.  An
-    edge whose table has one entry is fixed: never summed, its amplitude
-    scales the output.  One loop contracts the rest: each step sums out
-    the edge whose bucket (the factors that read it, and the edges those
-    read) has the fewest state combinations; once the bucket spans every
-    edge left, the step sums out all of them, and the one table left is
-    the trace.
+    The sum is a tensor network over the edges' states.  A fixed edge
+    (one table entry) is never summed; its amplitude scales the output.
+    Each step sums out the edge whose bucket (the factors that read it,
+    and their edges) has the fewest state combinations, or, once the
+    bucket spans every edge left, all of them.  A triangle's factor is
+    the height-ordered product of its arcs' entries, read from the call's
+    one product table, which builds each product on its prefix's.
     """
     # states[k] holds edge k's current key in its table, its left ends'
     # states then its right ends'; an arc end reads position p of its
@@ -469,8 +469,19 @@ def _state_sum(arcs, surface: SurfaceTorusSpec, edge_tables: list) -> TorusEleme
 
     tri_spec = surface.tri.spec
     tri_fields, tri_bias = _packer(tri_spec.N)
-    # one unit for every triangle, so that it packs its left form once
-    one = TorusElement.one(tri_spec)
+    # One product table per call, shared by every triangle (one torus), keyed by the
+    # arcs' (entry side, turn) in height order and their (entry, exit) states: products
+    # holds prefixes as elements from the unit seed, packed[kinds] unshifted products.
+    products, packed = {((), ()): TorusElement.one(tri_spec)}, {}
+
+    def product(kinds, pairs):
+        """The kept product of the prefix times the last arc's entry, or zero."""
+        key = kinds[:-1], pairs[:-1]
+        if key not in products:
+            products[key] = product(*key)
+        head, (entry, turn), (i, j) = products[key], kinds[-1], pairs[-1]
+        x = arc_quantum_matrix(surface.tri, entry, turn)[i - 1, j - 1]
+        return x if x.is_zero() else head if head.is_zero() else normal_product(head, x)
 
     # A factor reads the edges' current keys and gives (exponent,
     # coefficient) pairs, each exponent a whole tensor exponent packed
@@ -485,21 +496,16 @@ def _state_sum(arcs, surface: SurfaceTorusSpec, edge_tables: list) -> TorusEleme
     def triangle_factor(t):
         arcs = tri_arcs[t]
         arc_ends = [(ends[(arc, "entry")], ends[(arc, "exit")]) for arc in arcs]
-        matrices = [arc_quantum_matrix(surface.tri, arc.entry, arc.turn) for arc in arcs]
+        kinds = tuple((arc.entry, arc.turn) for arc in arcs)
+        table, shift = packed.setdefault(kinds, {}), 64 * t * tri_spec.N
         edges = tuple(sorted({k for end in arc_ends for k, _ in end} & alive))
-        shift = 64 * t * tri_spec.N
-        cache = {}
 
         def read(states):
-            """The height-ordered product of the triangle's arc entries,
-            computed once in the triangle's own torus for each tuple of
-            (entry, exit) state pairs and shifted to its tensor block."""
+            """The triangle's product at the states, shifted to its block."""
             pairs = tuple((states[a][i], states[b][j]) for (a, i), (b, j) in arc_ends)
-            if pairs not in cache:
-                entries = [m[i - 1, j - 1] for m, (i, j) in zip(matrices, pairs)]
-                terms = () if any(x.is_zero() for x in entries) else reduce(normal_product, entries, one).terms.items()
-                cache[pairs] = [(_pack(tri_fields.pack(*e), tri_bias) << shift, c) for e, c in terms]
-            return cache[pairs]
+            if pairs not in table:
+                table[pairs] = [(_pack(tri_fields.pack(*e), tri_bias), c) for e, c in product(kinds, pairs).terms.items()]
+            return [(e << shift, c) for e, c in table[pairs]]
 
         return _Factor(edges, read)
 
@@ -539,7 +545,8 @@ def _state_sum(arcs, surface: SurfaceTorusSpec, edge_tables: list) -> TorusEleme
             for cut in iter_product(*(edge_tables[k].items() for k in summed)):
                 for k, (key, _) in zip(summed, cut):
                     states[k] = key
-                for e, c in times(inside, reduce(mul, (amp for _, amp in cut))):
+                amp = reduce(mul, (a for _, a in cut))
+                for e, c in times(inside, None if amp == ONE else amp):
                     sums[e] = sums[e] + c if e in sums else c
             terms = [(e, c) for e, c in sums.items() if not c.is_zero()]
             if terms:
@@ -547,10 +554,11 @@ def _state_sum(arcs, surface: SurfaceTorusSpec, edge_tables: list) -> TorusEleme
         factors = [f for f in factors if f not in inside] + [table_factor(rest, table)]
         alive.difference_update(summed)
 
-    # Unpack each output term once, in place: with the last step's sums and inputs
-    # dropped, the list alone holds the packed exponents, each freed as its tuple is made.
+    # Unpack each output term once, in place: with the last step's sums and inputs dropped, and the
+    # product table after its last read (here, when every edge is fixed and no step ran), the list
+    # alone holds the packed exponents, each freed as its tuple is made.
     sums = inside = None
-    terms = times(factors, None if scale == ONE else scale)
+    terms, products, packed = times(factors, None if scale == ONE else scale), None, None
     fields, bias = _packer(surface.tensor_spec.N)
     for k, (e, c) in enumerate(terms):
         terms[k] = _unpack(e + bias, fields, bias), c

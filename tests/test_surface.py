@@ -574,6 +574,63 @@ class TestStateSumEngine:
         assert all(1 not in row for row in widths)
         assert bool(widths) == (scalar is None)
 
+    # The product table builds a triangle's product arc by arc, sharing
+    # each prefix across the state tuples and triangles that agree on it.
+
+    @pytest.mark.parametrize("kind", ["pos_same_to_lower", "neg_same_to_higher"])
+    def test_prefixes_shared_by_three_arcs_match_enumeration(self, kind):
+        # three copies of curve a: each triangle's three arcs share their
+        # kind, and its products differ only in the later arcs' states
+        arcs = [arc for h in (1, 2, 3) for arc in (TriangleArc(1, 0, "right", h), TriangleArc(0, 0, "left", h))]
+        link = GoodPositionLink(arcs=arcs, slices={"d": (Slice(kind, 1), Slice(kind, 2))})
+        assert not validate_good_position(link, torus_at(2))
+        assert quantum_trace(link, torus_at(2)).tensor == oracles.enumerated_trace(link, torus_at(2))
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_puncture_loop_matches_enumeration(self, index):
+        link = puncture_loops()[index]
+        assert quantum_trace(link, torus_at(2)).tensor == oracles.enumerated_trace(link, torus_at(2))
+
+    def test_fan_triangles_with_equal_arc_kinds_and_different_boundary_states(self):
+        # two strands from e0 to e1: every triangle's arcs are two left
+        # turns from side 0, and the end triangles read different states
+        surface = strip_at(3, 3)
+        states = {("e0", 1): 1, ("e0", 2): 2, ("e1", 1): 2, ("e1", 2): 3}
+        link = GoodPositionLink(
+            arcs=fan_arcs((0, 1, 2), [(0, 2, True, True)] * 2),
+            slices={"i1": (Slice("pos_same_to_lower", 1),)},
+            boundary_states=states,
+        )
+        expected = oracles.enumerated_trace(link, surface)
+        assert not expected.is_zero()
+        assert quantum_trace(link, surface).tensor == expected
+
+    @staticmethod
+    def products_made(monkeypatch, trace, link, surface):
+        """The number of normal_product calls the state sum makes."""
+        calls, real = [], surface_module.normal_product
+        monkeypatch.setattr(surface_module, "normal_product", lambda a, b: calls.append(1) or real(a, b))
+        trace(link, surface)
+        monkeypatch.setattr(surface_module, "normal_product", real)
+        return len(calls)
+
+    def test_strips_make_one_product_per_nonzero_entry(self, monkeypatch):
+        # every triangle of a strip turns left from side 0: each nonzero
+        # entry of that turn matrix is one product, whatever the length
+        def made(m):
+            link = GoodPositionLink(
+                arcs=[TriangleArc(i, 0, "left", 1) for i in range(m)], boundary_states={("e0", 1): 1, ("e1", 1): 3}
+            )
+            return self.products_made(monkeypatch, glued_trace, link, strip_at(3, m))
+
+        entries = arc_quantum_matrix(torus_at(3).tri, 0, "left").entries
+        assert made(5) == made(8) == sum(not x.is_zero() for row in entries for x in row)
+
+    def test_one_copy_of_curve_a_makes_a_product(self, monkeypatch):
+        # the unit seeds each triangle's first arc, so a one-arc triangle
+        # still makes a product that a normal_product tracer sees
+        assert self.products_made(monkeypatch, quantum_trace, link_a(), torus_at(3)) >= 1
+
 
 def weyl_ordered(elem):
     """elem's Weyl-ordered coefficients, c h^-ordering(e, e) per term."""
